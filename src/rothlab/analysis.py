@@ -25,6 +25,7 @@ from .spectra import (
     CLUSTER_TOL,
     SIGN_TOL,
     cluster_multiplicity,
+    exact_inverse,
     exact_kernel_dim,
     full_spectrum,
     integer_candidate,
@@ -49,6 +50,7 @@ class RothVerdict:
     mu: float
     multiplicity: int
     eigenvector: np.ndarray
+    kernel: list | None  # rational basis of ker(Q(H) - mu I) on the exact path, else None
 
 
 @dataclass(eq=False)
@@ -75,22 +77,6 @@ class MatrixClassReport:
     m_matrix: bool
     inverse_positive: bool
     minpositive: bool
-    rowsums_positive: bool | None = None  # filled from the R_mu check where applicable
-
-
-def _integer_q(inst: CompositeInstance) -> np.ndarray:
-    return np.asarray(np.rint(signless_laplacian(inst.H)), dtype=np.int64)
-
-
-def _exact_kernel_info(inst: CompositeInstance, mu: float):
-    """(c, nullity, basis) when mu sits on an integer eigenvalue, else None."""
-    c = integer_candidate(mu)
-    if c is None:
-        return None
-    nullity, basis = exact_kernel_dim(_integer_q(inst), c)
-    if nullity == 0:
-        return None
-    return c, nullity, basis
 
 
 def _exact_sign_verdict(vec, t: int):
@@ -110,30 +96,34 @@ def s_roth_oracle(inst: CompositeInstance) -> RothVerdict:
     True iff mu(H) is simple and, after flipping the eigenvector so its S-sum
     is nonnegative, every S-entry exceeds SIGN_TOL and every T-entry falls
     below -SIGN_TOL (both sides are checked; the failing side is recorded in
-    the reason).  Eigenvalues within INTEGER_TOL of an integer are settled by
-    the exact rational kernel instead of float sign tests.
+    the reason).  Eigenvalues within INTEGER_TOL of an integer c where
+    Q(H) - cI is singular are settled by its rational kernel instead of float
+    sign tests; the verdict then has mu = c and keeps that kernel for
+    classify_q_mu.  On the float path kernel is None.
     """
     t = inst.t
-    pair = smallest_eigenpair(signless_laplacian(inst.H), t_split=t)
-    info = _exact_kernel_info(inst, pair.mu)
-    if info is not None:
-        c, nullity, basis = info
+    q = signless_laplacian(inst.H)
+    pair = smallest_eigenpair(q, t_split=t)
+    c = integer_candidate(pair.mu)
+    if c is not None:
+        nullity, basis = exact_kernel_dim(q, c)
         if nullity > 1:
-            return RothVerdict(False, REASON_MULTIPLE, float(c), nullity, pair.vector)
-        vec = basis[0]
-        ok, reason = _exact_sign_verdict(vec, t)
-        x = np.array([float(v) for v in vec])
-        x = sign_normalize(x / np.linalg.norm(x), t)
-        return RothVerdict(ok, reason, float(c), 1, x)
+            return RothVerdict(False, REASON_MULTIPLE, float(c), nullity, pair.vector, basis)
+        if nullity == 1:
+            vec = basis[0]
+            ok, reason = _exact_sign_verdict(vec, t)
+            x = np.array([float(v) for v in vec])
+            x = sign_normalize(x / np.linalg.norm(x), t)
+            return RothVerdict(ok, reason, float(c), 1, x, basis)
     if pair.multiplicity > 1:
-        return RothVerdict(False, REASON_MULTIPLE, pair.mu, pair.multiplicity, pair.vector)
+        return RothVerdict(False, REASON_MULTIPLE, pair.mu, pair.multiplicity, pair.vector, None)
     x = sign_normalize(pair.vector, t)
     tol = SIGN_TOL * np.abs(x).max()
     if np.any(np.abs(x) <= tol):
-        return RothVerdict(False, REASON_ZERO, pair.mu, 1, x)
+        return RothVerdict(False, REASON_ZERO, pair.mu, 1, x, None)
     if np.all(x[t:] > tol) and np.all(x[:t] < -tol):
-        return RothVerdict(True, REASON_SIGNED, pair.mu, 1, x)
-    return RothVerdict(False, REASON_MIXED, pair.mu, 1, x)
+        return RothVerdict(True, REASON_SIGNED, pair.mu, 1, x, None)
+    return RothVerdict(False, REASON_MIXED, pair.mu, 1, x, None)
 
 
 def is_complete_scaffold(inst: CompositeInstance) -> bool:
@@ -178,32 +168,17 @@ def _exact_q_mu(inst: CompositeInstance, c: int):
     return m
 
 
-def _fraction_inverse(m):
-    """Gauss-Jordan inverse over Fraction; None when singular."""
-    n = len(m)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance, verdict: RothVerdict) -> MatrixClassReport:
+    """Z / M / inverse-positive / minpositive flags of Q_mu built at the verdict's mu.
 
-
-def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance | None = None) -> MatrixClassReport:
-    """Z / M / inverse-positive / minpositive flags of Q_mu built at the true mu.
-
-    Passing the instance enables the exact re-derivation when mu sits on an
-    integer (the t-s boundary of complete scaffolds and its relatives): the
-    flags are then computed from the rational Q_mu and the rational kernel of
-    Q(H), so borderline zero entries are decided exactly.
+    When the verdict was decided from a rational kernel (mu on an integer c:
+    the t-s boundary of complete scaffolds and its relatives), the flags are
+    computed from the rational Q_mu and that kernel, so borderline zero
+    entries are decided exactly.  Raises ValueError when sm was built at
+    another mu, or when Q_mu is singular.
     """
+    if sm.mu != verdict.mu:
+        raise ValueError(f"Q_mu was built at mu={sm.mu}, the verdict has mu={verdict.mu}")
     q = sm.q_mu
     n = q.shape[0]
     es = full_spectrum(q)
@@ -221,28 +196,27 @@ def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance | None = None) -> Mat
     x = sign_normalize(es.vectors[:, 0], 0)
     minpositive = bool(simple and np.all(x > SIGN_TOL * np.abs(x).max()))
 
-    if inst is not None:
-        info = _exact_kernel_info(inst, sm.mu)
-        if info is not None:
-            c, nullity, basis = info
-            if 0 < c < int(inst.D2.min()):
-                mq = _exact_q_mu(inst, c)
-                t = inst.t
-                z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
-                m_matrix = z_matrix  # PD since lambda_1(Q_mu) = c > 0
-                if t <= 16:
-                    minv = _fraction_inverse(mq)
-                    inverse_positive = minv is not None and all(
-                        v > 0 for row in minv for v in row
-                    )
-                # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
-                if nullity > 1:
-                    minpositive = False
-                else:
-                    w = basis[0][:t]
-                    if sum(w) < 0:
-                        w = [-v for v in w]
-                    minpositive = all(v > 0 for v in w)
+    basis = verdict.kernel
+    if basis is not None:
+        c = int(verdict.mu)  # the exact path sets mu to the integer c
+        if 0 < c < int(inst.D2.min()):
+            mq = _exact_q_mu(inst, c)
+            t = inst.t
+            z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
+            m_matrix = z_matrix  # PD since lambda_1(Q_mu) = c > 0
+            if t <= 16:
+                minv = exact_inverse(mq)
+                inverse_positive = minv is not None and all(
+                    v > 0 for row in minv for v in row
+                )
+            # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
+            if len(basis) > 1:
+                minpositive = False
+            else:
+                w = basis[0][:t]
+                if sum(w) < 0:
+                    w = [-v for v in w]
+                minpositive = all(v > 0 for v in w)
     return MatrixClassReport(
         z_matrix=z_matrix,
         m_matrix=m_matrix,
@@ -443,29 +417,42 @@ def deg2_predicate(inst: CompositeInstance) -> bool:
     return max(degs, default=0) <= 2
 
 
-def classification_record(inst: CompositeInstance) -> dict:
-    """Flat per-instance record: verdict, certificate flags and matrix classes.
+@dataclass(eq=False)
+class InstanceDecision:
+    verdict: RothVerdict
+    classes: MatrixClassReport | None  # None when Q_mu is singular or cannot be formed
+    harmcond: HarmonicCondition
+    gc: bool
+    bdeg: bool
+    st: bool
 
-    This is the JSON/CSV schema shared by the census and the CLI:
-    {graph6, s, t, mu, multiplicity, s_roth, harmcond, gc, bdeg, st, z,
-     m_matrix, inv_positive, minpositive, rmu_rowsums}.  graph6 encodes the
-    scaffold B.  rmu_rowsums is None unless the scaffold is complete and R_mu
-    is positive definite.
+
+def decide_instance(inst: CompositeInstance) -> InstanceDecision:
+    """The oracle, the Q_mu classes at the verdict's mu and the scaffold certificates.
+
+    These are the steps the census record and the CLI report share; each runs
+    once, and the Q_mu classes reuse the verdict's exact kernel.
+    """
+    verdict = s_roth_oracle(inst)
+    try:
+        classes = classify_q_mu(build_q_mu(inst, verdict.mu), inst, verdict)
+    except ValueError:  # mu not below min(D2), or singular Q_mu (bipartite H)
+        classes = None
+    return InstanceDecision(verdict, classes, harmcond_check(inst), gc_check(inst),
+                            bdeg_check(inst), st_check(inst))
+
+
+def classification_record(inst: CompositeInstance) -> dict:
+    """Flat census record of decide_instance: one oracle call, at most one exact kernel.
+
+    Schema: {graph6, s, t, mu, multiplicity, s_roth, reason, harmcond, gc, bdeg,
+     st, z, m_matrix, inv_positive, minpositive, s_maximal}; graph6 encodes the
+    scaffold B.  `rothlab analyze` formats the same decision as its report.
     """
     from .graphs import emit_graph6
 
-    verdict = s_roth_oracle(inst)
-    sm = build_q_mu(inst, verdict.mu)
-    try:
-        classes = classify_q_mu(sm, inst)
-    except ValueError:  # singular Q_mu: bipartite H
-        classes = None
-    harm = harmcond_check(inst)
-    rmu_rowsums = None
-    if is_complete_scaffold(inst):
-        rm = build_r_mu(inst, verdict.mu)
-        if rm.positive_definite:
-            rmu_rowsums = [float(v) for v in r_mu_rowsum_check(rm).rowsums]
+    d = decide_instance(inst)
+    verdict, classes = d.verdict, d.classes
     return {
         "graph6": emit_graph6(inst.B),
         "s": inst.s,
@@ -474,14 +461,13 @@ def classification_record(inst: CompositeInstance) -> dict:
         "multiplicity": verdict.multiplicity,
         "s_roth": verdict.is_s_roth,
         "reason": verdict.reason,
-        "harmcond": harm.holds,
-        "gc": gc_check(inst),
-        "bdeg": bdeg_check(inst),
-        "st": st_check(inst),
+        "harmcond": d.harmcond.holds,
+        "gc": d.gc,
+        "bdeg": d.bdeg,
+        "st": d.st,
         "z": None if classes is None else classes.z_matrix,
         "m_matrix": None if classes is None else classes.m_matrix,
         "inv_positive": None if classes is None else classes.inverse_positive,
         "minpositive": None if classes is None else classes.minpositive,
-        "rmu_rowsums": rmu_rowsums,
         "s_maximal": inst.s_maximal,
     }

@@ -55,11 +55,8 @@ def _detail_row(rec: dict) -> list:
             _flag(rec["m_matrix"]), _flag(rec["inv_positive"])]
 
 
-def _classify_worker(k: np.ndarray, g: Graph, skip_nonmaximal: bool) -> list:
-    rec = classify_instance(k, g)
-    if skip_nonmaximal and not rec["s_maximal"]:
-        rec = dict(rec, s_roth=None, harmcond=None, m_matrix=None, inv_positive=None)
-    return _detail_row(rec)
+def _classify_worker(k: np.ndarray, g: Graph) -> list:
+    return _detail_row(classify_instance(k, g))
 
 
 def _scaffold_to_graph(k: np.ndarray) -> Graph:
@@ -85,15 +82,36 @@ def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> li
                     for line in fh if line.strip()]
     ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
     os.makedirs(out_dir, exist_ok=True)
-    with open(path, "w") as fh:
-        for k in ks:
-            fh.write(emit_graph6(_scaffold_to_graph(k)) + "\n")
+    # a cache that exists is trusted, so it appears only once complete
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for k in ks:
+                fh.write(emit_graph6(_scaffold_to_graph(k)) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
     return ks
 
 
+def _drop_torn_tail(path: str) -> int:
+    """Cut a detail CSV after its last complete row, which an interrupted run can tear.
+
+    A complete row ends with a newline and has every DETAIL_COLUMNS field (no
+    field contains a comma).  Returns the number of data rows kept.
+    """
+    with open(path, "r+b") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        rows = 0
+        while rows < len(lines) and lines[rows].endswith(b"\n") and lines[rows].count(b",") == len(DETAIL_COLUMNS) - 1:
+            rows += 1
+        fh.truncate(sum(map(len, lines[:rows])))
+    return max(0, rows - 1)
+
+
 def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
-               jobs: int = 1, resume: bool = False, allow_long: bool = False,
-               skip_nonmaximal: bool = False) -> CensusRow:
+               jobs: int = 1, resume: bool = False, allow_long: bool = False) -> CensusRow:
     """Classify every (t, s) scaffold composed with G (default K_t); aggregate flag counts.
 
     Writes classify_t{t}_s{s}.csv (one row per scaffold, resumable) and
@@ -109,8 +127,7 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
 
     done = 0
     if resume and os.path.exists(detail_path):
-        with open(detail_path) as fh:
-            done = max(0, sum(1 for _ in fh) - 1)
+        done = _drop_torn_tail(detail_path)
     todo = scaffolds[done:]
 
     mode = "a" if done else "w"
@@ -118,7 +135,7 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
         writer = csv.writer(fh)
         if not done:
             writer.writerow(DETAIL_COLUMNS)
-        work = partial(_classify_worker, g=g, skip_nonmaximal=skip_nonmaximal)
+        work = partial(_classify_worker, g=g)
         if jobs > 1 and len(todo) > 1:
             with Pool(jobs) as pool:
                 for row in pool.imap(work, todo, chunksize=16):

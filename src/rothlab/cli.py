@@ -63,15 +63,11 @@ def cmd_analyze(args) -> int:
             raise ValueError("need --s-vertices or --complete-scaffold")
         inst = graphs.instance_from_graph(g, _parse_vertex_list(args.s_vertices))
 
-    verdict = analysis.s_roth_oracle(inst)
-    try:
-        classes = analysis.classify_q_mu(analysis.build_q_mu(inst, verdict.mu), inst)
-        matrix_classes = {"z": classes.z_matrix, "m_matrix": classes.m_matrix,
-                          "inv_positive": classes.inverse_positive,
-                          "minpositive": classes.minpositive}
-    except ValueError:
-        matrix_classes = None
-    harm = analysis.harmcond_check(inst)
+    d = analysis.decide_instance(inst)
+    verdict, classes, harm = d.verdict, d.classes, d.harmcond
+    matrix_classes = None if classes is None else {
+        "z": classes.z_matrix, "m_matrix": classes.m_matrix,
+        "inv_positive": classes.inverse_positive, "minpositive": classes.minpositive}
     complete = analysis.is_complete_scaffold(inst)
     alpha = None
     if complete and verdict.mu < inst.t:
@@ -87,9 +83,9 @@ def cmd_analyze(args) -> int:
         "certificates": {
             "harmcond": harm.holds,
             "harmcond_witness": harm.witness,
-            "gc": analysis.gc_check(inst),
-            "bdeg": analysis.bdeg_check(inst),
-            "st": analysis.st_check(inst),
+            "gc": d.gc,
+            "bdeg": d.bdeg,
+            "st": d.st,
             "gdeg": analysis.gdeg_check(inst),
             "deg2": analysis.deg2_predicate(inst),
             "boundary": {"applicable": bc.applicable, "s_roth": bc.s_roth,

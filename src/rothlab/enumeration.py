@@ -84,43 +84,24 @@ def _decode(row, m: int, cols: int, transpose: bool) -> np.ndarray:
     return k.T if transpose else k
 
 
-def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False, up_to_swap: bool = False):
+def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     """One t x s biadjacency per isomorphism class of connected bipartite graphs.
 
     Classes are taken under independent permutations of the two parts; parts
-    never swap unless up_to_swap (valid only for t == s).  Matrices arrive in
-    ascending canonical order.  t*s above EXHAUSTIVE_LIMIT raises unless
-    allow_long is set.
+    never swap.  Matrices arrive in ascending canonical order.  t*s above
+    EXHAUSTIVE_LIMIT raises unless allow_long is set.
     """
     if t < 1 or s < 1:
         raise ValueError("need t, s >= 1")
     if t * s > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
-    if up_to_swap and t != s:
-        raise ValueError("part swap only makes sense for t == s")
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
     out = []
     for row in _canonical_codes(m, cols):
         if not _connected(row, m):
             continue
-        k = _decode(row, m, cols, transpose)
-        if up_to_swap and _swap_code(k.T) < _swap_code(k):
-            continue  # the transposed orientation is the class representative
-        out.append(k)
+        out.append(_decode(row, m, cols, transpose))
     return out
-
-
-def _swap_code(k: np.ndarray) -> tuple:
-    """Canonical code of a biadjacency under part permutations (brute force, small only)."""
-    m, cols = k.shape
-    masks = [int(sum(1 << i for i in range(m) if k[i, j])) for j in range(cols)]
-    best = None
-    for p in itertools.permutations(range(m)):
-        mapped = sorted(sum(1 << p[i] for i in range(m) if c >> i & 1) for c in masks)
-        cand = tuple(mapped)
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 # all graphs on n vertices up to isomorphism, by vertex augmentation

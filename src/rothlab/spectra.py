@@ -126,21 +126,15 @@ def integer_candidate(mu: float) -> int | None:
     return c if abs(mu - c) <= INTEGER_TOL else None
 
 
-def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
-    """Nullity and a rational kernel basis of (m - c*I), for integer matrices.
+def _gauss_jordan(a: list) -> list:
+    """Exact Gauss-Jordan over Fraction: a becomes its reduced row echelon form, in place.
 
-    Gaussian elimination over Fraction: no floating point is involved, so the
-    answer is exact.  Returns (nullity, basis) where basis is a list of kernel
-    vectors with Fraction entries (free variable set to 1, the rest solved).
+    Returns the pivot positions [(row, col)] in column order.
     """
-    m = np.asarray(m)
-    if not np.all(m == np.round(m)):
-        raise ValueError("exact_kernel_dim needs an integer matrix")
-    n = m.shape[0]
-    a = [[Fraction(int(round(m[i, j]))) - (Fraction(c) if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = []  # (row, col)
+    n = len(a)
+    pivots = []
     row = 0
-    for col in range(n):
+    for col in range(len(a[0]) if a else 0):
         piv = next((r for r in range(row, n) if a[r][col] != 0), None)
         if piv is None:
             continue
@@ -155,6 +149,22 @@ def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
         row += 1
         if row == n:
             break
+    return pivots
+
+
+def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
+    """Nullity and a rational kernel basis of (m - c*I), for integer matrices.
+
+    Gaussian elimination over Fraction: no floating point is involved, so the
+    answer is exact.  Returns (nullity, basis) where basis is a list of kernel
+    vectors with Fraction entries (free variable set to 1, the rest solved).
+    """
+    m = np.asarray(m)
+    if not np.all(m == np.round(m)):
+        raise ValueError("exact_kernel_dim needs an integer matrix")
+    n = m.shape[0]
+    a = [[Fraction(int(round(m[i, j]))) - (Fraction(c) if i == j else 0) for j in range(n)] for i in range(n)]
+    pivots = _gauss_jordan(a)
     pivot_cols = {c_ for (_, c_) in pivots}
     free_cols = [j for j in range(n) if j not in pivot_cols]
     basis = []
@@ -165,6 +175,14 @@ def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
             v[pc] = -a[r][fc]
         basis.append(v)
     return len(free_cols), basis
+
+
+def exact_inverse(m: list) -> list | None:
+    """Inverse of a square matrix given as rows of Fractions; None when singular."""
+    n = len(m)
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    # [m | I] has rank n, so m is invertible iff no pivot lands in the I block
+    return None if _gauss_jordan(a)[-1][1] >= n else [row[n:] for row in a]
 
 
 def rayleigh_quotient_signless(g: Graph, x) -> float:

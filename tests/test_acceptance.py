@@ -50,6 +50,7 @@ from rothlab.analysis import (
     gc_check,
     gdeg_check,
     harmcond_check,
+    is_complete_scaffold,
     r_mu_rowsum_check,
     s_roth_oracle,
     st_check,
@@ -141,7 +142,7 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
         and abs(v4.mu - EX4_MU) <= 5e-5
     )
 
-    rep2 = classify_q_mu(build_q_mu(ex2, v2.mu), ex2)
+    rep2 = classify_q_mu(build_q_mu(ex2, v2.mu), ex2, v2)
     hc2 = harmcond_check(ex2)
     ex2_ok = (
         rep2.m_matrix
@@ -342,9 +343,11 @@ def test_criterion_5_dual_route_equivalences(s5_records):
     for inst, rec in s5_records:
         if rec["minpositive"] is not None and rec["minpositive"] != rec["s_roth"]:
             mismatches += 1
-        if rec["rmu_rowsums"] is not None:
+        if not is_complete_scaffold(inst):
+            continue
+        rm = build_r_mu(inst, rec["mu"])
+        if rm.positive_definite:
             rowsum_cases += 1
-            rm = build_r_mu(inst, rec["mu"])
             if r_mu_rowsum_check(rm).s_roth != rec["s_roth"]:
                 rowsum_bad += 1
     ok = mismatches == 0 and rowsum_bad == 0 and rowsum_cases >= 1

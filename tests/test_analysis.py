@@ -1,9 +1,12 @@
 """Oracle, Schur complement, certificates, reduced matrix, matrix classes."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import rothlab.analysis
 
 from conftest import (
     EX1_MU,
@@ -46,10 +49,12 @@ from rothlab.graphs import (
     compose,
     cycle_graph,
     disjoint_union,
+    emit_edge_list,
     instance_from_graph,
     path_graph,
 )
-from rothlab.spectra import signless_laplacian, smallest_eigenpair
+from rothlab.cli import main
+from rothlab.spectra import exact_kernel_dim, signless_laplacian, smallest_eigenpair
 
 
 # ---------------------------------------------------------------- oracle
@@ -201,22 +206,22 @@ def test_q_mu_inverse_printed(ex3):
 
 
 def test_classify_example2(ex2):
-    sm = build_q_mu(ex2, s_roth_oracle(ex2).mu)
-    rep = classify_q_mu(sm, ex2)
+    v = s_roth_oracle(ex2)
+    rep = classify_q_mu(build_q_mu(ex2, v.mu), ex2, v)
     assert rep.z_matrix and rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example3(ex3):
-    sm = build_q_mu(ex3, s_roth_oracle(ex3).mu)
-    rep = classify_q_mu(sm, ex3)
+    v = s_roth_oracle(ex3)
+    rep = classify_q_mu(build_q_mu(ex3, v.mu), ex3, v)
     assert not rep.z_matrix and not rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example4(ex4):
-    sm = build_q_mu(ex4, s_roth_oracle(ex4).mu)
-    rep = classify_q_mu(sm, ex4)
+    v = s_roth_oracle(ex4)
+    rep = classify_q_mu(build_q_mu(ex4, v.mu), ex4, v)
     assert not rep.z_matrix
     assert not rep.inverse_positive
     assert rep.minpositive
@@ -224,9 +229,16 @@ def test_classify_example4(ex4):
 
 def test_classify_singular_raises():
     inst = compose(3, Graph(5))  # bipartite H, mu = 0, Q_mu singular
-    sm = build_q_mu(inst, 0.0)
+    v = s_roth_oracle(inst)
+    assert v.mu == 0.0
     with pytest.raises(ValueError):
-        classify_q_mu(sm, inst)
+        classify_q_mu(build_q_mu(inst, v.mu), inst, v)
+
+
+def test_classify_rejects_q_mu_at_another_mu(ex2):
+    v = s_roth_oracle(ex2)
+    with pytest.raises(ValueError):
+        classify_q_mu(build_q_mu(ex2, v.mu - 0.1), ex2, v)
 
 
 def test_class_hierarchy_random():
@@ -239,7 +251,7 @@ def test_class_hierarchy_random():
         v = s_roth_oracle(inst)
         sm = build_q_mu(inst, v.mu)
         try:
-            rep = classify_q_mu(sm, inst)
+            rep = classify_q_mu(sm, inst, v)
         except ValueError:
             continue
         checked += 1
@@ -646,13 +658,40 @@ def test_classification_record_schema(ex2):
         "m_matrix",
         "inv_positive",
         "minpositive",
-        "rmu_rowsums",
         "s_maximal",
     }
     assert set(rec) == expected
     assert rec["s"] == 7 and rec["t"] == 4
     assert rec["s_roth"] is True
     assert rec["m_matrix"] is True and rec["harmcond"] is False
+
+
+@pytest.mark.parametrize(
+    "s, g, mu, nullity",
+    [(3, cycle_graph(12), 3, 2), (6, complete_bipartite(1, 6), 1, 1)],
+    ids=["3_vs_C12", "6_vs_K1_6"],
+)
+def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, capsys, monkeypatch):
+    # the census record and the CLI report both decide an exact-path instance
+    # from a single rational kernel
+    calls = []
+
+    def counting_kernel(m, c):
+        calls.append(c)
+        return exact_kernel_dim(m, c)
+
+    monkeypatch.setattr(rothlab.analysis, "exact_kernel_dim", counting_kernel)
+    rec = classification_record(compose(s, g))
+    assert (rec["mu"], rec["multiplicity"]) == (mu, nullity)
+    assert calls == [mu]
+
+    calls.clear()
+    path = tmp_path / "g.edges"
+    path.write_text(emit_edge_list(g))
+    main(["analyze", str(path), "--complete-scaffold", str(s)])
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["mu"], rep["multiplicity"]) == (mu, nullity)
+    assert calls == [mu]
 
 
 def test_classification_record_singular():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import rothlab.census
 from rothlab.census import (
     DETAIL_COLUMNS,
     SUMMARY_COLUMNS,
@@ -17,7 +18,7 @@ from rothlab.census import (
     ultra_roth_probe,
 )
 from rothlab.enumeration import all_graphs
-from rothlab.graphs import Graph, complete_graph, parse_graph6, path_graph
+from rothlab.graphs import Graph, complete_graph, emit_graph6, parse_graph6, path_graph
 
 
 def test_minimal_census(tmp_path):
@@ -64,13 +65,19 @@ def test_census_implications_hold_rowwise(tmp_path):
 
 def test_census_resume_deterministic(tmp_path):
     first = run_census(3, 4, out_dir=str(tmp_path))
-    with open(os.path.join(tmp_path, "classify_t3_s4.csv")) as fh:
+    path = os.path.join(tmp_path, "classify_t3_s4.csv")
+    with open(path, "rb") as fh:
         body1 = fh.read()
-    second = run_census(3, 4, out_dir=str(tmp_path), resume=True)
-    with open(os.path.join(tmp_path, "classify_t3_s4.csv")) as fh:
-        body2 = fh.read()
-    assert first == second
-    assert body1 == body2
+    # resume a finished file, then one whose last row an interruption tore:
+    # cutting 12 bytes leaves "graph6,mu" without its flags or newline
+    for cut in (0, 12):
+        with open(path, "r+b") as fh:
+            fh.truncate(len(body1) - cut)
+        second = run_census(3, 4, out_dir=str(tmp_path), resume=True)
+        with open(path, "rb") as fh:
+            body2 = fh.read()
+        assert first == second
+        assert body1 == body2
 
 
 def test_census_parallel_matches_serial(tmp_path):
@@ -90,6 +97,23 @@ def test_scaffold_cache_round_trip(tmp_path):
     again = load_scaffolds(3, 3, str(tmp_path))
     assert len(mats) == len(again)
     assert all(np.array_equal(x, y) for x, y in zip(mats, again))
+
+
+def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_emit(g):
+        calls.append(g)
+        if len(calls) > 9:
+            raise KeyboardInterrupt
+        return emit_graph6(g)
+
+    monkeypatch.setattr(rothlab.census, "emit_graph6", failing_emit)
+    with pytest.raises(KeyboardInterrupt):
+        load_scaffolds(3, 4, str(tmp_path))
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert run_census(3, 4, out_dir=str(tmp_path)).total == 34
 
 
 def test_classify_relabeling_invariance(tmp_path):

@@ -42,12 +42,6 @@ def test_size_guard():
     assert len(mats) == 1 and mats[0].shape == (41, 1)
 
 
-def test_up_to_swap_requires_square():
-    with pytest.raises(ValueError):
-        list(enumerate_connected_bipartite(3, 2, up_to_swap=True))
-    assert len(list(enumerate_connected_bipartite(2, 2, up_to_swap=True))) == 2
-
-
 def _brute_force_count(t: int, s: int) -> int:
     reps = set()
     row_perms = list(itertools.permutations(range(t)))
