@@ -8,6 +8,11 @@ Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, join
 decomposition criteria at the mu = t-s boundary, and the reduced matrix R_mu
 whose inverse row sums characterize S-Rothness for complete scaffolds.
 
+The oracle, the Q_mu classes and the scaffold certificates run on stacks of
+same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack.
+s_roth_oracle, classify_q_mu, harmcond_check, gc_check and decide_instance
+are their one-instance case.
+
 Verdicts at eigenvalues sitting on an integer are re-derived in exact rational
 arithmetic; floating point alone never decides a boundary case.
 """
@@ -15,14 +20,14 @@ arithmetic; floating point alone never decides a boundary case.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CompositeInstance, common_neighbors, complement, connected_components, join_decomposition
+from .graphs import CompositeInstance, complement, connected_components, join_decomposition
 from .spectra import (
-    CLUSTER_TOL,
     SIGN_TOL,
     cluster_multiplicity,
     exact_inverse,
@@ -90,44 +95,103 @@ def _exact_sign_verdict(vec, t: int):
     return False, REASON_MIXED
 
 
-def s_roth_oracle(inst: CompositeInstance) -> RothVerdict:
-    """Decide S-Rothness from the smallest eigenpair of Q(H).
+def _stacks(a_g, ks) -> tuple:
+    """A_G and K broadcast against each other: (A_G as (N, t, t), K as (N, t, s), leading shape)."""
+    a_g, ks = np.asarray(a_g), np.asarray(ks)
+    t, s = ks.shape[-2:]
+    lead = np.broadcast_shapes(a_g.shape[:-2], ks.shape[:-2])
+    return (np.broadcast_to(a_g, lead + (t, t)).reshape(-1, t, t),
+            np.broadcast_to(ks, lead + (t, s)).reshape(-1, t, s), lead)
 
-    True iff mu(H) is simple and, after flipping the eigenvector so its S-sum
-    is nonnegative, every S-entry exceeds SIGN_TOL and every T-entry falls
-    below -SIGN_TOL (both sides are checked; the failing side is recorded in
-    the reason).  Eigenvalues within INTEGER_TOL of an integer c where
-    Q(H) - cI is singular are settled by its rational kernel instead of float
-    sign tests; the verdict then has mu = c and keeps that kernel for
-    classify_q_mu.  On the float path kernel is None.
+
+def _q_h(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Q(H) = [[A_G + diag(deg_G + D1), K], [K^T, diag(D2)]] for each (A_G, K) of a stack."""
+    t, s = k.shape[-2:]
+    q = np.zeros((k.shape[0], t + s, t + s))
+    q[:, :t, :t] = a
+    q[:, :t, t:] = k
+    q[:, t:, :t] = np.swapaxes(k, -1, -2)
+    i, j = np.arange(t), np.arange(t, t + s)
+    q[:, i, i] = a.sum(axis=-1) + k.sum(axis=-1)
+    q[:, j, j] = k.sum(axis=-2)
+    return q
+
+
+def _exact_verdict(q: np.ndarray, c: int, t: int, vector: np.ndarray) -> RothVerdict | None:
+    """The verdict from the rational kernel of Q(H) - cI; None when that kernel is trivial."""
+    nullity, basis = exact_kernel_dim(q, c)
+    if nullity > 1:
+        return RothVerdict(False, REASON_MULTIPLE, float(c), nullity, vector, basis)
+    if nullity == 0:
+        return None
+    ok, reason = _exact_sign_verdict(basis[0], t)
+    x = np.array([float(v) for v in basis[0]])
+    return RothVerdict(ok, reason, float(c), 1, sign_normalize(x / np.linalg.norm(x), t), basis)
+
+
+def oracle_stack(a_g, ks) -> list:
+    """The S-Roth oracle for every (A_G, K) pair of a stack, in order.
+
+    a_g is the t x t adjacency matrix of G or a stack (N, t, t) of them; ks is
+    one t x s scaffold or a stack (N, t, s); each broadcasts against the
+    other.  Every Q(H) is built blockwise and all are solved by one stacked
+    eigensolve, with full_spectrum's contract checks on every matrix.
+
+    A verdict is True iff mu(H) is simple and, after flipping the eigenvector
+    so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL and every
+    T-entry falls below -SIGN_TOL (both sides are checked; the failing side is
+    recorded in the reason).  Eigenvalues within INTEGER_TOL of an integer c
+    where Q(H) - cI is singular are settled by its rational kernel instead of
+    float sign tests, one instance at a time; the verdict then has mu = c and
+    keeps that kernel for classify_q_mu.  On the float path kernel is None.
     """
-    t = inst.t
-    q = signless_laplacian(inst.H)
-    pair = smallest_eigenpair(q, t_split=t)
-    c = integer_candidate(pair.mu)
-    if c is not None:
-        nullity, basis = exact_kernel_dim(q, c)
-        if nullity > 1:
-            return RothVerdict(False, REASON_MULTIPLE, float(c), nullity, pair.vector, basis)
-        if nullity == 1:
-            vec = basis[0]
-            ok, reason = _exact_sign_verdict(vec, t)
-            x = np.array([float(v) for v in vec])
-            x = sign_normalize(x / np.linalg.norm(x), t)
-            return RothVerdict(ok, reason, float(c), 1, x, basis)
-    if pair.multiplicity > 1:
-        return RothVerdict(False, REASON_MULTIPLE, pair.mu, pair.multiplicity, pair.vector, None)
-    x = sign_normalize(pair.vector, t)
-    tol = SIGN_TOL * np.abs(x).max()
-    if np.any(np.abs(x) <= tol):
-        return RothVerdict(False, REASON_ZERO, pair.mu, 1, x, None)
-    if np.all(x[t:] > tol) and np.all(x[:t] < -tol):
-        return RothVerdict(True, REASON_SIGNED, pair.mu, 1, x, None)
-    return RothVerdict(False, REASON_MIXED, pair.mu, 1, x, None)
+    a, k, lead = _stacks(a_g, ks)
+    t = k.shape[-2]
+    q = _q_h(a, k)
+    n = q.shape[-1]
+    pair = smallest_eigenpair(q.reshape(lead + (n, n)), t_split=t)
+    mu = np.reshape(pair.mu, -1).tolist()
+    multiplicity = np.reshape(pair.multiplicity, -1).tolist()
+    raw = pair.vector.reshape(-1, n)
+    x = sign_normalize(raw, t)
+    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)[:, None]
+    zero = np.any(np.abs(x) <= tol, axis=1).tolist()
+    signed = (np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)).tolist()
+    verdicts = []
+    for i, m in enumerate(mu):
+        c = integer_candidate(m)
+        v = None if c is None else _exact_verdict(q[i], c, t, raw[i])
+        if v is None:
+            if multiplicity[i] > 1:
+                v = RothVerdict(False, REASON_MULTIPLE, m, multiplicity[i], raw[i], None)
+            elif zero[i]:
+                v = RothVerdict(False, REASON_ZERO, m, 1, x[i], None)
+            elif signed[i]:
+                v = RothVerdict(True, REASON_SIGNED, m, 1, x[i], None)
+            else:
+                v = RothVerdict(False, REASON_MIXED, m, 1, x[i], None)
+        verdicts.append(v)
+    return verdicts
+
+
+def s_roth_oracle(inst: CompositeInstance) -> RothVerdict:
+    """Decide S-Rothness from the smallest eigenpair of Q(H): oracle_stack for one instance."""
+    return oracle_stack(inst.G.adjacency(), inst.K)[0]
 
 
 def is_complete_scaffold(inst: CompositeInstance) -> bool:
     return bool(np.all(inst.K == 1))
+
+
+def _q_mu(a: np.ndarray, k: np.ndarray, mu) -> np.ndarray:
+    """Q_mu = Q(G) + D1 + K (mu I - D2)^{-1} K^T for each (A_G, K, mu) of a stack."""
+    t = k.shape[-2]
+    kf = k.astype(float)
+    base = a.astype(float)
+    i = np.arange(t)
+    base[..., i, i] = a.sum(axis=-1) + kf.sum(axis=-1)
+    weights = 1.0 / (np.asarray(mu, dtype=float)[..., None] - kf.sum(axis=-2))
+    return base + (kf * weights[..., None, :]) @ np.swapaxes(kf, -1, -2)
 
 
 def build_q_mu(inst: CompositeInstance, mu: float) -> SchurMatrix:
@@ -139,90 +203,92 @@ def build_q_mu(inst: CompositeInstance, mu: float) -> SchurMatrix:
     """
     if mu >= inst.D2.min():
         raise ValueError(f"mu={mu} is not below the smallest S-degree {inst.D2.min()}")
-    qg = signless_laplacian(inst.G)
-    weights = 1.0 / (mu - inst.D2.astype(float))
-    q_mu = qg + np.diag(inst.D1.astype(float)) + (inst.K * weights) @ inst.K.T
+    q_mu = _q_mu(inst.G.adjacency(), inst.K, mu)
     alpha = None
     if is_complete_scaffold(inst):
         alpha = inst.s / (inst.t - mu)
     return SchurMatrix(q_mu=q_mu, mu=float(mu), alpha=alpha)
 
 
-def _exact_q_mu(inst: CompositeInstance, c: int):
+def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> list:
     """Q_mu over the rationals, valid when mu = c exactly and c < min(D2)."""
-    t, s = inst.t, inst.s
-    qg = np.asarray(np.rint(signless_laplacian(inst.G)), dtype=np.int64)
-    k = inst.K
-    d2 = inst.D2
-    m = [[Fraction(int(qg[i, j])) for j in range(t)] for i in range(t)]
-    for i in range(t):
-        m[i][i] += int(inst.D1[i])
-        for j in range(i, t):
-            acc = Fraction(0)
-            for kk in range(s):
-                if k[i, kk] and k[j, kk]:
-                    acc += Fraction(1, int(c) - int(d2[kk]))
-            m[i][j] += acc
-            if j != i:
-                m[j][i] += acc
-    return m
+    t, s = k.shape
+    qg = (np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))).tolist()
+    w = [Fraction(1, c - int(d)) for d in k.sum(axis=0)]
+    k = k.tolist()
+    return [[qg[i][j] + sum((w[x] for x in range(s) if k[i][x] and k[j][x]), Fraction(0))
+             for j in range(t)] for i in range(t)]
+
+
+def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_positive: bool) -> MatrixClassReport:
+    """Q_mu classes at mu = c from the rational Q_mu and the verdict's kernel."""
+    t = k.shape[0]
+    mq = _exact_q_mu(a, k, c)
+    z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
+    if t <= 16:
+        minv = exact_inverse(mq)
+        inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
+    # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
+    minpositive = False
+    if len(basis) == 1:
+        w = basis[0][:t]
+        if sum(w) < 0:
+            w = [-v for v in w]
+        minpositive = all(v > 0 for v in w)
+    # an M-matrix exactly when Z: Q_mu is PD since lambda_1(Q_mu) = c > 0
+    return MatrixClassReport(z_matrix=z_matrix, m_matrix=z_matrix,
+                             inverse_positive=inverse_positive, minpositive=minpositive)
+
+
+def _classify(q_mu: np.ndarray, a: np.ndarray, k: np.ndarray, verdicts: list) -> list:
+    """Classes of a stack of Q_mu, each built at its verdict's mu; None where Q_mu is singular.
+
+    One stacked eigensolve and one stacked inverse serve the whole stack.  A
+    verdict decided from a rational kernel (mu on an integer c: the t-s
+    boundary of complete scaffolds and its relatives) has its flags computed
+    from the rational Q_mu and that kernel, so borderline zero entries are
+    decided exactly.
+    """
+    t = q_mu.shape[-1]
+    es = full_spectrum(q_mu)
+    lam1 = es.values[:, 0]
+    scale = 1.0 + np.abs(q_mu).max(axis=(1, 2), initial=0.0)
+    regular = np.abs(lam1) > 1e-12 * scale
+    z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
+    m_matrix = z_matrix & (lam1 > 0.0)
+    inv = np.linalg.inv(q_mu[regular])
+    inverse_positive = np.zeros(len(q_mu), dtype=bool)
+    inverse_positive[regular] = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
+    simple = cluster_multiplicity(es.values, lam1) == 1
+    x = sign_normalize(es.vectors[:, :, 0], 0)
+    minpositive = simple & np.all(x > SIGN_TOL * np.abs(x).max(axis=1)[:, None], axis=1)
+    reports = []
+    for i, (verdict, reg, z, m, ip, mp) in enumerate(zip(
+            verdicts, regular.tolist(), z_matrix.tolist(), m_matrix.tolist(),
+            inverse_positive.tolist(), minpositive.tolist())):
+        c = int(verdict.mu)  # the exact path sets mu to the integer c
+        if not reg:
+            reports.append(None)
+        elif verdict.kernel is not None and 0 < c < k[i].sum(axis=0).min():
+            reports.append(_exact_classes(a[i], k[i], c, verdict.kernel, ip))
+        else:
+            reports.append(MatrixClassReport(z_matrix=z, m_matrix=m, inverse_positive=ip, minpositive=mp))
+    return reports
 
 
 def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance, verdict: RothVerdict) -> MatrixClassReport:
     """Z / M / inverse-positive / minpositive flags of Q_mu built at the verdict's mu.
 
-    When the verdict was decided from a rational kernel (mu on an integer c:
-    the t-s boundary of complete scaffolds and its relatives), the flags are
-    computed from the rational Q_mu and that kernel, so borderline zero
-    entries are decided exactly.  Raises ValueError when sm was built at
-    another mu, or when Q_mu is singular.
+    When the verdict was decided from a rational kernel, the flags are
+    computed from the rational Q_mu and that kernel (see _classify).  Raises
+    ValueError when sm was built at another mu, or when Q_mu is singular.
     """
     if sm.mu != verdict.mu:
         raise ValueError(f"Q_mu was built at mu={sm.mu}, the verdict has mu={verdict.mu}")
-    q = sm.q_mu
-    n = q.shape[0]
-    es = full_spectrum(q)
-    lam1 = float(es.values[0])
-    scale = 1.0 + np.abs(q).max(initial=0.0)
-    if abs(lam1) <= 1e-12 * scale:
+    report = _classify(sm.q_mu[None], inst.G.adjacency()[None], inst.K[None], [verdict])[0]
+    if report is None:
         raise ValueError("Q_mu is singular (H is bipartite)")
-    off = q[~np.eye(n, dtype=bool)]
-    z_matrix = bool(off.max(initial=0.0) <= TOL_Z)
-    pd = lam1 > 0.0
-    m_matrix = z_matrix and pd
-    inv = np.linalg.inv(q)
-    inverse_positive = bool(inv.min() > INV_POS_TOL * np.abs(inv).max())
-    simple = cluster_multiplicity(es.values, lam1) == 1
-    x = sign_normalize(es.vectors[:, 0], 0)
-    minpositive = bool(simple and np.all(x > SIGN_TOL * np.abs(x).max()))
-
-    basis = verdict.kernel
-    if basis is not None:
-        c = int(verdict.mu)  # the exact path sets mu to the integer c
-        if 0 < c < int(inst.D2.min()):
-            mq = _exact_q_mu(inst, c)
-            t = inst.t
-            z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
-            m_matrix = z_matrix  # PD since lambda_1(Q_mu) = c > 0
-            if t <= 16:
-                minv = exact_inverse(mq)
-                inverse_positive = minv is not None and all(
-                    v > 0 for row in minv for v in row
-                )
-            # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
-            if len(basis) > 1:
-                minpositive = False
-            else:
-                w = basis[0][:t]
-                if sum(w) < 0:
-                    w = [-v for v in w]
-                minpositive = all(v > 0 for v in w)
-    return MatrixClassReport(
-        z_matrix=z_matrix,
-        m_matrix=m_matrix,
-        inverse_positive=inverse_positive,
-        minpositive=minpositive,
-    )
+    return report
 
 
 # harmonic-sum certificates on the scaffold
@@ -235,47 +301,79 @@ class HarmonicCondition:
     witness_sum: Fraction | None  # harmonic sum at the witness (0 for an empty N_ij)
 
 
+def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
+    """Harmonic condition and gc for a stack (N, t, t), (N, t, s): (HarmonicConditions, gc flags).
+
+    Harmonic sums are exact integers: each S-vertex weighs L / d_B(k), with L
+    the lcm of the S-degrees present (a divisor of lcm(1..t)), so a sum is at
+    least 1 iff its integer is at least L.  Python ints take over when L is
+    too large for int64; the sums are then formed on G-edge pairs only.
+    """
+    t, s = k.shape[-2:]
+    k = k.astype(np.int64)
+    kt = np.swapaxes(k, -1, -2)
+    d2 = k.sum(axis=1)
+    iu, ju = np.triu_indices(t, 1)  # vertex pairs in sorted order
+    edge = a[:, iu, ju] != 0
+    common = (k @ kt)[:, iu, ju]  # |N_ij|
+    lcm = math.lcm(*np.unique(d2[d2 > 0]).tolist())
+    if lcm * s <= np.iinfo(np.int64).max:
+        harm = ((k * (lcm // np.maximum(d2, 1))[:, None, :]) @ kt)[:, iu, ju]
+    else:
+        on = np.flatnonzero(edge.any(axis=0))
+        harm = np.zeros(edge.shape, dtype=object)
+        weights = lcm // np.maximum(d2, 1).astype(object)
+        harm[:, on] = ((k[:, iu[on]] & k[:, ju[on]]) * weights[:, None, :]).sum(axis=-1)
+    low = edge & (harm < lcm)  # G-edges with harmonic sum below 1
+    empty = ~edge & (common == 0)  # non-adjacent pairs without a common S-neighbour
+    gc = ~np.any((edge & (common < d2.max(axis=1)[:, None])) | empty, axis=1)
+    pairs = list(zip(iu.tolist(), ju.tolist()))
+    conditions = []
+    for i, (any_low, first_low, any_empty, first_empty) in enumerate(zip(
+            low.any(axis=1).tolist(), low.argmax(axis=1).tolist(),
+            empty.any(axis=1).tolist(), empty.argmax(axis=1).tolist())):
+        if any_low:
+            conditions.append(HarmonicCondition(False, pairs[first_low], Fraction(int(harm[i, first_low]), lcm)))
+        elif any_empty:
+            conditions.append(HarmonicCondition(False, pairs[first_empty], Fraction(0)))
+        else:
+            conditions.append(HarmonicCondition(True, None, None))
+    return conditions, gc
+
+
 def harmcond_check(inst: CompositeInstance) -> HarmonicCondition:
     """Sufficient condition: every G-edge ij has sum_{k in N_ij} 1/d_B(k) >= 1
     and every non-adjacent pair of T-vertices has N_ij nonempty.
 
-    Sums are exact rationals.  holds implies H is S-Roth.
+    Sums are exact.  holds implies H is S-Roth.  The witness is the first
+    failing G-edge in sorted order, else the first failing non-adjacent pair.
     """
-    t = inst.t
-    d2 = inst.D2
-    for (i, j) in sorted(inst.G.edges):
-        acc = Fraction(0)
-        for v in common_neighbors(inst, i, j):
-            acc += Fraction(1, int(d2[v - t]))
-        if acc < 1:
-            return HarmonicCondition(False, (i, j), acc)
-    for i, j in itertools.combinations(range(t), 2):
-        if not inst.G.has_edge(i, j) and not common_neighbors(inst, i, j):
-            return HarmonicCondition(False, (i, j), Fraction(0))
-    return HarmonicCondition(True, None, None)
+    return _certificates(inst.G.adjacency()[None], inst.K[None])[0][0]
 
 
 def gc_check(inst: CompositeInstance) -> bool:
     """Cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere."""
-    cb = int(inst.D2.max())
-    t = inst.t
-    for (i, j) in inst.G.edges:
-        if len(common_neighbors(inst, i, j)) < cb:
-            return False
-    for i, j in itertools.combinations(range(t), 2):
-        if not inst.G.has_edge(i, j) and not common_neighbors(inst, i, j):
-            return False
-    return True
+    return bool(_certificates(inst.G.adjacency()[None], inst.K[None])[1][0])
+
+
+def _bdeg(k: np.ndarray) -> np.ndarray:
+    t, s = k.shape[-2:]
+    return np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
+
+
+def _st(k: np.ndarray) -> np.ndarray:
+    t, s = k.shape[-2:]
+    return np.all(k == 1, axis=(-2, -1)) & (s >= t)
 
 
 def bdeg_check(inst: CompositeInstance) -> bool:
     """Every T-vertex has scaffold degree at least (t+s)/2; implies the harmonic condition."""
-    return bool(np.all(2 * inst.D1 >= inst.t + inst.s))
+    return bool(_bdeg(inst.K))
 
 
 def st_check(inst: CompositeInstance) -> bool:
     """Complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1."""
-    return is_complete_scaffold(inst) and inst.s >= inst.t
+    return bool(_st(inst.K))
 
 
 def alpha_of(inst: CompositeInstance, mu: float) -> float:
@@ -427,19 +525,35 @@ class InstanceDecision:
     st: bool
 
 
-def decide_instance(inst: CompositeInstance) -> InstanceDecision:
-    """The oracle, the Q_mu classes at the verdict's mu and the scaffold certificates.
+def decide_stack(a_g, ks) -> list:
+    """The oracle, the Q_mu classes at each verdict's mu and the scaffold certificates.
 
-    These are the steps the census record and the CLI report share; each runs
-    once, and the Q_mu classes reuse the verdict's exact kernel.
+    Takes A_G and K as oracle_stack does and returns one InstanceDecision per
+    instance, in order.  These are the steps the census, the census record
+    and the CLI report share; each runs once per stack: one stacked Q_mu,
+    eigensolve and inverse for the classes, integer array operations for the
+    certificates, and the Q_mu classes reuse each verdict's exact kernel.
     """
-    verdict = s_roth_oracle(inst)
-    try:
-        classes = classify_q_mu(build_q_mu(inst, verdict.mu), inst, verdict)
-    except ValueError:  # mu not below min(D2), or singular Q_mu (bipartite H)
-        classes = None
-    return InstanceDecision(verdict, classes, harmcond_check(inst), gc_check(inst),
-                            bdeg_check(inst), st_check(inst))
+    verdicts = oracle_stack(a_g, ks)
+    a, k, _ = _stacks(a_g, ks)
+    mu = np.array([v.mu for v in verdicts])
+    # Q_mu exists for mu < min(D2); it is singular when H is bipartite
+    formed = np.flatnonzero(mu < k.sum(axis=1).min(axis=1))
+    classes = [None] * len(verdicts)
+    if formed.size:
+        sub = _classify(_q_mu(a[formed], k[formed], mu[formed]), a[formed], k[formed],
+                        [verdicts[i] for i in formed])
+        for i, report in zip(formed.tolist(), sub):
+            classes[i] = report
+    harm, gc = _certificates(a, k)
+    bdeg, st = _bdeg(k).tolist(), _st(k).tolist()
+    return [InstanceDecision(v, c, h, g, b, x)
+            for v, c, h, g, b, x in zip(verdicts, classes, harm, gc.tolist(), bdeg, st)]
+
+
+def decide_instance(inst: CompositeInstance) -> InstanceDecision:
+    """decide_stack for one instance."""
+    return decide_stack(inst.G.adjacency(), inst.K)[0]
 
 
 def classification_record(inst: CompositeInstance) -> dict:

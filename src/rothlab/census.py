@@ -1,30 +1,37 @@
 """Scaffold census over connected bipartite graphs, and conjecture sweeps.
 
 The census enumerates every connected bipartite scaffold with parts (t, s)
-up to isomorphism, composes each with a fixed graph G on the t-side, runs the
-verdict oracle together with the certificate and matrix-class checks, and
-aggregates the flag counts.  Long runs persist the scaffold stream as a
-graph6 cache and append per-instance rows to a CSV, so an interrupted run
-resumes where it stopped.
+up to isomorphism and decides each against a fixed graph G on the t-side:
+the scaffolds are stacked into arrays and analysis.decide_stack runs the
+verdict oracle, the certificates and the matrix-class checks on a whole
+block at once.  It aggregates the flag counts.  Long runs persist the
+scaffold stream as a graph6 cache and append per-instance rows to a CSV
+under a manifest, so an interrupted run resumes where it stopped and a run
+with other parameters refuses to resume it.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
+import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
 
-from .analysis import classification_record, s_roth_oracle
+from . import __version__
+# s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
+from .analysis import classification_record, decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
 from .graphs import Graph, compose, complete_graph, cycle_graph, emit_graph6, instance_to_json, parse_graph6, path_graph
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
+CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the worker pool
 
 
 @dataclass(frozen=True)
@@ -49,19 +56,21 @@ def _flag(v) -> str:
     return "" if v is None else str(int(bool(v)))
 
 
-def _detail_row(rec: dict) -> list:
-    return [rec["graph6"], f"{rec['mu']:.17g}", str(rec["multiplicity"]),
-            _flag(rec["s_roth"]), _flag(rec["harmcond"]),
-            _flag(rec["m_matrix"]), _flag(rec["inv_positive"])]
-
-
-def _classify_worker(k: np.ndarray, g: Graph) -> list:
-    return _detail_row(classify_instance(k, g))
+def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
+    """Detail-row fields after graph6 for a block of scaffolds composed with one G."""
+    rows = []
+    for d in decide_stack(a_g, ks):
+        v, c = d.verdict, d.classes
+        rows.append([f"{v.mu:.17g}", str(v.multiplicity), _flag(v.is_s_roth), _flag(d.harmcond.holds),
+                     _flag(None if c is None else c.m_matrix),
+                     _flag(None if c is None else c.inverse_positive)])
+    return rows
 
 
 def _scaffold_to_graph(k: np.ndarray) -> Graph:
     t, s = k.shape
-    return Graph(t + s, frozenset((i, t + j) for i in range(t) for j in range(s) if k[i, j]))
+    rows, cols = np.nonzero(k)
+    return Graph(t + s, frozenset(zip(rows.tolist(), (cols + t).tolist())))
 
 
 def _graph_to_scaffold(b: Graph, t: int, s: int) -> np.ndarray:
@@ -73,26 +82,36 @@ def _graph_to_scaffold(b: Graph, t: int, s: int) -> np.ndarray:
     return k
 
 
-def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> list:
-    """Scaffolds for (t, s), from the graph6 cache if present, else enumerated and cached."""
-    path = os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
-    if os.path.exists(path):
-        with open(path) as fh:
-            return [_graph_to_scaffold(parse_graph6(line.strip()), t, s)
-                    for line in fh if line.strip()]
-    ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
-    os.makedirs(out_dir, exist_ok=True)
-    # a cache that exists is trusted, so it appears only once complete
+def _write_atomic(path: str, write) -> None:
+    """Run write(fh) on a temp file beside path, then move it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            for k in ks:
-                fh.write(emit_graph6(_scaffold_to_graph(k)) + "\n")
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
-    return ks
+
+
+def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
+    """(scaffolds, their graph6 texts), from the graph6 cache if present, else enumerated and cached."""
+    path = os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
+    if os.path.exists(path):
+        with open(path) as fh:
+            texts = [line.strip() for line in fh if line.strip()]
+        return [_graph_to_scaffold(parse_graph6(text), t, s) for text in texts], texts
+    ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
+    texts = [emit_graph6(_scaffold_to_graph(k)) for k in ks]
+    os.makedirs(out_dir, exist_ok=True)
+    # a cache that exists is trusted, so it appears only once complete
+    _write_atomic(path, lambda fh: fh.writelines(text + "\n" for text in texts))
+    return ks, texts
+
+
+def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> list:
+    """Scaffolds for (t, s), from the graph6 cache if present, else enumerated and cached."""
+    return _scaffold_stream(t, s, out_dir, allow_long)[0]
 
 
 def _drop_torn_tail(path: str) -> int:
@@ -110,39 +129,60 @@ def _drop_torn_tail(path: str) -> int:
     return max(0, rows - 1)
 
 
+def _check_manifest(path: str, manifest: dict, detail_path: str) -> None:
+    """Refuse to resume detail_path unless its manifest matches this run's, field by field."""
+    try:
+        with open(path) as fh:
+            old = json.load(fh)
+    except FileNotFoundError:
+        raise ValueError(f"cannot resume {detail_path}: its manifest {path} is missing") from None
+    for key, value in manifest.items():
+        if old.get(key) != value:
+            raise ValueError(f"cannot resume {detail_path}: its manifest has {key}={old.get(key)!r}, "
+                             f"this run has {key}={value!r}")
+
+
 def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
                jobs: int = 1, resume: bool = False, allow_long: bool = False) -> CensusRow:
     """Classify every (t, s) scaffold composed with G (default K_t); aggregate flag counts.
 
-    Writes classify_t{t}_s{s}.csv (one row per scaffold, resumable) and
-    census_t{t}_s{s}.csv (single summary row).  Worker order is the
-    deterministic enumeration order regardless of jobs.
+    Writes classify_t{t}_s{s}.csv (one row per scaffold, resumable), its
+    manifest classify_t{t}_s{s}.json (t, s, G as graph6, scaffold count,
+    package version) and census_t{t}_s{s}.csv (single summary row).  A
+    resume whose manifest is missing or differs raises ValueError naming the
+    field.  Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK,
+    mapped over jobs worker processes; rows are written in enumeration order
+    regardless of jobs.
     """
     if g is None:
         g = complete_graph(t)
     if g.n != t:
         raise ValueError(f"G has {g.n} vertices, expected t = {t}")
-    scaffolds = load_scaffolds(t, s, out_dir, allow_long=allow_long)
+    scaffolds, texts = _scaffold_stream(t, s, out_dir, allow_long)
     detail_path = os.path.join(out_dir, f"classify_t{t}_s{s}.csv")
+    manifest_path = os.path.join(out_dir, f"classify_t{t}_s{s}.json")
+    manifest = {"t": t, "s": s, "g": emit_graph6(g), "scaffolds": len(scaffolds),
+                "version": __version__}
 
     done = 0
     if resume and os.path.exists(detail_path):
+        _check_manifest(manifest_path, manifest, detail_path)
         done = _drop_torn_tail(detail_path)
-    todo = scaffolds[done:]
+    else:
+        _write_atomic(manifest_path, lambda fh: json.dump(manifest, fh))
+    todo = np.array(scaffolds[done:], dtype=np.int64).reshape(-1, t, s)
+    blocks = [todo[i:i + CENSUS_BLOCK] for i in range(0, len(todo), CENSUS_BLOCK)]
 
     mode = "a" if done else "w"
     with open(detail_path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if not done:
             writer.writerow(DETAIL_COLUMNS)
-        work = partial(_classify_worker, g=g)
-        if jobs > 1 and len(todo) > 1:
-            with Pool(jobs) as pool:
-                for row in pool.imap(work, todo, chunksize=16):
-                    writer.writerow(row)
-        else:
-            for k in todo:
-                writer.writerow(work(k))
+        work = partial(_census_rows, g.adjacency())
+        text = iter(texts[done:])
+        with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
+            for rows in (pool.imap(work, blocks) if pool else map(work, blocks)):
+                writer.writerows([next(text)] + row for row in rows)
 
     counts = {"s_roth": 0, "harmcond": 0, "m_matrix": 0, "inv_positive": 0}
     total = 0
@@ -154,12 +194,14 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
     row = CensusRow(s=s, t=t, total=total, n_s_roth=counts["s_roth"],
                     n_harmcond=counts["harmcond"], n_m_matrix=counts["m_matrix"],
                     n_inv_positive=counts["inv_positive"])
-    summary_path = os.path.join(out_dir, f"census_t{t}_s{s}.csv")
-    with open(summary_path, "w", newline="") as fh:
+
+    def write_summary(fh):
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerow([row.s, row.total, row.n_s_roth, row.n_harmcond,
                          row.n_m_matrix, row.n_inv_positive])
+
+    _write_atomic(census_summary_path(t, s, out_dir), write_summary)
     return row
 
 
@@ -245,6 +287,7 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
     kind='tree' takes all trees on t vertices with max degree <= s;
     kind='maxdeg' takes graphs with max degree < s (exhaustive for t <= 8,
     sampled above).  Hypotheses t > s >= 6 are enforced unless relax.
+    Each family is decided by oracle_stack in blocks of CENSUS_BLOCK.
     Returns {kind, checked, pairs, counterexamples}.
     """
     pairs = []
@@ -258,28 +301,43 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
     checked = 0
     counterexamples = []
     for (s, t) in pairs:
-        for g in _family(kind, s, t, sample_limit, seed):
-            inst = compose(s, g)
-            verdict = s_roth_oracle(inst)
-            checked += 1
-            if not verdict.is_s_roth:
-                counterexamples.append({
-                    "kind": kind, "s": s, "t": t,
-                    "g_graph6": emit_graph6(g),
-                    "mu": verdict.mu, "reason": verdict.reason,
-                    "instance": instance_to_json(inst),
-                })
+        family = _family(kind, s, t, sample_limit, seed)
+        complete = np.ones((t, s), dtype=np.int64)
+        for lo in range(0, len(family), CENSUS_BLOCK):
+            block = family[lo:lo + CENSUS_BLOCK]
+            verdicts = oracle_stack(np.array([g.adjacency() for g in block]), complete)
+            checked += len(block)
+            for g, verdict in zip(block, verdicts):
+                if not verdict.is_s_roth:
+                    counterexamples.append({
+                        "kind": kind, "s": s, "t": t,
+                        "g_graph6": emit_graph6(g),
+                        "mu": verdict.mu, "reason": verdict.reason,
+                        "instance": instance_to_json(compose(s, g)),
+                    })
     return {"kind": kind, "pairs": pairs, "checked": checked,
             "counterexamples": counterexamples}
 
 
 def ultra_roth_probe(scaffold: np.ndarray, g_family) -> dict:
-    """Run the verdict oracle for one scaffold against every G in the family."""
+    """Run the verdict oracle for one scaffold against every G in the family, as one stack."""
     scaffold = np.asarray(scaffold)
+    family = list(g_family)
+    if not family:
+        return {"all_s_roth": True, "failures": []}
+    t, s = scaffold.shape
+    compose(s, family[0], scaffold)  # raises on an invalid scaffold
+    if any(g.n != t for g in family):
+        raise ValueError(f"every G must have t = {t} vertices")
+    # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
+    a_g = np.array([g.adjacency() for g in family])
+    reach = (a_g > 0) | (scaffold @ scaffold.T > 0) | np.eye(t, dtype=bool)
+    for _ in range(t.bit_length()):
+        reach = reach @ reach
+    if not reach.all():
+        raise ValueError("composite instance is disconnected")
     failures = []
-    for g in g_family:
-        inst = compose(scaffold.shape[1], g, scaffold)
-        verdict = s_roth_oracle(inst)
+    for g, verdict in zip(family, oracle_stack(a_g, scaffold)):
         if not verdict.is_s_roth:
             failures.append({"g_graph6": emit_graph6(g), "mu": verdict.mu,
                              "reason": verdict.reason})

@@ -19,16 +19,11 @@ import numpy as np
 from . import analysis, bounds, census, graphs, spectra
 
 
-def _jsonable(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+def _json_default(v):
+    """json.dumps hook: numpy scalars and arrays become Python values."""
+    if isinstance(v, (np.generic, np.ndarray)):
+        return v.tolist()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _load_graph(path: str, fmt: str) -> graphs.Graph:
@@ -98,8 +93,7 @@ def cmd_analyze(args) -> int:
             "upper_cut": spectra.mu_upper_bound_cut(inst),
         },
     }
-    json.dump(_jsonable(report), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
     return 0 if verdict.is_s_roth else 3
 
 
@@ -129,7 +123,7 @@ def cmd_census(args) -> int:
                             jobs=_default_jobs(args.jobs), resume=args.resume,
                             allow_long=args.allow_long)
     path = census.census_summary_path(args.t, args.s, args.out_dir)
-    print(json.dumps({"row": _jsonable(row.__dict__), "csv": path}))
+    print(json.dumps({"row": row.__dict__, "csv": path}, default=_json_default))
     return 0
 
 
@@ -174,10 +168,10 @@ def cmd_conjecture(args) -> int:
                                      sample_limit=args.sample_limit, seed=args.seed)
     if report["counterexamples"] and args.out:
         with open(args.out, "w") as fh:
-            json.dump(_jsonable(report["counterexamples"]), fh, indent=2)
-    print(json.dumps(_jsonable({k: report[k] for k in ("kind", "pairs", "checked")}
-                               | {"counterexamples": len(report["counterexamples"]),
-                                  "details": report["counterexamples"]})))
+            fh.write(json.dumps(report["counterexamples"], indent=2, default=_json_default))
+    print(json.dumps({k: report[k] for k in ("kind", "pairs", "checked")}
+                     | {"counterexamples": len(report["counterexamples"]),
+                        "details": report["counterexamples"]}, default=_json_default))
     return 0 if not report["counterexamples"] else 3
 
 

@@ -163,20 +163,15 @@ def _g6_header(n: int) -> str:
 
 
 def emit_graph6(g: Graph) -> str:
-    text = _g6_header(g.n)
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    # pad to a multiple of 6 with zeros
-    while len(bits) % 6:
-        bits.append(0)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        text += chr(val + 63)
-    return text
+    head = _g6_header(g.n)
+    nbits = g.n * (g.n - 1) // 2
+    # bit v(v-1)/2 + u holds the pair u < v; pad to a multiple of 6 with zeros
+    bits = bytearray(nbits + (-nbits) % 6)
+    for (u, v) in g.edges:
+        bits[v * (v - 1) // 2 + u] = 1
+    return head + "".join(
+        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3 | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
+        for i in range(0, len(bits), 6))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -9,11 +9,13 @@ Tolerance conventions used package-wide:
                  a candidate for exact rational confirmation
 
 Borderline integer eigenvalues (the mu = t-s cases) are never decided in
-floating point alone: exact_kernel_dim settles them over the rationals.
+floating point alone: exact_kernel_dim settles them over the rationals, by
+fraction-free elimination on Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,61 +65,66 @@ class SmallestEigenpair:
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = 1.0 + np.abs(m).max(initial=0.0)
-    if np.abs(m - m.T).max(initial=0.0) > 1e-12 * scale:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    mt = np.swapaxes(m, -1, -2)
+    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
+    if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
-    return (m + m.T) / 2.0
+    return (m + mt) / 2.0
 
 
 def full_spectrum(m: np.ndarray) -> EigenSystem:
     """All eigenpairs of a dense symmetric matrix, sorted ascending.
 
-    The residual and orthogonality contracts are verified after the solve and
-    an EigensolverError is raised on violation rather than silently returning
-    a bad decomposition.
+    m may be a stack (..., n, n); values and vectors then carry the same
+    leading axes, one eigensolve per matrix.  The residual and orthogonality
+    contracts are verified for every matrix after the solve and an
+    EigensolverError is raised on a violation rather than silently returning
+    a bad decomposition.  residual_bound is the largest residual of the stack.
     """
     m = _check_symmetric(m)
+    n = m.shape[-1]
     values, vectors = np.linalg.eigh(m)
-    residual = np.abs(m @ vectors - vectors * values).max(initial=0.0)
-    norm_inf = np.abs(m).sum(axis=1).max(initial=0.0)
-    if residual > EIG_TOL * (1.0 + norm_inf):
-        raise EigensolverError(f"residual {residual:g} exceeds {EIG_TOL:g}*(1+|A|)")
-    ortho = np.abs(vectors.T @ vectors - np.eye(m.shape[0])).max(initial=0.0)
-    if ortho > EIG_TOL * (1.0 + m.shape[0]):
+    residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
+    norm_inf = np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
+    if np.any(residual > EIG_TOL * (1.0 + norm_inf)):
+        raise EigensolverError(f"residual {residual.max():g} exceeds {EIG_TOL:g}*(1+|A|)")
+    ortho = np.abs(np.swapaxes(vectors, -1, -2) @ vectors - np.eye(n)).max(initial=0.0)
+    if ortho > EIG_TOL * (1.0 + n):
         raise EigensolverError(f"eigenvectors lost orthonormality ({ortho:g})")
-    return EigenSystem(values=values, vectors=vectors, residual_bound=float(residual))
+    return EigenSystem(values=values, vectors=vectors, residual_bound=float(residual.max(initial=0.0)))
 
 
-def cluster_multiplicity(values: np.ndarray, mu: float) -> int:
-    return int(np.count_nonzero(values <= mu + CLUSTER_TOL * (1.0 + abs(mu))))
+def cluster_multiplicity(values: np.ndarray, mu):
+    """Eigenvalues within CLUSTER_TOL*(1+|mu|) of mu; one count per row of a stack."""
+    mu = np.asarray(mu)
+    return np.count_nonzero(values <= (mu + CLUSTER_TOL * (1.0 + np.abs(mu)))[..., None], axis=-1)
 
 
 def smallest_eigenpair(m: np.ndarray, t_split: int | None = None) -> SmallestEigenpair:
     """(mu, eigenvector, numerical multiplicity) of the smallest eigenvalue.
 
     t_split, when given, is the size of the T-block of a composite Q(H); the
-    returned pair then carries the restrictions w = x(T) and z = x(S).
+    returned pair then carries the restrictions w = x(T) and z = x(S).  For a
+    stack (..., n, n), mu and multiplicity are arrays over the leading axes
+    and the vectors gain them too.
     """
     es = full_spectrum(m)
-    mu = float(es.values[0])
-    x = es.vectors[:, 0]
+    mu = es.values[..., 0]
+    x = es.vectors[..., :, 0]
     w = z = None
     if t_split is not None:
-        w, z = x[:t_split].copy(), x[t_split:].copy()
-    return SmallestEigenpair(
-        mu=mu,
-        vector=x,
-        multiplicity=cluster_multiplicity(es.values, mu),
-        w=w,
-        z=z,
-    )
+        w, z = x[..., :t_split].copy(), x[..., t_split:].copy()
+    multiplicity = cluster_multiplicity(es.values, mu)
+    if mu.ndim == 0:
+        mu, multiplicity = float(mu), int(multiplicity)
+    return SmallestEigenpair(mu=mu, vector=x, multiplicity=multiplicity, w=w, z=z)
 
 
 def sign_normalize(x: np.ndarray, t_split: int) -> np.ndarray:
-    """Flip the vector so the sum of its S-entries (index >= t_split) is >= 0."""
-    return -x if x[t_split:].sum() < 0 else x.copy()
+    """Flip the vector so the sum of its S-entries (index >= t_split) is >= 0; each row of a stack."""
+    return np.where((x[..., t_split:].sum(axis=-1) < 0)[..., None], -x, x)
 
 
 def integer_candidate(mu: float) -> int | None:
@@ -126,45 +133,56 @@ def integer_candidate(mu: float) -> int | None:
     return c if abs(mu - c) <= INTEGER_TOL else None
 
 
-def _gauss_jordan(a: list) -> list:
-    """Exact Gauss-Jordan over Fraction: a becomes its reduced row echelon form, in place.
+def _gauss_jordan(a: list) -> tuple:
+    """Fraction-free Gauss-Jordan (Bareiss 1968) on rows of ints or Fractions, in place.
 
-    Returns the pivot positions [(row, col)] in column order.
+    Each row is first scaled to integers; scaling a row leaves the reduced row
+    echelon form unchanged.  Every update (p*x - f*y) // prev divides exactly
+    (Sylvester's identity), so the entries stay integers: minors of the
+    scaled input.  On return every pivot entry equals d, and a / d is the
+    reduced row echelon form.  Returns (pivot positions [(row, col)] in column
+    order, d).
     """
+    for r, row in enumerate(a):
+        den = math.lcm(*(v.denominator for v in row))
+        a[r] = [int(v * den) for v in row]
     n = len(a)
     pivots = []
+    prev = 1
     row = 0
     for col in range(len(a[0]) if a else 0):
-        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(row, n) if a[r][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
+        top = a[row]
+        p = top[col]
         for r in range(n):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+            f = a[r][col]
+            if r != row and (f or p != prev):
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
+        prev = p
         pivots.append((row, col))
         row += 1
         if row == n:
             break
-    return pivots
+    return pivots, prev
 
 
 def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
     """Nullity and a rational kernel basis of (m - c*I), for integer matrices.
 
-    Gaussian elimination over Fraction: no floating point is involved, so the
-    answer is exact.  Returns (nullity, basis) where basis is a list of kernel
-    vectors with Fraction entries (free variable set to 1, the rest solved).
+    Fraction-free elimination over the integers: no floating point is
+    involved, so the answer is exact.  Returns (nullity, basis) where basis is
+    a list of kernel vectors with Fraction entries (free variable set to 1,
+    the rest solved).
     """
     m = np.asarray(m)
     if not np.all(m == np.round(m)):
         raise ValueError("exact_kernel_dim needs an integer matrix")
     n = m.shape[0]
-    a = [[Fraction(int(round(m[i, j]))) - (Fraction(c) if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = _gauss_jordan(a)
+    a = (np.rint(m).astype(np.int64) - int(c) * np.eye(n, dtype=np.int64)).tolist()
+    pivots, d = _gauss_jordan(a)
     pivot_cols = {c_ for (_, c_) in pivots}
     free_cols = [j for j in range(n) if j not in pivot_cols]
     basis = []
@@ -172,17 +190,18 @@ def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for (r, pc) in pivots:
-            v[pc] = -a[r][fc]
+            v[pc] = Fraction(-a[r][fc], d)
         basis.append(v)
     return len(free_cols), basis
 
 
 def exact_inverse(m: list) -> list | None:
-    """Inverse of a square matrix given as rows of Fractions; None when singular."""
+    """Inverse of a square matrix given as rows of ints or Fractions; None when singular."""
     n = len(m)
-    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
     # [m | I] has rank n, so m is invertible iff no pivot lands in the I block
-    return None if _gauss_jordan(a)[-1][1] >= n else [row[n:] for row in a]
+    pivots, d = _gauss_jordan(a)
+    return None if pivots[-1][1] >= n else [[Fraction(v, d) for v in row[n:]] for row in a]
 
 
 def rayleigh_quotient_signless(g: Graph, x) -> float:

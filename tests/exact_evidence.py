@@ -120,6 +120,34 @@ def exact_q_mu(q: np.ndarray, t: int, c: int) -> list:
              for j in range(t)] for i in range(t)]
 
 
+def fraction_gauss_jordan(a: list) -> list:
+    """Reference Gauss-Jordan over Fraction: a becomes its reduced row echelon form, in place.
+
+    Returns the pivot positions [(row, col)] in column order.  The package's
+    fraction-free kernel (spectra._gauss_jordan) is checked against this.
+    """
+    a[:] = [[Fraction(v) for v in row] for row in a]
+    n = len(a)
+    pivots = []
+    row = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(row, n) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(n):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append((row, col))
+        row += 1
+        if row == n:
+            break
+    return pivots
+
+
 def _fraction_inverse(m: list) -> list | None:
     """Gauss-Jordan inverse over Fraction; None when m is singular."""
     n = len(m)

@@ -1,5 +1,6 @@
 """Oracle, Schur complement, certificates, reduced matrix, matrix classes."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from conftest import (
     random_instance,
 )
 from rothlab.analysis import (
+    REASON_MIXED,
     REASON_MULTIPLE,
     REASON_SIGNED,
     REASON_ZERO,
@@ -31,6 +33,8 @@ from rothlab.analysis import (
     build_r_mu,
     classification_record,
     classify_q_mu,
+    decide_instance,
+    decide_stack,
     deg2_predicate,
     gavrilov_check,
     gc_check,
@@ -44,6 +48,7 @@ from rothlab.analysis import (
 )
 from rothlab.graphs import (
     Graph,
+    common_neighbors,
     complete_bipartite,
     complete_graph,
     compose,
@@ -53,6 +58,7 @@ from rothlab.graphs import (
     instance_from_graph,
     path_graph,
 )
+from rothlab.census import load_scaffolds
 from rothlab.cli import main
 from rothlab.spectra import exact_kernel_dim, signless_laplacian, smallest_eigenpair
 
@@ -707,3 +713,91 @@ def test_instance_from_graph_path():
     inst = instance_from_graph(g, [0, 2, 4])
     v = s_roth_oracle(inst)
     assert v.multiplicity == 1
+
+
+def _same_decision(a, b) -> bool:
+    va, vb = a.verdict, b.verdict
+    return (va.is_s_roth == vb.is_s_roth and va.reason == vb.reason
+            and va.mu.hex() == vb.mu.hex() and va.multiplicity == vb.multiplicity
+            and np.array_equal(va.eigenvector, vb.eigenvector) and va.kernel == vb.kernel
+            and a.classes == b.classes and a.harmcond == b.harmcond
+            and (a.gc, a.bdeg, a.st) == (b.gc, b.bdeg, b.st))
+
+
+def test_stacked_decision_equals_single_decisions(tmp_path):
+    # one stack mixing every verdict kind, the exact path, a bipartite H and
+    # mu >= min(D2) must decide each instance exactly as a stack of one does
+    ks = np.array(load_scaffolds(4, 5, str(tmp_path)))
+    picks = {}
+    for g in (Graph.from_edges(4, [(0, 1), (2, 3)]), complete_graph(4), Graph(4)):
+        for k, d in zip(ks, decide_stack(g.adjacency(), ks)):
+            v = d.verdict
+            kinds = [v.reason, "exact" if v.kernel is not None and d.classes is not None else None,
+                     "bipartite" if d.classes is None else None]
+            for kind in kinds:
+                picks.setdefault(kind, (g, k))
+    assert {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE, "exact", "bipartite"} <= set(picks)
+    # mu >= min(D2) needs an S-vertex without T-neighbours, which compose
+    # rejects, so that instance enters the stack as bare arrays
+    isolated = np.ones((4, 5), dtype=np.int64)
+    isolated[:, 4] = 0
+    chosen = [picks[kind] for kind in picks if kind]
+    cases = [(g.adjacency(), k) for g, k in chosen] + [(complete_graph(4).adjacency(), isolated)]
+    stacked = decide_stack(np.array([a for a, _ in cases]), np.array([k for _, k in cases]))
+    singles = [decide_stack(a, k)[0] for a, k in cases]
+    assert all(_same_decision(x, y) for x, y in zip(stacked, singles))
+    assert stacked[-1].verdict.mu >= 0 and stacked[-1].classes is None
+    assert sum(d.verdict.kernel is not None and d.classes is not None for d in stacked) >= 1
+    for (g, k), d in zip(chosen, stacked):
+        assert _same_decision(d, decide_instance(compose(5, g, k)))
+
+
+def _harmcond_loop(inst):
+    """Reference: the pairwise Fraction loop the array certificates replaced."""
+    t, d2 = inst.t, inst.D2
+    for (i, j) in sorted(inst.G.edges):
+        acc = sum((Fraction(1, int(d2[v - t])) for v in common_neighbors(inst, i, j)), Fraction(0))
+        if acc < 1:
+            return False, (i, j), acc
+    for i, j in itertools.combinations(range(t), 2):
+        if not inst.G.has_edge(i, j) and not common_neighbors(inst, i, j):
+            return False, (i, j), Fraction(0)
+    return True, None, None
+
+
+def _gc_loop(inst):
+    cb = int(inst.D2.max())
+    pairs = itertools.combinations(range(inst.t), 2)
+    return all(len(common_neighbors(inst, i, j)) >= cb if inst.G.has_edge(i, j)
+               else len(common_neighbors(inst, i, j)) > 0 for i, j in pairs)
+
+
+def test_certificates_match_pairwise_fraction_loop():
+    rng = np.random.default_rng(23)
+    holds = 0
+    for n in range(400):
+        inst = random_instance(rng, smax=12, g_edge_p=[0.1, 0.5, 0.9][n % 3])
+        hc = harmcond_check(inst)
+        assert (hc.holds, hc.witness, hc.witness_sum) == _harmcond_loop(inst)
+        assert gc_check(inst) == _gc_loop(inst)
+        holds += hc.holds
+    assert 0 < holds < 400
+
+
+def test_harmonic_condition_exact_beyond_int64():
+    # the G-edge 01 has common S-neighbours of degrees 2, 3, 7 and 84, 84
+    # (adjacent to all of T), so its harmonic sum is exactly 1; S-vertices of
+    # prime degree avoid vertex 0 and push the lcm of the S-degrees past int64
+    t, primes = 84, (43, 47, 53, 59, 61, 67, 71, 73, 79, 83)
+    cols = [range(2), range(3), range(7), range(t), range(t)] + [range(1, p + 1) for p in primes]
+    k = np.zeros((t, len(cols)), dtype=np.int64)
+    for j, rows in enumerate(cols):
+        k[list(rows), j] = 1
+    g = Graph.from_edges(t, [(0, 1)])
+    lcm = int(np.lcm.reduce(np.unique(k.sum(axis=0)).astype(object)))
+    assert lcm * k.shape[1] > np.iinfo(np.int64).max
+    exact = harmcond_check(compose(k.shape[1], g, k))
+    assert exact.holds and not gc_check(compose(k.shape[1], g, k))
+    # one all-T vertex fewer: the sum drops to 1 - 1/84
+    short = harmcond_check(compose(k.shape[1] - 1, g, np.delete(k, 4, axis=1)))
+    assert (short.holds, short.witness, short.witness_sum) == (False, (0, 1), Fraction(83, 84))

@@ -1,13 +1,16 @@
 """Census pipeline, conjecture sweeps, one-parameter probes."""
 
 import csv
+import json
 import os
 
 import numpy as np
 import pytest
 
+import rothlab
 import rothlab.census
 from rothlab.census import (
+    CENSUS_BLOCK,
     DETAIL_COLUMNS,
     SUMMARY_COLUMNS,
     census_summary_path,
@@ -17,6 +20,7 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
+from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from rothlab.graphs import Graph, complete_graph, emit_graph6, parse_graph6, path_graph
 
@@ -78,6 +82,43 @@ def test_census_resume_deterministic(tmp_path):
             body2 = fh.read()
         assert first == second
         assert body1 == body2
+
+
+def test_census_resume_refuses_another_g(tmp_path):
+    # a P3 run cut to 30 rows must not be completed with K3 rows
+    out = str(tmp_path)
+    run_census(3, 4, g=path_graph(3), out_dir=out)
+    path = os.path.join(out, "classify_t3_s4.csv")
+    with open(path) as fh:
+        lines = fh.readlines()
+    with open(path, "w") as fh:
+        fh.writelines(lines[:31])
+    with open(os.path.join(out, "classify_t3_s4.json")) as fh:
+        manifest = json.load(fh)
+    assert manifest == {"t": 3, "s": 4, "g": emit_graph6(path_graph(3)), "scaffolds": 34,
+                        "version": rothlab.__version__}
+    with pytest.raises(ValueError, match="g="):
+        run_census(3, 4, g=complete_graph(3), out_dir=out, resume=True)
+    assert main(["census", "--t", "3", "--s", "4", "--g", "K3", "--resume", "--jobs", "1",
+                 "--out-dir", out]) == 1
+    os.remove(os.path.join(out, "classify_t3_s4.json"))
+    with pytest.raises(ValueError, match="manifest .* is missing"):
+        run_census(3, 4, g=path_graph(3), out_dir=out, resume=True)
+    with open(path) as fh:
+        assert fh.readlines() == lines[:31]
+    # a fresh K3 run is not a resume and replaces the P3 files
+    assert run_census(3, 4, g=complete_graph(3), out_dir=out, resume=False) == run_census(
+        3, 4, g=complete_graph(3), out_dir=str(tmp_path / "fresh"))
+
+
+def test_census_blocks_and_pool_give_identical_files(tmp_path):
+    # (4, 5) has more scaffolds than one block
+    assert 558 > CENSUS_BLOCK
+    rows = [run_census(4, 5, out_dir=str(tmp_path / str(jobs)), jobs=jobs) for jobs in (1, 2)]
+    assert rows[0] == rows[1] and rows[0].total == 558
+    for name in ("classify_t4_s5.csv", "census_t4_s5.csv", "classify_t4_s5.json"):
+        with open(tmp_path / "1" / name, "rb") as a, open(tmp_path / "2" / name, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_census_parallel_matches_serial(tmp_path):
