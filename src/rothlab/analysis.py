@@ -26,16 +26,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CompositeInstance, complement, connected_components, join_decomposition
+from .graphs import CompositeInstance, block_adjacency, emit_graph6, graph_from_adjacency, join_decomposition
 from .spectra import (
     SIGN_TOL,
-    cluster_multiplicity,
     exact_inverse,
     exact_kernel_dim,
     full_spectrum,
     integer_candidate,
     sign_normalize,
-    signless_laplacian,
     smallest_eigenpair,
 )
 
@@ -62,7 +60,6 @@ class RothVerdict:
 class SchurMatrix:
     q_mu: np.ndarray  # order t
     mu: float
-    alpha: float | None  # s/(t-mu), populated only for complete scaffolds
 
 
 @dataclass(eq=False)
@@ -149,7 +146,7 @@ def oracle_stack(a_g, ks) -> list:
     t = k.shape[-2]
     q = _q_h(a, k)
     n = q.shape[-1]
-    pair = smallest_eigenpair(q.reshape(lead + (n, n)), t_split=t)
+    pair = smallest_eigenpair(q.reshape(lead + (n, n)))
     mu = np.reshape(pair.mu, -1).tolist()
     multiplicity = np.reshape(pair.multiplicity, -1).tolist()
     raw = pair.vector.reshape(-1, n)
@@ -176,7 +173,7 @@ def oracle_stack(a_g, ks) -> list:
 
 def s_roth_oracle(inst: CompositeInstance) -> RothVerdict:
     """Decide S-Rothness from the smallest eigenpair of Q(H): oracle_stack for one instance."""
-    return oracle_stack(inst.G.adjacency(), inst.K)[0]
+    return oracle_stack(inst.A, inst.K)[0]
 
 
 def is_complete_scaffold(inst: CompositeInstance) -> bool:
@@ -199,15 +196,12 @@ def build_q_mu(inst: CompositeInstance, mu: float) -> SchurMatrix:
 
     Requires mu < min(D2) so the middle factor is negative definite; the
     off-diagonal (i,j) entry works out to [i ~G j] - sum over N_ij of
-    1/(d_B(k) - mu).  alpha = s/(t-mu) is attached for complete scaffolds.
+    1/(d_B(k) - mu).
     """
-    if mu >= inst.D2.min():
-        raise ValueError(f"mu={mu} is not below the smallest S-degree {inst.D2.min()}")
-    q_mu = _q_mu(inst.G.adjacency(), inst.K, mu)
-    alpha = None
-    if is_complete_scaffold(inst):
-        alpha = inst.s / (inst.t - mu)
-    return SchurMatrix(q_mu=q_mu, mu=float(mu), alpha=alpha)
+    d2_min = inst.K.sum(axis=0).min()
+    if mu >= d2_min:
+        raise ValueError(f"mu={mu} is not below the smallest S-degree {d2_min}")
+    return SchurMatrix(q_mu=_q_mu(inst.A, inst.K, mu), mu=float(mu))
 
 
 def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> list:
@@ -243,24 +237,25 @@ def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_po
 def _classify(q_mu: np.ndarray, a: np.ndarray, k: np.ndarray, verdicts: list) -> list:
     """Classes of a stack of Q_mu, each built at its verdict's mu; None where Q_mu is singular.
 
-    One stacked eigensolve and one stacked inverse serve the whole stack.  A
+    No eigensolve: for mu < min(D2), Haynsworth inertia makes mu the smallest
+    eigenvalue of Q_mu, with the verdict's multiplicity and eigenvectors the
+    T-parts of those of Q(H).  One stacked inverse serves the whole stack.  A
     verdict decided from a rational kernel (mu on an integer c: the t-s
     boundary of complete scaffolds and its relatives) has its flags computed
     from the rational Q_mu and that kernel, so borderline zero entries are
     decided exactly.
     """
     t = q_mu.shape[-1]
-    es = full_spectrum(q_mu)
-    lam1 = es.values[:, 0]
+    mu = np.array([v.mu for v in verdicts])
     scale = 1.0 + np.abs(q_mu).max(axis=(1, 2), initial=0.0)
-    regular = np.abs(lam1) > 1e-12 * scale
+    regular = np.abs(mu) > 1e-12 * scale
     z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
-    m_matrix = z_matrix & (lam1 > 0.0)
+    m_matrix = z_matrix & (mu > 0.0)
     inv = np.linalg.inv(q_mu[regular])
     inverse_positive = np.zeros(len(q_mu), dtype=bool)
     inverse_positive[regular] = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
-    simple = cluster_multiplicity(es.values, lam1) == 1
-    x = sign_normalize(es.vectors[:, :, 0], 0)
+    simple = np.array([v.multiplicity == 1 for v in verdicts])
+    x = sign_normalize(np.array([v.eigenvector[:t] for v in verdicts]), 0)
     minpositive = simple & np.all(x > SIGN_TOL * np.abs(x).max(axis=1)[:, None], axis=1)
     reports = []
     for i, (verdict, reg, z, m, ip, mp) in enumerate(zip(
@@ -285,7 +280,7 @@ def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance, verdict: RothVerdict
     """
     if sm.mu != verdict.mu:
         raise ValueError(f"Q_mu was built at mu={sm.mu}, the verdict has mu={verdict.mu}")
-    report = _classify(sm.q_mu[None], inst.G.adjacency()[None], inst.K[None], [verdict])[0]
+    report = _classify(sm.q_mu[None], inst.A[None], inst.K[None], [verdict])[0]
     if report is None:
         raise ValueError("Q_mu is singular (H is bipartite)")
     return report
@@ -348,12 +343,12 @@ def harmcond_check(inst: CompositeInstance) -> HarmonicCondition:
     Sums are exact.  holds implies H is S-Roth.  The witness is the first
     failing G-edge in sorted order, else the first failing non-adjacent pair.
     """
-    return _certificates(inst.G.adjacency()[None], inst.K[None])[0][0]
+    return _certificates(inst.A[None], inst.K[None])[0][0]
 
 
 def gc_check(inst: CompositeInstance) -> bool:
     """Cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere."""
-    return bool(_certificates(inst.G.adjacency()[None], inst.K[None])[1][0])
+    return bool(_certificates(inst.A[None], inst.K[None])[1][0])
 
 
 def _bdeg(k: np.ndarray) -> np.ndarray:
@@ -393,13 +388,11 @@ def gdeg_check(inst: CompositeInstance) -> str:
     """
     if not is_complete_scaffold(inst) or inst.t <= inst.s:
         return "none"
-    if inst.G.n == 0:
-        return "none"
-    delta = min(inst.G.degrees())
+    delta = inst.A.sum(axis=1).min()
     gap = inst.t - inst.s
     if delta > gap:
         return "A"
-    if delta == gap and len(connected_components(complement(inst.G))) == 1:
+    if delta == gap and len(join_decomposition(inst.A)) == 1:
         return "B"
     return "none"
 
@@ -419,17 +412,12 @@ def boundary_characterization(inst: CompositeInstance) -> BoundaryCharacterizati
     decomposition of G contains a vertex of G-degree strictly above t-s.
     """
     gap = inst.t - inst.s
-    if (
-        not is_complete_scaffold(inst)
-        or inst.t <= inst.s
-        or inst.G.n == 0
-        or min(inst.G.degrees()) != gap
-    ):
+    deg = inst.A.sum(axis=1)
+    if not is_complete_scaffold(inst) or inst.t <= inst.s or deg.min() != gap:
         return BoundaryCharacterization(False, None, None)
-    joinees = join_decomposition(inst.G)
+    joinees = join_decomposition(inst.A)
     if len(joinees) == 1:
         return BoundaryCharacterization(False, None, None)
-    deg = inst.G.degrees()
     for part in joinees:
         if all(deg[v] <= gap for v in part):
             return BoundaryCharacterization(True, False, tuple(part))
@@ -443,7 +431,7 @@ def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
     """R_mu = Q(G) + (s - mu) I.  Singularity is recorded, not raised."""
     if not is_complete_scaffold(inst):
         raise ValueError("R_mu is defined for complete scaffolds only")
-    r = signless_laplacian(inst.G) + (inst.s - mu) * np.eye(inst.t)
+    r = inst.A + np.diag(inst.A.sum(axis=1) + (inst.s - mu))
     values = full_spectrum(r).values
     scale = 1.0 + np.abs(r).max(initial=0.0)
     pd = bool(values[0] > 1e-9 * scale)
@@ -511,8 +499,7 @@ def deg2_predicate(inst: CompositeInstance) -> bool:
     """Hypothesis of the max-degree-2 theorem: complete scaffold, t > s >= 6, Delta(G) <= 2."""
     if not is_complete_scaffold(inst) or not (inst.t > inst.s >= 6):
         return False
-    degs = inst.G.degrees()
-    return max(degs, default=0) <= 2
+    return bool(inst.A.sum(axis=1).max() <= 2)
 
 
 @dataclass(eq=False)
@@ -553,7 +540,7 @@ def decide_stack(a_g, ks) -> list:
 
 def decide_instance(inst: CompositeInstance) -> InstanceDecision:
     """decide_stack for one instance."""
-    return decide_stack(inst.G.adjacency(), inst.K)[0]
+    return decide_stack(inst.A, inst.K)[0]
 
 
 def classification_record(inst: CompositeInstance) -> dict:
@@ -563,12 +550,10 @@ def classification_record(inst: CompositeInstance) -> dict:
      st, z, m_matrix, inv_positive, minpositive, s_maximal}; graph6 encodes the
     scaffold B.  `rothlab analyze` formats the same decision as its report.
     """
-    from .graphs import emit_graph6
-
     d = decide_instance(inst)
     verdict, classes = d.verdict, d.classes
     return {
-        "graph6": emit_graph6(inst.B),
+        "graph6": emit_graph6(graph_from_adjacency(block_adjacency(0, inst.K))),
         "s": inst.s,
         "t": inst.t,
         "mu": verdict.mu,
@@ -583,5 +568,5 @@ def classification_record(inst: CompositeInstance) -> dict:
         "m_matrix": None if classes is None else classes.m_matrix,
         "inv_positive": None if classes is None else classes.inverse_positive,
         "minpositive": None if classes is None else classes.minpositive,
-        "s_maximal": inst.s_maximal,
+        "s_maximal": bool(inst.K.any(axis=1).all()),
     }

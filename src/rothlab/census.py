@@ -25,9 +25,10 @@ import numpy as np
 
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
-from .analysis import classification_record, decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
+from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
-from .graphs import Graph, compose, complete_graph, cycle_graph, emit_graph6, instance_to_json, parse_graph6, path_graph
+from .graphs import (Graph, block_adjacency, compose, complete_graph, cycle_graph, emit_graph6,
+                     graph_from_adjacency, instance_to_json, is_connected, parse_graph6, path_graph)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -45,13 +46,6 @@ class CensusRow:
     n_inv_positive: int
 
 
-def classify_instance(scaffold: np.ndarray, g: Graph) -> dict:
-    """Full classification record for the composite of a t x s scaffold with G."""
-    scaffold = np.asarray(scaffold)
-    inst = compose(scaffold.shape[1], g, scaffold)
-    return classification_record(inst)
-
-
 def _flag(v) -> str:
     return "" if v is None else str(int(bool(v)))
 
@@ -67,16 +61,19 @@ def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
     return rows
 
 
-def _scaffold_to_graph(k: np.ndarray) -> Graph:
-    t, s = k.shape
-    rows, cols = np.nonzero(k)
-    return Graph(t + s, frozenset(zip(rows.tolist(), (cols + t).tolist())))
+def _cached_scaffold(text: str, t: int, s: int) -> np.ndarray:
+    """The t x s scaffold K of a graph6 cache line, which must encode [[0, K], [K^T, 0]].
 
-
-def _graph_to_scaffold(b: Graph, t: int, s: int) -> np.ndarray:
+    K is filled from the edges directly: going through Graph.adjacency took
+    about 5 us more per line on a 2-vCPU host, a tenth of a cached (4, 7)
+    census run.
+    """
+    b = parse_graph6(text)
+    if b.n != t + s:
+        raise ValueError(f"cached scaffold has {b.n} vertices, expected {t + s}")
     k = np.zeros((t, s), dtype=np.int64)
     for (u, v) in b.edges:
-        if not (u < t <= v):
+        if not u < t <= v:
             raise ValueError("cached scaffold is not bipartite with the expected parts")
         k[u, v - t] = 1
     return k
@@ -100,9 +97,9 @@ def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
     if os.path.exists(path):
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
-        return [_graph_to_scaffold(parse_graph6(text), t, s) for text in texts], texts
+        return [_cached_scaffold(text, t, s) for text in texts], texts
     ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
-    texts = [emit_graph6(_scaffold_to_graph(k)) for k in ks]
+    texts = [emit_graph6(graph_from_adjacency(block_adjacency(0, k))) for k in ks]
     os.makedirs(out_dir, exist_ok=True)
     # a cache that exists is trusted, so it appears only once complete
     _write_atomic(path, lambda fh: fh.writelines(text + "\n" for text in texts))
@@ -331,10 +328,7 @@ def ultra_roth_probe(scaffold: np.ndarray, g_family) -> dict:
         raise ValueError(f"every G must have t = {t} vertices")
     # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
     a_g = np.array([g.adjacency() for g in family])
-    reach = (a_g > 0) | (scaffold @ scaffold.T > 0) | np.eye(t, dtype=bool)
-    for _ in range(t.bit_length()):
-        reach = reach @ reach
-    if not reach.all():
+    if not is_connected(a_g + scaffold @ scaffold.T):
         raise ValueError("composite instance is disconnected")
     failures = []
     for g, verdict in zip(family, oracle_stack(a_g, scaffold)):

@@ -108,19 +108,10 @@ def _named_graph(spec: str) -> graphs.Graph:
     return _NAMED_GRAPHS[kind](int(num))
 
 
-def _default_jobs(args_jobs) -> int:
-    if args_jobs is not None:
-        return args_jobs
-    env = os.environ.get("ROTHLAB_JOBS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def cmd_census(args) -> int:
     g = _named_graph(args.g) if args.g else None
     row = census.run_census(args.t, args.s, g=g, out_dir=args.out_dir,
-                            jobs=_default_jobs(args.jobs), resume=args.resume,
+                            jobs=args.jobs, resume=args.resume,
                             allow_long=args.allow_long)
     path = census.census_summary_path(args.t, args.s, args.out_dir)
     print(json.dumps({"row": row.__dict__, "csv": path}, default=_json_default))
@@ -224,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--s", type=int, required=True)
     c.add_argument("--g", help="graph on T (K4, P5, C6, E3); default complete")
-    c.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: ROTHLAB_JOBS or cpu count)")
+    c.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker processes (default: cpu count)")
     c.add_argument("--resume", action="store_true")
     c.add_argument("--allow-long", action="store_true")
     c.add_argument("--out-dir", default=".")

@@ -64,12 +64,11 @@ class Graph:
             a[u, v] = a[v, u] = 1.0
         return a
 
-    def adjacency_sets(self) -> list:
-        adj = [set() for _ in range(self.n)]
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+
+def graph_from_adjacency(a) -> Graph:
+    """The Graph of a symmetric adjacency matrix: an edge wherever the upper triangle is nonzero."""
+    rows, cols = np.nonzero(a)
+    return Graph(len(a), frozenset((u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v))
 
 
 # named constructors
@@ -115,38 +114,45 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, frozenset(all_pairs - set(g.edges)))
 
 
-def connected_components(g: Graph) -> list:
-    """Partition of [0,n) into maximal connected sets, each sorted, ordered by least element."""
-    adj = g.adjacency_sets()
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
+def _reach(a) -> np.ndarray:
+    """Reachability of an adjacency matrix, or of each in a stack: (u, v) is True iff v is reachable from u.
+
+    The one connectivity routine.  Repeated squaring of the float 0/1 matrix I + A: after k products it
+    covers every walk of length up to 2^k, and its entries stay exact.
+    """
+    n = a.shape[-1]
+    r = ((np.asarray(a) != 0) | np.eye(n, dtype=bool)).astype(float)
+    for _ in range((n - 1).bit_length()):
+        r = np.minimum(r @ r, 1.0)
+    return r > 0
+
+
+def connected_components(a) -> list:
+    """Partition of [0,n) into the maximal connected sets of adjacency matrix a.
+
+    Each set is sorted, and the sets are ordered by least element.
+    """
+    r = _reach(a)
+    comps, seen = [], np.zeros(len(r), dtype=bool)
+    for v in range(len(r)):
+        if not seen[v]:
+            seen |= r[v]
+            comps.append(np.flatnonzero(r[v]).tolist())
     return comps
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
+def is_connected(a) -> bool:
+    """Whether the graph of adjacency matrix a is connected; for a stack, whether every one is."""
+    return bool(_reach(a).all())
 
 
-def join_decomposition(g: Graph) -> list:
-    """Maximal join decomposition: the joinees are the components of the complement.
+def join_decomposition(a) -> list:
+    """Maximal join decomposition of adjacency matrix a: the components of its complement.
 
-    A single returned set means g is join-indecomposable.
+    A single returned set means the graph is join-indecomposable.
     """
-    return connected_components(complement(g))
+    n = len(a)
+    return connected_components((np.asarray(a) == 0) & ~np.eye(n, dtype=bool))
 
 
 # graph6 codec (McKay's format: 6-bit groups, +63 offset, upper triangle column-major)
@@ -246,66 +252,60 @@ def emit_edge_list(g: Graph) -> str:
 # composite instances
 
 
+def block_adjacency(a, k) -> np.ndarray:
+    """[[a, K], [K^T, 0]]: the adjacency of H for a = A_G, of the scaffold B for a = 0."""
+    t, s = k.shape
+    m = np.zeros((t + s, t + s), dtype=np.int64)
+    m[:t, :t] = a
+    m[:t, t:] = k
+    m[t:, :t] = k.T
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class CompositeInstance:
-    """Connected H with independent S, under T-first vertex ordering.
+    """Connected H with independent S, under T-first vertex ordering, as arrays.
 
-    T = 0..t-1 and S = t..t+s-1 in H's labelling.  B is the bipartite scaffold
-    (the S-T edges of H, as a graph on all of V(H)); G is the subgraph induced
-    on T, on its own vertex set 0..t-1.  K is the t x s biadjacency of B with
-    rows indexed by T and columns by S; D1 and D2 are its row and column sums.
-    s_maximal records whether S is a maximal independent set (every T-vertex
-    has an S-neighbour); census scaffolds may violate it, so it is a flag, not
-    an error.  labels maps instance vertex -> caller's original label.
+    T = 0..t-1 and S = t..t+s-1 in H's labelling.  A is the t x t 0/1
+    adjacency matrix of G, the subgraph induced on T; K is the t x s
+    biadjacency of the bipartite scaffold B (the S-T edges of H), rows
+    indexed by T and columns by S.  Its row and column sums are D1 and D2;
+    census scaffolds may leave a T-vertex without an S-neighbour.  labels
+    maps instance vertex -> caller's original label.
     """
 
-    H: Graph
-    S: tuple
-    T: tuple
-    B: Graph
-    G: Graph
+    A: np.ndarray
     K: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
-    s_maximal: bool
     labels: tuple
 
     @property
     def s(self) -> int:
-        return len(self.S)
+        return self.K.shape[1]
 
     @property
     def t(self) -> int:
-        return len(self.T)
+        return self.K.shape[0]
+
+    @property
+    def G(self) -> Graph:
+        """G as a Graph, built from A on each access."""
+        return graph_from_adjacency(self.A)
+
+    @property
+    def H(self) -> Graph:
+        """H as a Graph, built from A and K on each access."""
+        return graph_from_adjacency(block_adjacency(self.A, self.K))
 
 
-def _assemble(G: Graph, K: np.ndarray, labels) -> CompositeInstance:
-    t, s = K.shape
-    if t != G.n:
-        raise ValueError("scaffold row count must equal the order of G")
-    if not np.array_equal(K, K.astype(bool).astype(K.dtype)):
+def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
+    if not np.array_equal(k, k.astype(bool).astype(k.dtype)):
         raise ValueError("scaffold must be a 0/1 matrix")
-    D2 = K.sum(axis=0)
-    if np.any(D2 == 0):
+    if np.any(k.sum(axis=0) == 0):
         raise ValueError("zero column in scaffold: an S-vertex has no neighbour in T")
-    D1 = K.sum(axis=1)
-    n = t + s
-    cross = {(i, t + j) for i in range(t) for j in range(s) if K[i, j]}
-    H = Graph.from_edges(n, set(G.edges) | cross)
-    if not is_connected(H):
+    a, k = a.astype(np.int64), k.astype(np.int64)
+    if not is_connected(block_adjacency(a, k)):
         raise ValueError("composite instance is disconnected")
-    return CompositeInstance(
-        H=H,
-        S=tuple(range(t, n)),
-        T=tuple(range(t)),
-        B=Graph(n, frozenset(cross)),
-        G=G,
-        K=K.astype(np.int64),
-        D1=D1.astype(np.int64),
-        D2=D2.astype(np.int64),
-        s_maximal=bool(np.all(D1 > 0)),
-        labels=tuple(labels),
-    )
+    return CompositeInstance(A=a, K=k, labels=tuple(labels))
 
 
 def compose(s: int, G: Graph, scaffold=None) -> CompositeInstance:
@@ -321,7 +321,7 @@ def compose(s: int, G: Graph, scaffold=None) -> CompositeInstance:
     K = np.ones((t, s), dtype=np.int64) if scaffold is None else np.asarray(scaffold, dtype=np.int64)
     if K.shape != (t, s):
         raise ValueError(f"scaffold shape {K.shape} does not match (t={t}, s={s})")
-    return _assemble(G, K, labels=range(t + s))
+    return _assemble(G.adjacency(), K, labels=range(t + s))
 
 
 def instance_from_graph(H: Graph, S) -> CompositeInstance:
@@ -333,25 +333,15 @@ def instance_from_graph(H: Graph, S) -> CompositeInstance:
     S = sorted(set(S))
     if any(not (0 <= v < H.n) for v in S):
         raise ValueError("S contains a vertex outside the graph")
-    sset = set(S)
-    for (u, v) in H.edges:
-        if u in sset and v in sset:
-            raise ValueError(f"S is not independent: edge ({u},{v}) inside S")
-    T = [v for v in range(H.n) if v not in sset]
+    a = H.adjacency()
+    inside = np.argwhere(np.triu(a[np.ix_(S, S)]))
+    if len(inside):
+        u, v = inside[0]
+        raise ValueError(f"S is not independent: edge ({S[u]},{S[v]}) inside S")
+    T = sorted(set(range(H.n)) - set(S))
     if not T:
         raise ValueError("S must leave at least one vertex in T")
-    new_index = {old: i for i, old in enumerate(T)}
-    new_index.update({old: len(T) + j for j, old in enumerate(S)})
-    t = len(T)
-    G = Graph.from_edges(
-        t, ((new_index[u], new_index[v]) for (u, v) in H.edges if u not in sset and v not in sset)
-    )
-    K = np.zeros((t, len(S)), dtype=np.int64)
-    for (u, v) in H.edges:
-        if (u in sset) != (v in sset):
-            i, k = (v, u) if u in sset else (u, v)
-            K[new_index[i], new_index[k] - t] = 1
-    return _assemble(G, K, labels=T + S)
+    return _assemble(a[np.ix_(T, T)], a[np.ix_(T, S)], labels=T + S)
 
 
 def common_neighbors(inst: CompositeInstance, i: int, j: int) -> tuple:
@@ -366,13 +356,14 @@ def common_neighbors(inst: CompositeInstance, i: int, j: int) -> tuple:
 
 def instance_to_json(inst: CompositeInstance) -> dict:
     """JSON-ready summary of an instance (embed directly or json.dump it)."""
+    n = inst.t + inst.s
     return {
-        "n": inst.H.n,
+        "n": n,
         "s": inst.s,
         "t": inst.t,
-        "S": list(inst.S),
-        "T": list(inst.T),
-        "edges": sorted([u, v] for (u, v) in inst.H.edges),
+        "S": list(range(inst.t, n)),
+        "T": list(range(inst.t)),
+        "edges": np.argwhere(np.triu(block_adjacency(inst.A, inst.K))).tolist(),
     }
 
 
@@ -405,8 +396,7 @@ def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstanc
     result must be connected with no zero column; otherwise ValueError.
     """
     rng = np.random.default_rng(seed)
-    K = inst.K.copy()
-    g_edges = set(inst.G.edges)
+    A, K = inst.A.copy(), inst.K.copy()
     t, s = K.shape
     for op in ops:
         if isinstance(op, DeleteCross):
@@ -429,7 +419,7 @@ def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstanc
                 cand = [
                     (i, j)
                     for i, j in itertools.combinations(range(t), 2)
-                    if (i, j) not in g_edges
+                    if not A[i, j]
                 ]
                 if not cand:
                     raise ValueError("G is already complete")
@@ -438,9 +428,9 @@ def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstanc
                 i, j = _norm_edge(op.i, op.j)
                 if not (0 <= i < t and 0 <= j < t):
                     raise ValueError(f"AddIntra({op.i},{op.j}): endpoints must lie in T")
-                if (i, j) in g_edges:
+                if A[i, j]:
                     raise ValueError(f"AddIntra({i},{j}): already an edge of G")
-            g_edges.add((i, j))
+            A[i, j] = A[j, i] = 1
         else:
             raise TypeError(f"unknown noise op {op!r}")
-    return _assemble(Graph(t, frozenset(g_edges)), K, labels=inst.labels)
+    return _assemble(A, K, labels=inst.labels)

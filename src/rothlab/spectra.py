@@ -59,8 +59,6 @@ class SmallestEigenpair:
     mu: float
     vector: np.ndarray  # unit norm
     multiplicity: int  # eigenvalues within CLUSTER_TOL*(1+|mu|) of mu
-    w: np.ndarray | None = None  # restriction to T, when a t-split is given
-    z: np.ndarray | None = None  # restriction to S
 
 
 def _check_symmetric(m: np.ndarray) -> np.ndarray:
@@ -96,30 +94,18 @@ def full_spectrum(m: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors, residual_bound=float(residual.max(initial=0.0)))
 
 
-def cluster_multiplicity(values: np.ndarray, mu):
-    """Eigenvalues within CLUSTER_TOL*(1+|mu|) of mu; one count per row of a stack."""
-    mu = np.asarray(mu)
-    return np.count_nonzero(values <= (mu + CLUSTER_TOL * (1.0 + np.abs(mu)))[..., None], axis=-1)
-
-
-def smallest_eigenpair(m: np.ndarray, t_split: int | None = None) -> SmallestEigenpair:
+def smallest_eigenpair(m: np.ndarray) -> SmallestEigenpair:
     """(mu, eigenvector, numerical multiplicity) of the smallest eigenvalue.
 
-    t_split, when given, is the size of the T-block of a composite Q(H); the
-    returned pair then carries the restrictions w = x(T) and z = x(S).  For a
-    stack (..., n, n), mu and multiplicity are arrays over the leading axes
-    and the vectors gain them too.
+    For a stack (..., n, n), mu and multiplicity are arrays over the leading
+    axes and the vectors gain them too.
     """
     es = full_spectrum(m)
     mu = es.values[..., 0]
-    x = es.vectors[..., :, 0]
-    w = z = None
-    if t_split is not None:
-        w, z = x[..., :t_split].copy(), x[..., t_split:].copy()
-    multiplicity = cluster_multiplicity(es.values, mu)
+    multiplicity = np.count_nonzero(es.values <= (mu + CLUSTER_TOL * (1.0 + np.abs(mu)))[..., None], axis=-1)
     if mu.ndim == 0:
         mu, multiplicity = float(mu), int(multiplicity)
-    return SmallestEigenpair(mu=mu, vector=x, multiplicity=multiplicity, w=w, z=z)
+    return SmallestEigenpair(mu=mu, vector=es.vectors[..., :, 0], multiplicity=multiplicity)
 
 
 def sign_normalize(x: np.ndarray, t_split: int) -> np.ndarray:
@@ -218,7 +204,7 @@ def rayleigh_quotient_signless(g: Graph, x) -> float:
 
 def mu_upper_bound_cut(inst) -> float:
     """4e/(s+t) with e = |E(G)|: the Rayleigh quotient of the +-1 cut vector."""
-    return 4.0 * len(inst.G.edges) / (inst.s + inst.t)
+    return 2.0 * int(inst.A.sum()) / (inst.s + inst.t)
 
 
 def mu_lower_bound_degrees(g: Graph) -> float:

@@ -4,7 +4,7 @@ join example with the exact integer eigenvalue, and random-instance helpers."""
 import numpy as np
 import pytest
 
-from rothlab.graphs import Graph, complete_bipartite, complete_graph, compose
+from rothlab.graphs import Graph, block_adjacency, complete_bipartite, complete_graph, compose, is_connected
 
 # worked example 1: harmonic condition met with equality
 EX1_K = np.array([
@@ -125,24 +125,17 @@ def random_connected_graph(rng, n, p=0.4):
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         )
         g = Graph(n, edges)
-        from rothlab.graphs import is_connected
-
-        if is_connected(g):
+        if is_connected(g.adjacency()):
             return g
 
 
 def random_scaffold(rng, t, s):
     """Random t x s 0/1 matrix with no zero column and connected union, resampled."""
-    from rothlab.graphs import is_connected
-
     while True:
         k = (rng.random((t, s)) < 0.5).astype(np.int64)
         if (k.sum(axis=0) == 0).any():
             continue
-        b = Graph(t + s, frozenset(
-            (i, t + j) for i in range(t) for j in range(s) if k[i, j]
-        ))
-        if is_connected(b):
+        if is_connected(block_adjacency(0, k)):
             return k
 
 

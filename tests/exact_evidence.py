@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from rothlab.census import load_scaffolds
-from rothlab.graphs import compose, emit_graph6
+from rothlab.graphs import block_adjacency, compose, emit_graph6, graph_from_adjacency
 from rothlab.spectra import exact_kernel_dim, signless_laplacian
 
 SEP = 1e-6  # float gaps and Q_mu class margins below this are decided exactly
@@ -214,6 +214,7 @@ def _exact_classes(q: np.ndarray, t: int, mu: float) -> tuple:
 def prove_row(inst) -> RowProof:
     """Multiplicity, S-Roth, M-matrix and inverse-positive flags of one instance, proved."""
     t = inst.t
+    b6 = emit_graph6(graph_from_adjacency(block_adjacency(0, inst.K)))
     q = signless_laplacian(inst.H)
     vals, vecs = np.linalg.eigh(q)
     res = float(np.linalg.norm(q @ vecs - vecs * vals))
@@ -239,7 +240,7 @@ def prove_row(inst) -> RowProof:
             keep = [i for i in range(q.shape[0]) if i != v]
             common = poly_gcd(phi, charpoly(q[np.ix_(keep, keep)]))
             assert roots_below(common, r) == 1, (
-                f"entry {v} of {emit_graph6(inst.B)} is {x[v]:.1e} but not exactly zero")
+                f"entry {v} of {b6} is {x[v]:.1e} but not exactly zero")
             exact_spectrum = True
         s_roth = not zero.any() and bool((x[t:] > 0).all() and (x[:t] < 0).all())
 
@@ -254,7 +255,7 @@ def prove_row(inst) -> RowProof:
         m_matrix, inv_positive = _exact_classes(q, t, mu)
     else:  # lam1 >= SEP: Q_mu is positive definite, so an M-matrix iff a Z-matrix
         m_matrix, inv_positive = bool(off < 0), bool(inv_min > 0)
-    return RowProof(emit_graph6(inst.B), k, s_roth, m_matrix, inv_positive,
+    return RowProof(b6, k, s_roth, m_matrix, inv_positive,
                     exact_spectrum, exact_q)
 
 

@@ -415,7 +415,7 @@ def test_criterion_7_spectral_and_trace_bounds():
                 if rng.random() < 0.45:
                     edges.add((u, w))
         g = Graph(n, frozenset(edges))
-        if len(connected_components(g)) != 1 or not edges:
+        if len(connected_components(g.adjacency())) != 1 or not edges:
             continue
         q = signless_laplacian(g)
         mu = float(np.linalg.eigvalsh(q)[0])

@@ -60,7 +60,7 @@ from rothlab.graphs import (
 )
 from rothlab.census import load_scaffolds
 from rothlab.cli import main
-from rothlab.spectra import exact_kernel_dim, signless_laplacian, smallest_eigenpair
+from rothlab.spectra import CLUSTER_TOL, SIGN_TOL, exact_kernel_dim, full_spectrum, signless_laplacian
 
 
 # ---------------------------------------------------------------- oracle
@@ -173,7 +173,7 @@ def test_q_mu_complete_scaffold_closed_form():
         alpha = s / (t - mu)
         ref = signless_laplacian(g) + s * np.eye(t) - alpha * np.ones((t, t))
         assert np.abs(sm.q_mu - ref).max() < 1e-8
-        assert sm.alpha == pytest.approx(alpha)
+        assert alpha_of(inst, mu) == pytest.approx(alpha)
 
 
 def test_q_mu_offdiagonal_formula():
@@ -184,7 +184,7 @@ def test_q_mu_offdiagonal_formula():
         inst = random_instance(rng)
         mu = s_roth_oracle(inst).mu
         sm = build_q_mu(inst, mu)
-        d2 = inst.D2
+        d2 = inst.K.sum(axis=0)
         for i in range(inst.t):
             for j in range(i + 1, inst.t):
                 ks = np.flatnonzero(inst.K[i] * inst.K[j])
@@ -724,10 +724,9 @@ def _same_decision(a, b) -> bool:
             and (a.gc, a.bdeg, a.st) == (b.gc, b.bdeg, b.st))
 
 
-def test_stacked_decision_equals_single_decisions(tmp_path):
-    # one stack mixing every verdict kind, the exact path, a bipartite H and
-    # mu >= min(D2) must decide each instance exactly as a stack of one does
-    ks = np.array(load_scaffolds(4, 5, str(tmp_path)))
+def _mixed_picks(out_dir) -> list:
+    """(G, K) with s = 5, t = 4: one of every verdict kind, the exact path and a bipartite H."""
+    ks = np.array(load_scaffolds(4, 5, out_dir))
     picks = {}
     for g in (Graph.from_edges(4, [(0, 1), (2, 3)]), complete_graph(4), Graph(4)):
         for k, d in zip(ks, decide_stack(g.adjacency(), ks)):
@@ -737,11 +736,17 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
             for kind in kinds:
                 picks.setdefault(kind, (g, k))
     assert {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE, "exact", "bipartite"} <= set(picks)
+    return [picks[kind] for kind in picks if kind]
+
+
+def test_stacked_decision_equals_single_decisions(tmp_path):
+    # one stack mixing every verdict kind, the exact path, a bipartite H and
+    # mu >= min(D2) must decide each instance exactly as a stack of one does
     # mu >= min(D2) needs an S-vertex without T-neighbours, which compose
     # rejects, so that instance enters the stack as bare arrays
     isolated = np.ones((4, 5), dtype=np.int64)
     isolated[:, 4] = 0
-    chosen = [picks[kind] for kind in picks if kind]
+    chosen = _mixed_picks(str(tmp_path))
     cases = [(g.adjacency(), k) for g, k in chosen] + [(complete_graph(4).adjacency(), isolated)]
     stacked = decide_stack(np.array([a for a, _ in cases]), np.array([k for _, k in cases]))
     singles = [decide_stack(a, k)[0] for a, k in cases]
@@ -752,9 +757,38 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
         assert _same_decision(d, decide_instance(compose(5, g, k)))
 
 
+def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
+    # Haynsworth inertia: for mu < min(D2) the smallest eigenvalue of Q_mu is
+    # mu, with the verdict's multiplicity and eigenvector x[:t], so the class
+    # flags read the verdict; an explicit eigensolve of Q_mu is the reference
+    rng = np.random.default_rng(29)
+    instances = [compose(5, g, k) for g, k in _mixed_picks(str(tmp_path))]
+    instances += [random_instance(rng, g_edge_p=[0.1, 0.5, 0.9][n % 3]) for n in range(60)]
+    kinds, exact = set(), 0
+    for inst in instances:
+        v = s_roth_oracle(inst)
+        assert v.mu < inst.K.sum(axis=0).min()
+        es = full_spectrum(build_q_mu(inst, v.mu).q_mu)
+        tol = CLUSTER_TOL * (1.0 + abs(v.mu))
+        assert abs(es.values[0] - v.mu) <= tol
+        assert np.count_nonzero(es.values <= v.mu + tol) == v.multiplicity
+        y = es.vectors[:, 0] if es.vectors[:, 0].sum() >= 0 else -es.vectors[:, 0]
+        if v.multiplicity == 1:
+            w = v.eigenvector[:inst.t]
+            assert abs(y @ w) == pytest.approx(np.linalg.norm(w), rel=1e-8)
+        classes = decide_instance(inst).classes
+        if classes is not None and v.kernel is None:
+            # the flag as it was computed from this eigensolve
+            reference = v.multiplicity == 1 and bool(np.all(y > SIGN_TOL * np.abs(y).max()))
+            assert classes.minpositive == reference
+        kinds.add(v.reason)
+        exact += v.kernel is not None
+    assert kinds == {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE} and exact
+
+
 def _harmcond_loop(inst):
     """Reference: the pairwise Fraction loop the array certificates replaced."""
-    t, d2 = inst.t, inst.D2
+    t, d2 = inst.t, inst.K.sum(axis=0)
     for (i, j) in sorted(inst.G.edges):
         acc = sum((Fraction(1, int(d2[v - t])) for v in common_neighbors(inst, i, j)), Fraction(0))
         if acc < 1:
@@ -766,7 +800,7 @@ def _harmcond_loop(inst):
 
 
 def _gc_loop(inst):
-    cb = int(inst.D2.max())
+    cb = int(inst.K.sum(axis=0).max())
     pairs = itertools.combinations(range(inst.t), 2)
     return all(len(common_neighbors(inst, i, j)) >= cb if inst.G.has_edge(i, j)
                else len(common_neighbors(inst, i, j)) > 0 for i, j in pairs)

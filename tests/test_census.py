@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -14,15 +15,15 @@ from rothlab.census import (
     DETAIL_COLUMNS,
     SUMMARY_COLUMNS,
     census_summary_path,
-    classify_instance,
     conjecture_sweep,
     load_scaffolds,
     run_census,
     ultra_roth_probe,
 )
+from rothlab.analysis import classification_record
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
-from rothlab.graphs import Graph, complete_graph, emit_graph6, parse_graph6, path_graph
+from rothlab.graphs import Graph, complete_graph, compose, emit_graph6, parse_graph6, path_graph
 
 
 def test_minimal_census(tmp_path):
@@ -138,6 +139,14 @@ def test_scaffold_cache_round_trip(tmp_path):
     again = load_scaffolds(3, 3, str(tmp_path))
     assert len(mats) == len(again)
     assert all(np.array_equal(x, y) for x, y in zip(mats, again))
+    # the same cache under the name of another shape is refused, not misread
+    cache = os.path.join(tmp_path, "bipartite_t3_s3.g6")
+    shutil.copy(cache, os.path.join(tmp_path, "bipartite_t3_s4.g6"))
+    shutil.copy(cache, os.path.join(tmp_path, "bipartite_t2_s4.g6"))
+    with pytest.raises(ValueError, match="has 6 vertices, expected 7"):
+        load_scaffolds(3, 4, str(tmp_path))
+    with pytest.raises(ValueError, match="not bipartite with the expected parts"):
+        load_scaffolds(2, 4, str(tmp_path))
 
 
 def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
@@ -162,11 +171,11 @@ def test_classify_relabeling_invariance(tmp_path):
     mats = load_scaffolds(3, 4, str(tmp_path))
     g = Graph(3, frozenset({(0, 1)}))
     for k in (mats[0], mats[-1], mats[len(mats) // 2]):
-        base = classify_instance(k, g)
+        base = classification_record(compose(4, g, k))
         # permute scaffold columns only: the instance is the same graph
         for _ in range(3):
             perm = rng.permutation(4)
-            rec = classify_instance(k[:, perm], g)
+            rec = classification_record(compose(4, g, k[:, perm]))
             for key in ("s_roth", "harmcond", "m_matrix", "inv_positive", "mu"):
                 if key == "mu":
                     assert rec[key] == pytest.approx(base[key], abs=1e-9)
@@ -174,8 +183,8 @@ def test_classify_relabeling_invariance(tmp_path):
                     assert rec[key] == base[key]
 
 
-def test_classify_instance_schema():
-    rec = classify_instance(np.ones((3, 4), dtype=int), complete_graph(3))
+def test_classification_record_of_composed_scaffold():
+    rec = classification_record(compose(4, complete_graph(3), np.ones((3, 4), dtype=int)))
     assert rec["s"] == 4 and rec["t"] == 3
     assert isinstance(rec["graph6"], str)
     assert rec["s_roth"] in (True, False)
@@ -210,7 +219,6 @@ def test_sweep_tree_finds_star():
     assert abs(ce["mu"] - 1.0) < 1e-9
     # the boundary characterization reaches the same verdict independently
     from rothlab.analysis import boundary_characterization
-    from rothlab.graphs import compose
 
     bc = boundary_characterization(compose(6, g))
     assert bc.applicable and not bc.s_roth
@@ -262,6 +270,15 @@ def test_ultra_probe_one_missing_edge():
     scaffold[0, 0] = 0
     out = ultra_roth_probe(scaffold, all_graphs(4))
     assert out["all_s_roth"]
+
+
+def test_ultra_probe_rejects_a_later_disconnected_composite():
+    # K joins T-vertices 0,1 and 2,3; the first G bridges the halves, the second does not
+    scaffold = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
+    bridged, split = Graph.from_edges(4, [(1, 2)]), Graph.from_edges(4, [(0, 1)])
+    assert set(ultra_roth_probe(scaffold, [bridged])) == {"all_s_roth", "failures"}
+    with pytest.raises(ValueError, match="disconnected"):
+        ultra_roth_probe(scaffold, [bridged, split])
 
 
 def test_ultra_probe_records_failures():

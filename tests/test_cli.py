@@ -8,7 +8,7 @@ import os
 import pytest
 
 from rothlab.cli import main
-from rothlab.graphs import complete_bipartite, emit_graph6, path_graph
+from rothlab.graphs import block_adjacency, complete_bipartite, emit_graph6, graph_from_adjacency
 
 
 def run_cli(capsys, *args):
@@ -19,7 +19,7 @@ def run_cli(capsys, *args):
 
 def test_analyze_graph6_instance(tmp_path, capsys, ex1):
     path = tmp_path / "b.g6"
-    path.write_text(emit_graph6(ex1.B) + "\n")
+    path.write_text(emit_graph6(graph_from_adjacency(block_adjacency(0, ex1.K))) + "\n")
     code, out, _ = run_cli(
         capsys, "analyze", str(path), "--s-vertices", "4,5,6,7,8,9,10"
     )

@@ -116,7 +116,7 @@ def test_trees_are_trees():
     for n in range(2, 9):
         for g in all_trees(n):
             assert len(g.edges) == n - 1
-            assert is_connected(g)
+            assert is_connected(g.adjacency())
 
 
 def test_trees_subset_of_graphs():
