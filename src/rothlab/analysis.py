@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CompositeInstance, block_adjacency, emit_graph6, graph_from_adjacency, join_decomposition
+from .graphs import CompositeInstance, block_adjacency, encode_graph6, join_decomposition
 from .spectra import (
     SIGN_TOL,
     exact_inverse,
@@ -553,7 +553,7 @@ def classification_record(inst: CompositeInstance) -> dict:
     d = decide_instance(inst)
     verdict, classes = d.verdict, d.classes
     return {
-        "graph6": emit_graph6(graph_from_adjacency(block_adjacency(0, inst.K))),
+        "graph6": encode_graph6(block_adjacency(0, inst.K[None]))[0],
         "s": inst.s,
         "t": inst.t,
         "mu": verdict.mu,

@@ -94,7 +94,7 @@ def cycle_block_bounds(k: int, lam: float) -> InverseBoundReport:
         raise ValueError("need lambda > 0")
     if k < 3:
         raise ValueError("need k >= 3")
-    a = signless_laplacian(cycle_graph(k)) + lam * np.eye(k)
+    a = signless_laplacian(cycle_graph(k).adjacency()) + lam * np.eye(k)
     inv = _chol_inverse(a)
     # spectrum of Q(C_k) lies in [0, 4], so [lam, lam+4] brackets A
     lower, upper = bai_golub_trace_bounds(a, lam, lam + 4.0)
@@ -130,7 +130,7 @@ def path_block_rowsums(k: int, s: int, mu: float) -> np.ndarray:
         raise ValueError("need s - mu > 0")
     if k < 3:
         raise ValueError("need k >= 3")
-    a = signless_laplacian(cycle_graph(k)) + lam * np.eye(k)
+    a = signless_laplacian(cycle_graph(k).adjacency()) + lam * np.eye(k)
     atil = _chol_inverse(a)
     d = float(np.diag(atil).mean())
     a1k = float(atil[0, k - 1])

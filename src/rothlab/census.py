@@ -27,8 +27,8 @@ from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
-from .graphs import (Graph, block_adjacency, compose, complete_graph, cycle_graph, emit_graph6,
-                     graph_from_adjacency, instance_to_json, is_connected, parse_graph6, path_graph)
+from .graphs import (Graph, block_adjacency, compose, complete_graph, cycle_graph, decode_graph6, emit_graph6,
+                     encode_graph6, instance_to_json, is_connected, path_graph)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -61,24 +61,6 @@ def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
     return rows
 
 
-def _cached_scaffold(text: str, t: int, s: int) -> np.ndarray:
-    """The t x s scaffold K of a graph6 cache line, which must encode [[0, K], [K^T, 0]].
-
-    K is filled from the edges directly: going through Graph.adjacency took
-    about 5 us more per line on a 2-vCPU host, a tenth of a cached (4, 7)
-    census run.
-    """
-    b = parse_graph6(text)
-    if b.n != t + s:
-        raise ValueError(f"cached scaffold has {b.n} vertices, expected {t + s}")
-    k = np.zeros((t, s), dtype=np.int64)
-    for (u, v) in b.edges:
-        if not u < t <= v:
-            raise ValueError("cached scaffold is not bipartite with the expected parts")
-        k[u, v - t] = 1
-    return k
-
-
 def _write_atomic(path: str, write) -> None:
     """Run write(fh) on a temp file beside path, then move it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -92,22 +74,32 @@ def _write_atomic(path: str, write) -> None:
 
 
 def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
-    """(scaffolds, their graph6 texts), from the graph6 cache if present, else enumerated and cached."""
+    """(scaffold stack (N, t, s), their graph6 texts), from the graph6 cache if present, else enumerated and cached.
+
+    Every cache line must encode a scaffold [[0, K], [K^T, 0]] on t + s vertices.
+    """
     path = os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
     if os.path.exists(path):
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
-        return [_cached_scaffold(text, t, s) for text in texts], texts
-    ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
-    texts = [emit_graph6(graph_from_adjacency(block_adjacency(0, k))) for k in ks]
+        b = decode_graph6(texts)
+        if texts and b.shape[-1] != t + s:
+            raise ValueError(f"cached scaffold has {b.shape[-1]} vertices, expected {t + s}")
+        b = b.reshape(-1, t + s, t + s)
+        if b[:, :t, :t].any() or b[:, t:, t:].any():
+            raise ValueError("cached scaffold is not bipartite with the expected parts")
+        return b[:, :t, t:].astype(np.int64), texts
+    ks = np.array(enumerate_connected_bipartite(t, s, allow_long=allow_long), dtype=np.int64).reshape(-1, t, s)
+    # bool, not int64: the heap keeps the stack's pages after the encode, and forked workers inherit them
+    texts = encode_graph6(block_adjacency(0, ks.astype(bool)))
     os.makedirs(out_dir, exist_ok=True)
     # a cache that exists is trusted, so it appears only once complete
     _write_atomic(path, lambda fh: fh.writelines(text + "\n" for text in texts))
     return ks, texts
 
 
-def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> list:
-    """Scaffolds for (t, s), from the graph6 cache if present, else enumerated and cached."""
+def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> np.ndarray:
+    """Scaffold stack (N, t, s) for (t, s), from the graph6 cache if present, else enumerated and cached."""
     return _scaffold_stream(t, s, out_dir, allow_long)[0]
 
 
@@ -167,7 +159,7 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
         done = _drop_torn_tail(detail_path)
     else:
         _write_atomic(manifest_path, lambda fh: json.dump(manifest, fh))
-    todo = np.array(scaffolds[done:], dtype=np.int64).reshape(-1, t, s)
+    todo = scaffolds[done:]
     blocks = [todo[i:i + CENSUS_BLOCK] for i in range(0, len(todo), CENSUS_BLOCK)]
 
     mode = "a" if done else "w"
@@ -260,15 +252,19 @@ MAXDEG_EXHAUSTIVE_T = 8
 TREE_EXHAUSTIVE_T = 12
 
 
+def _max_degree(g: Graph) -> int:
+    return int(g.adjacency().sum(axis=1).max())
+
+
 def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> list:
     if kind == "tree":
         if t <= TREE_EXHAUSTIVE_T:
-            return [g for g in all_trees(t) if max(g.degrees()) <= s]
+            return [g for g in all_trees(t) if _max_degree(g) <= s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
         return _sample_trees(t, s, sample_limit, rng)
     if kind == "maxdeg":
         if t <= MAXDEG_EXHAUSTIVE_T:
-            return [g for g in all_graphs(t) if t == 1 or max(g.degrees()) < s]
+            return [g for g in all_graphs(t) if t == 1 or _max_degree(g) < s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
         fam = [path_graph(t), cycle_graph(t)]
         while len(fam) < sample_limit:

@@ -89,7 +89,7 @@ def cmd_analyze(args) -> int:
         "matrix_classes": matrix_classes,
         "alpha": alpha,
         "bounds": {
-            "lower_degrees": spectra.mu_lower_bound_degrees(inst.H),
+            "lower_degrees": spectra.mu_lower_bound_degrees(graphs.block_adjacency(inst.A, inst.K)),
             "upper_cut": spectra.mu_upper_bound_cut(inst),
         },
     }
@@ -188,7 +188,7 @@ def cmd_bounds(args) -> int:
     elif args.sweep == "baigolub":
         for k in (4, 9, 16, 25):
             for lam in (0.5, 1.0, 3.0, 9.0):
-                a = spectra.signless_laplacian(graphs.cycle_graph(k)) + lam * np.eye(k)
+                a = spectra.signless_laplacian(graphs.cycle_graph(k).adjacency()) + lam * np.eye(k)
                 lower, upper = bounds.bai_golub_trace_bounds(a, lam, lam + 4.0)
                 observed = float(np.trace(np.linalg.inv(a)))
                 writer.writerow([k, f"{lam:.2f}", "trace_lower", lower, observed])

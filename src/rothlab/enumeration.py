@@ -195,7 +195,10 @@ def _rooted_encoding(adj, root: int, blocked: int) -> str:
 
 
 def _tree_key(g: Graph) -> str:
-    adj = [sorted(g.neighbors(v)) for v in range(g.n)]
+    adj = [[] for _ in range(g.n)]
+    for (u, v) in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     centers = _tree_centers(g.n, adj)
     if len(centers) == 1:
         return _rooted_encoding(adj, centers[0], -1)

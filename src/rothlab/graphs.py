@@ -42,33 +42,11 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
-
-    def neighbors(self, v: int) -> set:
-        return {b if a == v else a for (a, b) in self.edges if v in (a, b)}
-
-    def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if v in (a, b))
-
-    def degrees(self) -> list:
-        d = [0] * self.n
-        for (u, v) in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return d
-
     def adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for (u, v) in self.edges:
             a[u, v] = a[v, u] = 1.0
         return a
-
-
-def graph_from_adjacency(a) -> Graph:
-    """The Graph of a symmetric adjacency matrix: an edge wherever the upper triangle is nonzero."""
-    rows, cols = np.nonzero(a)
-    return Graph(len(a), frozenset((u, v) for u, v in zip(rows.tolist(), cols.tolist()) if u < v))
 
 
 # named constructors
@@ -168,58 +146,75 @@ def _g6_header(n: int) -> str:
     raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
 
 
+def encode_graph6(a) -> list:
+    """graph6 lines of an adjacency stack (N, n, n), an edge wherever its upper triangle is nonzero."""
+    a = np.asarray(a)
+    head = np.frombuffer(_g6_header(a.shape[-1]).encode(), dtype=np.uint8)  # refuses an oversize n first
+    v, u = np.tril_indices(a.shape[-1], -1)  # bit v(v-1)/2 + u holds the pair u < v
+    nchars = -(-len(u) // 6)
+    bits = np.zeros((len(a), 6 * nchars), dtype=np.uint8)  # zero padding to a multiple of 6
+    bits[:, :len(u)] = a[:, u, v] != 0
+    # each 6-bit group, most significant first, packs into the top of a byte
+    body = (np.packbits(bits.reshape(len(a), nchars, 6), axis=-1)[..., 0] >> 2) + 63
+    chars = np.hstack([np.broadcast_to(head, (len(a), len(head))), body])
+    return chars.view(f"S{chars.shape[1]}").ravel().astype(str).tolist()
+
+
+def decode_graph6(lines) -> np.ndarray:
+    """Adjacency stack (N, n, n), bool, of N graph6 lines that all have one order n.
+
+    A line may carry surrounding whitespace and the >>graph6<< header.  A
+    malformed line, or lines of different orders, raise ValueError; no lines
+    give an empty (0, 0, 0) stack.
+    """
+    lines = [line.strip().removeprefix(">>graph6<<") for line in lines]
+    if not lines:
+        return np.zeros((0, 0, 0), dtype=bool)
+    if not all(lines):
+        raise ValueError("empty graph6 input")
+    size = np.array([len(line) for line in lines])
+    # code points, zero-padded to the longest line and to at least a long header's four
+    codes = np.array(lines, dtype=f"<U{max(size.max(), 4)}").view(np.uint32).reshape(len(lines), -1)
+    bad = (np.arange(codes.shape[1]) < size[:, None]) & ((codes < 63) | (codes > 126))
+    if bad.any():
+        raise ValueError(f"character {chr(codes[bad][0])!r} outside graph6 range [63,126]")
+    c = codes[:, :4].astype(np.int64) - 63
+    long = c[:, 0] == 63
+    if np.any(long & (c[:, 1] == 63)):
+        raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
+    if np.any(long & (size < 4)):
+        raise ValueError("malformed graph6 header")
+    n = np.where(long, c[:, 1] << 12 | c[:, 2] << 6 | c[:, 3], c[:, 0])
+    if np.any(n > GRAPH6_MAX_N):
+        raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
+    if np.any(n != n[0]):
+        raise ValueError(f"graph6 lines of different orders {n[0]} and {n[n != n[0]][0]}")
+    n = int(n[0])
+    nbits = n * (n - 1) // 2
+    nchars = -(-nbits // 6)
+    head = np.where(long, 4, 1)
+    if np.any(size - head != nchars):
+        raise ValueError("malformed graph6 header: body length does not match vertex count")
+    body = np.take_along_axis(codes, head[:, None] + np.arange(nchars), axis=1) - 63
+    bits = np.unpackbits(body.astype(np.uint8)[..., None], axis=-1)[..., 2:].reshape(len(lines), 6 * nchars)
+    if bits[:, nbits:].any():
+        raise ValueError("nonzero trailing bits in graph6 input")
+    a = np.zeros((len(lines), n, n), dtype=bool)
+    v, u = np.tril_indices(n, -1)
+    a[:, u, v] = a[:, v, u] = bits[:, :nbits]
+    return a
+
+
 def emit_graph6(g: Graph) -> str:
-    head = _g6_header(g.n)
-    nbits = g.n * (g.n - 1) // 2
-    # bit v(v-1)/2 + u holds the pair u < v; pad to a multiple of 6 with zeros
-    bits = bytearray(nbits + (-nbits) % 6)
-    for (u, v) in g.edges:
-        bits[v * (v - 1) // 2 + u] = 1
-    return head + "".join(
-        chr(63 + (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3 | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]))
-        for i in range(0, len(bits), 6))
+    """The graph6 line of one Graph: encode_graph6 of its adjacency."""
+    return encode_graph6(g.adjacency()[None])[0]
 
 
 def parse_graph6(text: str) -> Graph:
-    line = text.strip()
-    if line.startswith(">>graph6<<"):
-        line = line[10:]
-    if not line:
-        raise ValueError("empty graph6 input")
-    for ch in line:
-        if not (63 <= ord(ch) <= 126):
-            raise ValueError(f"character {ch!r} outside graph6 range [63,126]")
-    if line.startswith("~~"):
-        raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
-    if line.startswith("~"):
-        if len(line) < 4:
-            raise ValueError("malformed graph6 header")
-        n = 0
-        for ch in line[1:4]:
-            n = (n << 6) | (ord(ch) - 63)
-        body = line[4:]
-    else:
-        n = ord(line[0]) - 63
-        body = line[1:]
-    if n > GRAPH6_MAX_N:
-        raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
-    nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
-        raise ValueError("malformed graph6 header: body length does not match vertex count")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> sh) & 1 for sh in range(5, -1, -1))
-    if any(bits[nbits:]):
-        raise ValueError("nonzero trailing bits in graph6 input")
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    """The Graph of one graph6 line: decode_graph6's one-graph case."""
+    a = decode_graph6([text])[0]
+    rows, cols = np.nonzero(np.triu(a))
+    return Graph(len(a), frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 # edge-list text format: one "u v" pair per line, 0-based, '#' starts a comment
@@ -253,12 +248,15 @@ def emit_edge_list(g: Graph) -> str:
 
 
 def block_adjacency(a, k) -> np.ndarray:
-    """[[a, K], [K^T, 0]]: the adjacency of H for a = A_G, of the scaffold B for a = 0."""
-    t, s = k.shape
-    m = np.zeros((t + s, t + s), dtype=np.int64)
-    m[:t, :t] = a
-    m[:t, t:] = k
-    m[t:, :t] = k.T
+    """[[a, K], [K^T, 0]] in K's dtype: the adjacency of H for a = A_G, of the scaffold B for a = 0.
+
+    K may be a stack (..., t, s); the result then has the same leading axes.
+    """
+    t, s = k.shape[-2:]
+    m = np.zeros(k.shape[:-2] + (t + s, t + s), dtype=k.dtype)
+    m[..., :t, :t] = a
+    m[..., :t, t:] = k
+    m[..., t:, :t] = np.swapaxes(k, -1, -2)
     return m
 
 
@@ -286,16 +284,6 @@ class CompositeInstance:
     def t(self) -> int:
         return self.K.shape[0]
 
-    @property
-    def G(self) -> Graph:
-        """G as a Graph, built from A on each access."""
-        return graph_from_adjacency(self.A)
-
-    @property
-    def H(self) -> Graph:
-        """H as a Graph, built from A and K on each access."""
-        return graph_from_adjacency(block_adjacency(self.A, self.K))
-
 
 def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
     if not np.array_equal(k, k.astype(bool).astype(k.dtype)):
@@ -318,7 +306,8 @@ def compose(s: int, G: Graph, scaffold=None) -> CompositeInstance:
     if s < 1:
         raise ValueError("need s >= 1")
     t = G.n
-    K = np.ones((t, s), dtype=np.int64) if scaffold is None else np.asarray(scaffold, dtype=np.int64)
+    # _assemble checks the caller's values for 0/1 before it casts them
+    K = np.ones((t, s), dtype=np.int64) if scaffold is None else np.asarray(scaffold)
     if K.shape != (t, s):
         raise ValueError(f"scaffold shape {K.shape} does not match (t={t}, s={s})")
     return _assemble(G.adjacency(), K, labels=range(t + s))

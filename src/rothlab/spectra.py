@@ -21,8 +21,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph
-
 EIG_TOL = 1e-10
 CLUSTER_TOL = 1e-7
 SIGN_TOL = 1e-7
@@ -33,18 +31,16 @@ class EigensolverError(RuntimeError):
     """Raised when the dense eigensolver fails its residual or orthogonality contract."""
 
 
-def signless_laplacian(g: Graph) -> np.ndarray:
-    """Q(G) = D(G) + A(G)."""
-    q = g.adjacency()
-    q[np.diag_indices(g.n)] = g.degrees()
-    return q
+def signless_laplacian(a) -> np.ndarray:
+    """Q = D + A of a symmetric 0/1 adjacency matrix a, D its diagonal of degrees."""
+    a = np.asarray(a, dtype=float)
+    return np.diag(a.sum(axis=1)) + a
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """L(G) = D(G) - A(G)."""
-    m = -g.adjacency()
-    m[np.diag_indices(g.n)] = g.degrees()
-    return m
+def laplacian(a) -> np.ndarray:
+    """L = D - A of a symmetric 0/1 adjacency matrix a, D its diagonal of degrees."""
+    a = np.asarray(a, dtype=float)
+    return np.diag(a.sum(axis=1)) - a
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,16 +186,14 @@ def exact_inverse(m: list) -> list | None:
     return None if pivots[-1][1] >= n else [[Fraction(v, d) for v in row[n:]] for row in a]
 
 
-def rayleigh_quotient_signless(g: Graph, x) -> float:
-    """Sum over edges of (x_i + x_j)^2, divided by x.x; always >= mu(Q(g))."""
+def rayleigh_quotient_signless(a, x) -> float:
+    """Sum over the edges of adjacency matrix a of (x_i + x_j)^2, divided by x.x; always >= mu(Q)."""
     x = np.asarray(x, dtype=float)
     nrm2 = float(x @ x)
     if nrm2 == 0.0:
         raise ValueError("zero vector")
-    acc = 0.0
-    for (u, v) in g.edges:
-        acc += (x[u] + x[v]) ** 2
-    return acc / nrm2
+    u, v = np.nonzero(np.triu(a))
+    return float(((x[u] + x[v]) ** 2).sum()) / nrm2
 
 
 def mu_upper_bound_cut(inst) -> float:
@@ -207,9 +201,9 @@ def mu_upper_bound_cut(inst) -> float:
     return 2.0 * int(inst.A.sum()) / (inst.s + inst.t)
 
 
-def mu_lower_bound_degrees(g: Graph) -> float:
-    """2*delta(G) - lambda_max(L(G)), a lower bound on mu(Q(G))."""
-    if g.n == 0:
+def mu_lower_bound_degrees(a) -> float:
+    """2*delta - lambda_max(L) of adjacency matrix a, a lower bound on mu(Q)."""
+    ell = laplacian(a)
+    if len(ell) == 0:
         raise ValueError("empty graph")
-    lam_max = float(full_spectrum(laplacian(g)).values[-1])
-    return 2.0 * min(g.degrees()) - lam_max
+    return 2.0 * float(ell.diagonal().min()) - float(np.linalg.eigvalsh(ell)[-1])

@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from rothlab.census import load_scaffolds
-from rothlab.graphs import block_adjacency, compose, emit_graph6, graph_from_adjacency
+from rothlab.graphs import block_adjacency, compose, encode_graph6
 from rothlab.spectra import exact_kernel_dim, signless_laplacian
 
 SEP = 1e-6  # float gaps and Q_mu class margins below this are decided exactly
@@ -214,8 +214,8 @@ def _exact_classes(q: np.ndarray, t: int, mu: float) -> tuple:
 def prove_row(inst) -> RowProof:
     """Multiplicity, S-Roth, M-matrix and inverse-positive flags of one instance, proved."""
     t = inst.t
-    b6 = emit_graph6(graph_from_adjacency(block_adjacency(0, inst.K)))
-    q = signless_laplacian(inst.H)
+    b6 = encode_graph6(block_adjacency(0, inst.K[None]))[0]
+    q = signless_laplacian(block_adjacency(inst.A, inst.K))
     vals, vecs = np.linalg.eigh(q)
     res = float(np.linalg.norm(q @ vecs - vecs * vals))
     assert res < 1e-3 * SEP

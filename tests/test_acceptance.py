@@ -64,6 +64,7 @@ from rothlab.census import conjecture_sweep, run_census
 from rothlab.enumeration import all_trees
 from rothlab.graphs import (
     Graph,
+    block_adjacency,
     complete_graph,
     compose,
     connected_components,
@@ -179,7 +180,7 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
 def test_criterion_3_exact_integer_eigenvalue(ex88):
     t0 = time.perf_counter()
     v = s_roth_oracle(ex88)
-    nullity, basis = exact_kernel_dim(signless_laplacian(ex88.H), 2)
+    nullity, basis = exact_kernel_dim(signless_laplacian(block_adjacency(ex88.A, ex88.K)), 2)
     elapsed = time.perf_counter() - t0
 
     mu_ok = abs(v.mu - 2.0) <= 1e-9
@@ -236,7 +237,8 @@ def _census_q(graph6: str, t: int, s: int) -> np.ndarray:
     k = np.zeros((t, s), dtype=np.int64)
     for (u, v) in parse_graph6(graph6).edges:
         k[u, v - t] = 1
-    return signless_laplacian(compose(s, complete_graph(t), k).H)
+    inst = compose(s, complete_graph(t), k)
+    return signless_laplacian(block_adjacency(inst.A, inst.K))
 
 
 def _proved(got: tuple, proof) -> bool:
@@ -417,11 +419,12 @@ def test_criterion_7_spectral_and_trace_bounds():
         g = Graph(n, frozenset(edges))
         if len(connected_components(g.adjacency())) != 1 or not edges:
             continue
-        q = signless_laplacian(g)
+        a = g.adjacency()
+        q = signless_laplacian(a)
         mu = float(np.linalg.eigvalsh(q)[0])
-        if not (mu < min(g.degrees())):
+        if not (mu < a.sum(axis=1).min()):
             degree_bad += 1
-        if mu_lower_bound_degrees(g) > mu + 1e-9:
+        if mu_lower_bound_degrees(a) > mu + 1e-9:
             degree_bad += 1
         # one random edge added: smallest eigenvalue may not decrease
         non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -429,14 +432,15 @@ def test_criterion_7_spectral_and_trace_bounds():
         if non_edges:
             u, v = non_edges[int(rng.integers(len(non_edges)))]
             g2 = Graph(n, frozenset(set(g.edges) | {(u, v)}))
-            mu2 = float(np.linalg.eigvalsh(signless_laplacian(g2))[0])
+            mu2 = float(np.linalg.eigvalsh(signless_laplacian(g2.adjacency()))[0])
             if mu2 < mu - 1e-10:
                 span_bad += 1
 
     for _ in range(1000):
         inst = random_instance(rng)
-        mu = float(np.linalg.eigvalsh(signless_laplacian(inst.H))[0])
-        if not (mu_lower_bound_degrees(inst.H) <= mu + 1e-9
+        h = block_adjacency(inst.A, inst.K)
+        mu = float(np.linalg.eigvalsh(signless_laplacian(h))[0])
+        if not (mu_lower_bound_degrees(h) <= mu + 1e-9
                 and mu <= mu_upper_bound_cut(inst) + 1e-9):
             sandwich_bad += 1
 
@@ -534,9 +538,10 @@ def _confirmed_tree_counterexample(s: int, t: int, g6: str) -> bool:
     """
     g = parse_graph6(g6)
     inst = compose(s, g)
-    mu = float(np.linalg.eigvalsh(signless_laplacian(inst.H))[0])
-    ok = max(g.degrees()) == s and not r_mu_rowsum_check(build_r_mu(inst, mu)).s_roth
-    if max(g.degrees()) == t - 1:
+    mu = float(np.linalg.eigvalsh(signless_laplacian(block_adjacency(inst.A, inst.K)))[0])
+    max_degree = g.adjacency().sum(axis=1).max()
+    ok = max_degree == s and not r_mu_rowsum_check(build_r_mu(inst, mu)).s_roth
+    if max_degree == t - 1:
         bc = boundary_characterization(inst)
         ok = ok and bc.applicable and bc.s_roth is False
     return ok
@@ -559,8 +564,8 @@ def test_criterion_9_conjecture_sweeps():
     found = {(c["s"], c["t"], c["g_graph6"], c["reason"]) for c in tree["counterexamples"]}
     found_ok = found == TREE_COUNTEREXAMPLES and len(tree["counterexamples"]) == len(found)
     n_below_s = sum(1 for (s, t) in tree["pairs"] for g in all_trees(t)
-                    if max(g.degrees()) < s)
-    sharp_ok = not any(max(parse_graph6(g6).degrees()) < s for (s, _, g6, _) in found)
+                    if g.adjacency().sum(axis=1).max() < s)
+    sharp_ok = not any(parse_graph6(g6).adjacency().sum(axis=1).max() < s for (s, _, g6, _) in found)
     confirmed_ok = all(_confirmed_tree_counterexample(s, t, g6) for (s, t, g6, _) in found)
 
     ok = maxdeg_ok and found_ok and sharp_ok and confirmed_ok

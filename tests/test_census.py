@@ -23,7 +23,8 @@ from rothlab.census import (
 from rothlab.analysis import classification_record
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
-from rothlab.graphs import Graph, complete_graph, compose, emit_graph6, parse_graph6, path_graph
+from rothlab.graphs import (Graph, block_adjacency, complete_graph, compose, emit_graph6, encode_graph6, parse_graph6,
+                            path_graph)
 
 
 def test_minimal_census(tmp_path):
@@ -147,18 +148,35 @@ def test_scaffold_cache_round_trip(tmp_path):
         load_scaffolds(3, 4, str(tmp_path))
     with pytest.raises(ValueError, match="not bipartite with the expected parts"):
         load_scaffolds(2, 4, str(tmp_path))
+    # a cache with one bad line is refused as a whole
+    good = load_scaffolds(3, 4, str(tmp_path / "good"))
+    with open(tmp_path / "good" / "bipartite_t3_s4.g6") as fh:
+        lines = fh.read().splitlines()
+    inside_t = block_adjacency(0, good[5])
+    inside_t[0, 1] = inside_t[1, 0] = 1
+    for i, bad, match in ((7, encode_graph6(block_adjacency(0, mats[:1]))[0], "different orders 7 and 6"),
+                          (5, encode_graph6(inside_t[None])[0], "not bipartite with the expected parts"),
+                          (3, ">" + lines[3][1:], "outside graph6 range")):
+        out = tmp_path / f"bad{i}"
+        out.mkdir()
+        (out / "bipartite_t3_s4.g6").write_text("\n".join(lines[:i] + [bad] + lines[i + 1:]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load_scaffolds(3, 4, str(out))
+    # an empty cache holds zero scaffolds
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "bipartite_t3_s4.g6").write_text("")
+    assert load_scaffolds(3, 4, str(tmp_path / "empty")).shape == (0, 3, 4)
 
 
 def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
-    calls = []
+    class Torn(list):
+        """Lines that break off after the ninth, as an interrupt would."""
 
-    def failing_emit(g):
-        calls.append(g)
-        if len(calls) > 9:
+        def __iter__(self):
+            yield from self[:9]
             raise KeyboardInterrupt
-        return emit_graph6(g)
 
-    monkeypatch.setattr(rothlab.census, "emit_graph6", failing_emit)
+    monkeypatch.setattr(rothlab.census, "encode_graph6", lambda a: Torn(encode_graph6(a)))
     with pytest.raises(KeyboardInterrupt):
         load_scaffolds(3, 4, str(tmp_path))
     assert os.listdir(tmp_path) == []
@@ -214,7 +232,7 @@ def test_sweep_tree_finds_star():
     assert len(out["counterexamples"]) == 1
     ce = out["counterexamples"][0]
     g = parse_graph6(ce["g_graph6"])
-    degs = sorted(g.degrees())
+    degs = sorted(g.adjacency().sum(axis=1).tolist())
     assert degs == [1, 1, 1, 1, 1, 1, 6]
     assert abs(ce["mu"] - 1.0) < 1e-9
     # the boundary characterization reaches the same verdict independently

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from rothlab.cli import main
-from rothlab.graphs import block_adjacency, complete_bipartite, emit_graph6, graph_from_adjacency
+from rothlab.graphs import block_adjacency, complete_bipartite, emit_graph6, encode_graph6
 
 
 def run_cli(capsys, *args):
@@ -19,7 +19,7 @@ def run_cli(capsys, *args):
 
 def test_analyze_graph6_instance(tmp_path, capsys, ex1):
     path = tmp_path / "b.g6"
-    path.write_text(emit_graph6(graph_from_adjacency(block_adjacency(0, ex1.K))) + "\n")
+    path.write_text(encode_graph6(block_adjacency(0, ex1.K[None]))[0] + "\n")
     code, out, _ = run_cli(
         capsys, "analyze", str(path), "--s-vertices", "4,5,6,7,8,9,10"
     )
@@ -32,7 +32,7 @@ def test_analyze_graph6_instance(tmp_path, capsys, ex1):
 
 def test_analyze_full_instance_report(tmp_path, capsys, ex1):
     path = tmp_path / "h.g6"
-    path.write_text(emit_graph6(ex1.H) + "\n")
+    path.write_text(encode_graph6(block_adjacency(ex1.A, ex1.K[None]))[0] + "\n")
     code, out, _ = run_cli(
         capsys, "analyze", str(path), "--s-vertices", "4,5,6,7,8,9,10"
     )
@@ -46,7 +46,7 @@ def test_analyze_full_instance_report(tmp_path, capsys, ex1):
 
 def test_analyze_failure_exit_code(tmp_path, capsys, ex88):
     path = tmp_path / "h88.g6"
-    path.write_text(emit_graph6(ex88.H) + "\n")
+    path.write_text(encode_graph6(block_adjacency(ex88.A, ex88.K[None]))[0] + "\n")
     code, out, _ = run_cli(
         capsys, "analyze", str(path), "--s-vertices", "6,7,8,9"
     )

@@ -14,6 +14,7 @@ from exact_evidence import (
     roots_below,
     squarefree,
 )
+from rothlab.graphs import block_adjacency
 from rothlab.spectra import signless_laplacian
 
 # (x - 1)^2 (x - 2) (x - 3)
@@ -35,7 +36,7 @@ def test_gcd_squarefree_and_root_counts():
 
 
 def test_exact_q_mu_and_minors(ex88):
-    mq = exact_q_mu(signless_laplacian(ex88.H), 6, 2)
+    mq = exact_q_mu(signless_laplacian(block_adjacency(ex88.A, ex88.K)), 6, 2)
     assert mq == EX88_QMU.tolist()
     assert leading_minors(mq) == [round(np.linalg.det(EX88_QMU[:k, :k])) for k in range(1, 7)]
 

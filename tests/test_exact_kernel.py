@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exact_evidence import _fraction_inverse, fraction_gauss_jordan
-from rothlab.graphs import compose, cycle_graph
+from rothlab.graphs import block_adjacency, compose, cycle_graph
 from rothlab.spectra import _gauss_jordan, exact_inverse, exact_kernel_dim, signless_laplacian
 
 SETTINGS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -93,7 +93,8 @@ def test_fraction_rows_match_fraction_reference(m):
 
 def test_analyze_exact_slot_c36():
     # the analyze batch's largest exact-path slot: 3 vs C_36, order 39, mu = 3
-    q = signless_laplacian(compose(3, cycle_graph(36)).H)
+    inst = compose(3, cycle_graph(36))
+    q = signless_laplacian(block_adjacency(inst.A, inst.K))
     assert abs(np.linalg.eigvalsh(q)[0] - 3.0) < 1e-9
     nullity, basis = exact_kernel_dim(q, 3)
     assert nullity >= 1

@@ -5,9 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import rothlab.analysis
+import rothlab.bounds
+import rothlab.spectra
 from conftest import random_connected_graph, random_instance
 from rothlab.graphs import (
     Graph,
+    block_adjacency,
     complete_bipartite,
     complete_graph,
     compose,
@@ -30,30 +34,36 @@ from rothlab.spectra import (
 )
 
 
+def test_spectral_layer_binds_no_graph():
+    # the spectral layer sees adjacency arrays only; Graph stays at the edges of the program
+    for module in (rothlab.spectra, rothlab.analysis, rothlab.bounds):
+        assert not any(value is Graph for value in vars(module).values()), module.__name__
+
+
 def test_signless_laplacian_entries():
-    q = signless_laplacian(complete_graph(2))
+    q = signless_laplacian(complete_graph(2).adjacency())
     assert np.array_equal(q, [[1, 1], [1, 1]])
-    q3 = signless_laplacian(cycle_graph(3))
+    q3 = signless_laplacian(cycle_graph(3).adjacency())
     vals = np.linalg.eigvalsh(q3)
     assert np.allclose(vals, [1, 1, 4], atol=1e-12)
 
 
 def test_laplacian_entries():
-    ell = laplacian(complete_graph(2))
+    ell = laplacian(complete_graph(2).adjacency())
     assert np.array_equal(ell, [[1, -1], [-1, 1]])
     rng = np.random.default_rng(0)
     for _ in range(10):
         g = random_connected_graph(rng, int(rng.integers(2, 10)))
-        assert np.abs(laplacian(g).sum(axis=1)).max() == 0
+        assert np.abs(laplacian(g.adjacency()).sum(axis=1)).max() == 0
 
 
 def test_bipartite_kernel_counts_components():
     # kernel dimension of Q = number of bipartite components
     g = complete_bipartite(2, 3)
-    vals = np.linalg.eigvalsh(signless_laplacian(g))
+    vals = np.linalg.eigvalsh(signless_laplacian(g.adjacency()))
     assert (np.abs(vals) < 1e-9).sum() == 1
     two = Graph(8, frozenset({(0, 1), (2, 3), (4, 5), (6, 7)}))
-    vals = np.linalg.eigvalsh(signless_laplacian(two))
+    vals = np.linalg.eigvalsh(signless_laplacian(two.adjacency()))
     assert (np.abs(vals) < 1e-9).sum() == 4
 
 
@@ -72,7 +82,7 @@ def test_full_spectrum_contracts():
 
 
 def test_smallest_eigenpair_k2():
-    pair = smallest_eigenpair(signless_laplacian(complete_graph(2)))
+    pair = smallest_eigenpair(signless_laplacian(complete_graph(2).adjacency()))
     assert abs(pair.mu) < 1e-12
     assert pair.multiplicity == 1
     x = pair.vector
@@ -80,7 +90,7 @@ def test_smallest_eigenpair_k2():
 
 
 def test_smallest_eigenpair_split(ex88):
-    q = signless_laplacian(ex88.H)
+    q = signless_laplacian(block_adjacency(ex88.A, ex88.K))
     pair = smallest_eigenpair(q)
     assert abs(pair.mu - 2.0) < 1e-9
 
@@ -88,7 +98,7 @@ def test_smallest_eigenpair_split(ex88):
 def test_join_k2bar_k3_mu_above_gap():
     # two isolated vertices joined with a triangle: t - s = 1, strict inequality
     inst = compose(2, complete_graph(3))
-    pair = smallest_eigenpair(signless_laplacian(inst.H))
+    pair = smallest_eigenpair(signless_laplacian(block_adjacency(inst.A, inst.K)))
     assert pair.mu > 1.0 + 1e-6
 
 
@@ -107,13 +117,13 @@ def test_integer_candidate():
 
 
 def test_exact_kernel_known_cases(ex88):
-    nullity, basis = exact_kernel_dim(signless_laplacian(complete_graph(2)), 0)
+    nullity, basis = exact_kernel_dim(signless_laplacian(complete_graph(2).adjacency()), 0)
     assert nullity == 1
     v = basis[0]
     assert v[0] == -v[1] != 0
-    nullity, _ = exact_kernel_dim(signless_laplacian(cycle_graph(3)), 1)
+    nullity, _ = exact_kernel_dim(signless_laplacian(cycle_graph(3).adjacency()), 1)
     assert nullity == 2
-    nullity, basis = exact_kernel_dim(signless_laplacian(ex88.H), 2)
+    nullity, basis = exact_kernel_dim(signless_laplacian(block_adjacency(ex88.A, ex88.K)), 2)
     assert nullity == 1
     v = np.array([float(c) for c in basis[0]])
     v /= np.abs(v).max()
@@ -132,7 +142,7 @@ def test_exact_kernel_agrees_with_float_multiplicity():
     rng = np.random.default_rng(2)
     for _ in range(40):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
-        q = signless_laplacian(g)
+        q = signless_laplacian(g.adjacency())
         vals = np.linalg.eigvalsh(q)
         for c in range(0, int(np.ceil(vals[-1])) + 1):
             d = np.abs(vals - c)
@@ -144,44 +154,44 @@ def test_exact_kernel_agrees_with_float_multiplicity():
 
 def test_rayleigh_quotient():
     g = complete_graph(2)
-    assert rayleigh_quotient_signless(g, np.ones(2)) == pytest.approx(2.0)
+    assert rayleigh_quotient_signless(g.adjacency(), np.ones(2)) == pytest.approx(2.0)
     # signed-by-parts vector on a bipartite graph gives zero
     kb = complete_bipartite(2, 3)
     x = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
-    assert rayleigh_quotient_signless(kb, x) == pytest.approx(0.0, abs=1e-14)
+    assert rayleigh_quotient_signless(kb.adjacency(), x) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        rayleigh_quotient_signless(g, np.zeros(2))
+        rayleigh_quotient_signless(g.adjacency(), np.zeros(2))
 
 
 def test_rayleigh_never_below_mu():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 8)
-    mu = float(np.linalg.eigvalsh(signless_laplacian(g))[0])
+    mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
     for _ in range(200):
         x = rng.normal(size=8)
-        assert rayleigh_quotient_signless(g, x) >= mu - 1e-10
+        assert rayleigh_quotient_signless(g.adjacency(), x) >= mu - 1e-10
 
 
 def test_cut_bound_value(ex88):
     # the +-1 vector signed by (S, T) realizes 4e/(s+t)
     assert mu_upper_bound_cut(ex88) == pytest.approx(4 * 8 / 10)
     x = np.concatenate([np.ones(6), -np.ones(4)])
-    assert rayleigh_quotient_signless(ex88.H, x) == pytest.approx(3.2)
+    assert rayleigh_quotient_signless(block_adjacency(ex88.A, ex88.K), x) == pytest.approx(3.2)
     inst0 = compose(3, Graph(4))  # edgeless G: bipartite H
     assert mu_upper_bound_cut(inst0) == 0.0
 
 
 def test_degree_bound_values():
-    assert mu_lower_bound_degrees(complete_graph(2)) == pytest.approx(0.0)
-    assert mu_lower_bound_degrees(cycle_graph(3)) == pytest.approx(1.0)
+    assert mu_lower_bound_degrees(complete_graph(2).adjacency()) == pytest.approx(0.0)
+    assert mu_lower_bound_degrees(cycle_graph(3).adjacency()) == pytest.approx(1.0)
 
 
 def test_mu_sandwich_on_random_instances():
     rng = np.random.default_rng(4)
     for _ in range(60):
         inst = random_instance(rng)
-        mu = float(np.linalg.eigvalsh(signless_laplacian(inst.H))[0])
-        assert mu_lower_bound_degrees(inst.H) <= mu + 1e-9
+        mu = float(np.linalg.eigvalsh(signless_laplacian(block_adjacency(inst.A, inst.K)))[0])
+        assert mu_lower_bound_degrees(block_adjacency(inst.A, inst.K)) <= mu + 1e-9
         assert mu <= mu_upper_bound_cut(inst) + 1e-9
 
 
@@ -190,8 +200,8 @@ def test_mu_strictly_below_min_degree():
     rng = np.random.default_rng(5)
     for _ in range(60):
         g = random_connected_graph(rng, int(rng.integers(2, 11)))
-        mu = float(np.linalg.eigvalsh(signless_laplacian(g))[0])
-        assert mu < min(g.degrees())
+        mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
+        assert mu < g.adjacency().sum(axis=1).min()
 
 
 def test_span_monotonicity_chains():
@@ -204,7 +214,7 @@ def test_span_monotonicity_chains():
         rng.shuffle(non_edges)
         for (u, v) in non_edges:
             g = Graph(n, frozenset(set(g.edges) | {(u, v)}))
-            mu = float(np.linalg.eigvalsh(signless_laplacian(g))[0])
+            mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
             assert mu >= mu_prev - 1e-10
             mu_prev = mu
 
@@ -215,7 +225,7 @@ def test_join_laplacian_top_eigenvalue():
         a = random_connected_graph(rng, int(rng.integers(1, 6)))
         b = random_connected_graph(rng, int(rng.integers(1, 6)))
         h = join(a, b)
-        vals = np.linalg.eigvalsh(laplacian(h))
+        vals = np.linalg.eigvalsh(laplacian(h.adjacency()))
         assert vals[-1] == pytest.approx(h.n, abs=1e-9)
 
 
@@ -224,7 +234,7 @@ def test_bipartite_smallest_vector_constant_by_parts():
     for _ in range(20):
         a, b = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         k = complete_bipartite(a, b)
-        pair = smallest_eigenpair(signless_laplacian(k))
+        pair = smallest_eigenpair(signless_laplacian(k.adjacency()))
         x = sign_normalize(pair.vector, a)
         assert np.allclose(x[:a], x[0]) and x[0] < 0
         assert np.allclose(x[a:], x[a]) and x[a] > 0
