@@ -10,8 +10,8 @@ whose inverse row sums characterize S-Rothness for complete scaffolds.
 
 The oracle, the Q_mu classes and the scaffold certificates run on stacks of
 same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack.
-s_roth_oracle, classify_q_mu, harmcond_check, gc_check and decide_instance
-are their one-instance case.
+s_roth_oracle and decide_instance are their one-instance case, and an
+InstanceDecision is the one record of every fact decided about an instance.
 
 Verdicts at eigenvalues sitting on an integer are re-derived in exact rational
 arithmetic; floating point alone never decides a boundary case.
@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CompositeInstance, block_adjacency, encode_graph6, join_decomposition
+from .graphs import CompositeInstance, block_adjacency, join_decomposition
 from .spectra import (
     SIGN_TOL,
     exact_inverse,
@@ -34,6 +34,7 @@ from .spectra import (
     full_spectrum,
     integer_candidate,
     sign_normalize,
+    signless_laplacian,
     smallest_eigenpair,
 )
 
@@ -57,16 +58,13 @@ class RothVerdict:
 
 
 @dataclass(eq=False)
-class SchurMatrix:
-    q_mu: np.ndarray  # order t
-    mu: float
-
-
-@dataclass(eq=False)
 class ReducedMatrix:
     r_mu: np.ndarray  # Q(G) + (s-mu)I, complete scaffolds only
     positive_definite: bool
-    gamma: float | None  # sum of all entries of r_mu^{-1}, when PD
+    rowsums: np.ndarray | None  # row sums of r_mu^{-1}, when PD
+    s_roth: bool | None  # every row sum positive, when PD
+    gamma: float | None  # sum of rowsums: all entries of r_mu^{-1}, when PD
+    gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
     beta: float  # (4+s-mu)^{-1}, the common row sum of a cycle block inverse
     s: int
     t: int
@@ -101,19 +99,6 @@ def _stacks(a_g, ks) -> tuple:
             np.broadcast_to(ks, lead + (t, s)).reshape(-1, t, s), lead)
 
 
-def _q_h(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Q(H) = [[A_G + diag(deg_G + D1), K], [K^T, diag(D2)]] for each (A_G, K) of a stack."""
-    t, s = k.shape[-2:]
-    q = np.zeros((k.shape[0], t + s, t + s))
-    q[:, :t, :t] = a
-    q[:, :t, t:] = k
-    q[:, t:, :t] = np.swapaxes(k, -1, -2)
-    i, j = np.arange(t), np.arange(t, t + s)
-    q[:, i, i] = a.sum(axis=-1) + k.sum(axis=-1)
-    q[:, j, j] = k.sum(axis=-2)
-    return q
-
-
 def _exact_verdict(q: np.ndarray, c: int, t: int, vector: np.ndarray) -> RothVerdict | None:
     """The verdict from the rational kernel of Q(H) - cI; None when that kernel is trivial."""
     nullity, basis = exact_kernel_dim(q, c)
@@ -131,8 +116,9 @@ def oracle_stack(a_g, ks) -> list:
 
     a_g is the t x t adjacency matrix of G or a stack (N, t, t) of them; ks is
     one t x s scaffold or a stack (N, t, s); each broadcasts against the
-    other.  Every Q(H) is built blockwise and all are solved by one stacked
-    eigensolve, with full_spectrum's contract checks on every matrix.
+    other.  Every Q(H) = [[A_G + diag(deg_G + D1), K], [K^T, diag(D2)]] is
+    the signless Laplacian of H's block adjacency, and all are solved by one
+    stacked eigensolve, with full_spectrum's contract checks on every matrix.
 
     A verdict is True iff mu(H) is simple and, after flipping the eigenvector
     so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL and every
@@ -140,11 +126,11 @@ def oracle_stack(a_g, ks) -> list:
     recorded in the reason).  Eigenvalues within INTEGER_TOL of an integer c
     where Q(H) - cI is singular are settled by its rational kernel instead of
     float sign tests, one instance at a time; the verdict then has mu = c and
-    keeps that kernel for classify_q_mu.  On the float path kernel is None.
+    keeps that kernel for the Q_mu classes.  On the float path kernel is None.
     """
     a, k, lead = _stacks(a_g, ks)
     t = k.shape[-2]
-    q = _q_h(a, k)
+    q = signless_laplacian(block_adjacency(a, k))
     n = q.shape[-1]
     pair = smallest_eigenpair(q.reshape(lead + (n, n)))
     mu = np.reshape(pair.mu, -1).tolist()
@@ -191,17 +177,18 @@ def _q_mu(a: np.ndarray, k: np.ndarray, mu) -> np.ndarray:
     return base + (kf * weights[..., None, :]) @ np.swapaxes(kf, -1, -2)
 
 
-def build_q_mu(inst: CompositeInstance, mu: float) -> SchurMatrix:
+def build_q_mu(inst: CompositeInstance, mu: float) -> np.ndarray:
     """Schur complement Q_mu = Q(G) + D1 + K (mu I - D2)^{-1} K^T of order t.
 
     Requires mu < min(D2) so the middle factor is negative definite; the
     off-diagonal (i,j) entry works out to [i ~G j] - sum over N_ij of
-    1/(d_B(k) - mu).
+    1/(d_B(k) - mu).  Its classes at the verdict's mu are
+    decide_instance(inst).classes.
     """
     d2_min = inst.K.sum(axis=0).min()
     if mu >= d2_min:
         raise ValueError(f"mu={mu} is not below the smallest S-degree {d2_min}")
-    return SchurMatrix(q_mu=_q_mu(inst.A, inst.K, mu), mu=float(mu))
+    return _q_mu(inst.A, inst.K, mu)
 
 
 def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> list:
@@ -271,21 +258,6 @@ def _classify(q_mu: np.ndarray, a: np.ndarray, k: np.ndarray, verdicts: list) ->
     return reports
 
 
-def classify_q_mu(sm: SchurMatrix, inst: CompositeInstance, verdict: RothVerdict) -> MatrixClassReport:
-    """Z / M / inverse-positive / minpositive flags of Q_mu built at the verdict's mu.
-
-    When the verdict was decided from a rational kernel, the flags are
-    computed from the rational Q_mu and that kernel (see _classify).  Raises
-    ValueError when sm was built at another mu, or when Q_mu is singular.
-    """
-    if sm.mu != verdict.mu:
-        raise ValueError(f"Q_mu was built at mu={sm.mu}, the verdict has mu={verdict.mu}")
-    report = _classify(sm.q_mu[None], inst.A[None], inst.K[None], [verdict])[0]
-    if report is None:
-        raise ValueError("Q_mu is singular (H is bipartite)")
-    return report
-
-
 # harmonic-sum certificates on the scaffold
 
 
@@ -334,41 +306,6 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
         else:
             conditions.append(HarmonicCondition(True, None, None))
     return conditions, gc
-
-
-def harmcond_check(inst: CompositeInstance) -> HarmonicCondition:
-    """Sufficient condition: every G-edge ij has sum_{k in N_ij} 1/d_B(k) >= 1
-    and every non-adjacent pair of T-vertices has N_ij nonempty.
-
-    Sums are exact.  holds implies H is S-Roth.  The witness is the first
-    failing G-edge in sorted order, else the first failing non-adjacent pair.
-    """
-    return _certificates(inst.A[None], inst.K[None])[0][0]
-
-
-def gc_check(inst: CompositeInstance) -> bool:
-    """Cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere."""
-    return bool(_certificates(inst.A[None], inst.K[None])[1][0])
-
-
-def _bdeg(k: np.ndarray) -> np.ndarray:
-    t, s = k.shape[-2:]
-    return np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
-
-
-def _st(k: np.ndarray) -> np.ndarray:
-    t, s = k.shape[-2:]
-    return np.all(k == 1, axis=(-2, -1)) & (s >= t)
-
-
-def bdeg_check(inst: CompositeInstance) -> bool:
-    """Every T-vertex has scaffold degree at least (t+s)/2; implies the harmonic condition."""
-    return bool(_bdeg(inst.K))
-
-
-def st_check(inst: CompositeInstance) -> bool:
-    """Complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1."""
-    return bool(_st(inst.K))
 
 
 def alpha_of(inst: CompositeInstance, mu: float) -> float:
@@ -428,50 +365,36 @@ def boundary_characterization(inst: CompositeInstance) -> BoundaryCharacterizati
 
 
 def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
-    """R_mu = Q(G) + (s - mu) I.  Singularity is recorded, not raised."""
+    """R_mu = Q(G) + (s - mu) I and the row sums of its inverse.  Singularity is recorded, not raised.
+
+    When R_mu is positive definite, H is S-Roth iff every row sum of R_mu^{-1}
+    is positive; s_roth is None otherwise.  gamma_expected = (t-mu)/s is the
+    value of gamma implied by the S-block of the eigenvector equation (all
+    S-entries equal, so summing the z formula over S pins gamma).
+    """
     if not is_complete_scaffold(inst):
         raise ValueError("R_mu is defined for complete scaffolds only")
     r = inst.A + np.diag(inst.A.sum(axis=1) + (inst.s - mu))
     values = full_spectrum(r).values
     scale = 1.0 + np.abs(r).max(initial=0.0)
     pd = bool(values[0] > 1e-9 * scale)
-    gamma = float(np.linalg.inv(r).sum()) if pd else None
+    rowsums = s_roth = gamma = None
+    if pd:
+        rowsums = np.linalg.inv(r).sum(axis=1)
+        # a row sum at floating-point zero means a zero eigenvector entry
+        s_roth = bool(rowsums.min() > INV_POS_TOL * max(1.0, float(np.abs(rowsums).max())))
+        gamma = float(rowsums.sum())
     return ReducedMatrix(
         r_mu=r,
         positive_definite=pd,
+        rowsums=rowsums,
+        s_roth=s_roth,
         gamma=gamma,
+        gamma_expected=(inst.t - mu) / inst.s,
         beta=1.0 / (4.0 + inst.s - mu),
         s=inst.s,
         t=inst.t,
         mu=float(mu),
-    )
-
-
-@dataclass(eq=False)
-class RowSumCheck:
-    s_roth: bool
-    rowsums: np.ndarray
-    gamma: float
-    gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
-
-
-def r_mu_rowsum_check(rm: ReducedMatrix) -> RowSumCheck:
-    """S-Roth iff all row sums of R_mu^{-1} are positive (R_mu positive definite).
-
-    Also reports the consistency value gamma = (t-mu)/s implied by the S-block
-    of the eigenvector equation (all S-entries equal, so summing the z formula
-    over S pins gamma).
-    """
-    if not rm.positive_definite:
-        raise ValueError("R_mu is not positive definite")
-    rowsums = np.linalg.inv(rm.r_mu).sum(axis=1)
-    # a row sum at floating-point zero means a zero eigenvector entry
-    floor = INV_POS_TOL * max(1.0, float(np.abs(rowsums).max(initial=0.0)))
-    return RowSumCheck(
-        s_roth=bool(rowsums.min() > floor),
-        rowsums=rowsums,
-        gamma=float(rm.gamma),
-        gamma_expected=(rm.t - rm.mu) / rm.s,
     )
 
 
@@ -504,22 +427,33 @@ def deg2_predicate(inst: CompositeInstance) -> bool:
 
 @dataclass(eq=False)
 class InstanceDecision:
+    """The verdict, the Q_mu classes at its mu and the scaffold certificates of one instance.
+
+    Each certificate, when it holds, implies that H is S-Roth.  N_ij is the
+    set of S-vertices adjacent to both T-vertices i and j, and d_B(k) the
+    scaffold degree of the S-vertex k.
+    """
+
     verdict: RothVerdict
     classes: MatrixClassReport | None  # None when Q_mu is singular or cannot be formed
+    # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
+    # non-adjacent pair of T-vertices has N_ij nonempty; the witness is the first failing
+    # G-edge in sorted order, else the first failing non-adjacent pair
     harmcond: HarmonicCondition
-    gc: bool
-    bdeg: bool
-    st: bool
+    gc: bool  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
+    bdeg: bool  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
+    st: bool  # complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1
 
 
 def decide_stack(a_g, ks) -> list:
     """The oracle, the Q_mu classes at each verdict's mu and the scaffold certificates.
 
     Takes A_G and K as oracle_stack does and returns one InstanceDecision per
-    instance, in order.  These are the steps the census, the census record
-    and the CLI report share; each runs once per stack: one stacked Q_mu,
-    eigensolve and inverse for the classes, integer array operations for the
-    certificates, and the Q_mu classes reuse each verdict's exact kernel.
+    instance, in order.  These are the steps the census and the CLI report
+    share; each runs once per stack: one stacked eigensolve for the verdicts,
+    one stacked Q_mu and inverse for the classes, integer array operations
+    for the certificates, and the Q_mu classes reuse each verdict's exact
+    kernel.
     """
     verdicts = oracle_stack(a_g, ks)
     a, k, _ = _stacks(a_g, ks)
@@ -533,7 +467,9 @@ def decide_stack(a_g, ks) -> list:
         for i, report in zip(formed.tolist(), sub):
             classes[i] = report
     harm, gc = _certificates(a, k)
-    bdeg, st = _bdeg(k).tolist(), _st(k).tolist()
+    t, s = k.shape[-2:]
+    bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1).tolist()
+    st = (np.all(k == 1, axis=(-2, -1)) & (s >= t)).tolist()
     return [InstanceDecision(v, c, h, g, b, x)
             for v, c, h, g, b, x in zip(verdicts, classes, harm, gc.tolist(), bdeg, st)]
 
@@ -542,31 +478,3 @@ def decide_instance(inst: CompositeInstance) -> InstanceDecision:
     """decide_stack for one instance."""
     return decide_stack(inst.A, inst.K)[0]
 
-
-def classification_record(inst: CompositeInstance) -> dict:
-    """Flat census record of decide_instance: one oracle call, at most one exact kernel.
-
-    Schema: {graph6, s, t, mu, multiplicity, s_roth, reason, harmcond, gc, bdeg,
-     st, z, m_matrix, inv_positive, minpositive, s_maximal}; graph6 encodes the
-    scaffold B.  `rothlab analyze` formats the same decision as its report.
-    """
-    d = decide_instance(inst)
-    verdict, classes = d.verdict, d.classes
-    return {
-        "graph6": encode_graph6(block_adjacency(0, inst.K[None]))[0],
-        "s": inst.s,
-        "t": inst.t,
-        "mu": verdict.mu,
-        "multiplicity": verdict.multiplicity,
-        "s_roth": verdict.is_s_roth,
-        "reason": verdict.reason,
-        "harmcond": d.harmcond.holds,
-        "gc": d.gc,
-        "bdeg": d.bdeg,
-        "st": d.st,
-        "z": None if classes is None else classes.z_matrix,
-        "m_matrix": None if classes is None else classes.m_matrix,
-        "inv_positive": None if classes is None else classes.inverse_positive,
-        "minpositive": None if classes is None else classes.minpositive,
-        "s_maximal": bool(inst.K.any(axis=1).all()),
-    }

@@ -89,7 +89,7 @@ def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
         if b[:, :t, :t].any() or b[:, t:, t:].any():
             raise ValueError("cached scaffold is not bipartite with the expected parts")
         return b[:, :t, t:].astype(np.int64), texts
-    ks = np.array(enumerate_connected_bipartite(t, s, allow_long=allow_long), dtype=np.int64).reshape(-1, t, s)
+    ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
     # bool, not int64: the heap keeps the stack's pages after the encode, and forked workers inherit them
     texts = encode_graph6(block_adjacency(0, ks.astype(bool)))
     os.makedirs(out_dir, exist_ok=True)

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _reach
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000
@@ -36,28 +36,8 @@ def _perm_lut(m: int) -> np.ndarray:
     return lut
 
 
-def _connected(row, m: int) -> bool:
-    # union-find over the m "row" vertices; column vertices attach to their rows
-    covered = 0
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c in row:
-        c = int(c)
-        covered |= c
-        rows = [i for i in range(m) if c >> i & 1]
-        for r2 in rows[1:]:
-            parent[find(r2)] = find(rows[0])
-    return covered == (1 << m) - 1 and len({find(i) for i in range(m)}) == 1
-
-
 def _canonical_codes(m: int, cols: int):
-    """Yield canonical column-multisets (as int tuples) for an m x cols biadjacency."""
+    """Yield the canonical column-multisets of an m x cols biadjacency, in chunks (M, cols) of column codes."""
     lut = _perm_lut(m)
     ncols = 1 << m
     w = (ncols ** np.arange(cols - 1, -1, -1)).astype(np.int64)
@@ -71,21 +51,11 @@ def _canonical_codes(m: int, cols: int):
         for pi in range(1, lut.shape[0]):
             mapped = np.sort(lut[pi][chunk], axis=1)
             np.minimum(best, mapped @ w, out=best)
-        for row in chunk[codes == best]:
-            yield tuple(int(v) for v in row)
-
-
-def _decode(row, m: int, cols: int, transpose: bool) -> np.ndarray:
-    k = np.zeros((m, cols), dtype=np.int64)
-    for j, c in enumerate(row):
-        for i in range(m):
-            if c >> i & 1:
-                k[i, j] = 1
-    return k.T if transpose else k
+        yield chunk[codes == best]
 
 
 def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
-    """One t x s biadjacency per isomorphism class of connected bipartite graphs.
+    """A stack (N, t, s) of int64 biadjacencies, one per isomorphism class of connected bipartite graphs.
 
     Classes are taken under independent permutations of the two parts; parts
     never swap.  Matrices arrive in ascending canonical order.  t*s above
@@ -97,11 +67,12 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
     out = []
-    for row in _canonical_codes(m, cols):
-        if not _connected(row, m):
-            continue
-        out.append(_decode(row, m, cols, transpose))
-    return out
+    for codes in _canonical_codes(m, cols):
+        k = codes[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
+        # column codes are nonzero, so B is connected iff its rows are, through shared columns
+        out.append(k[_reach(k @ np.swapaxes(k, -1, -2)).all(axis=(-2, -1))])
+    k = np.concatenate(out)
+    return np.swapaxes(k, -1, -2) if transpose else k
 
 
 # all graphs on n vertices up to isomorphism, by vertex augmentation

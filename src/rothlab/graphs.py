@@ -317,9 +317,12 @@ def instance_from_graph(H: Graph, S) -> CompositeInstance:
     """Build a composite instance from an arbitrary graph and a chosen S.
 
     Vertices are relabelled T-first; labels records the original names.
-    S must be independent in H and every S-vertex must have a neighbour.
+    S must be nonempty and independent in H, and every S-vertex must have a
+    neighbour.
     """
     S = sorted(set(S))
+    if not S:
+        raise ValueError("S must contain at least one vertex")
     if any(not (0 <= v < H.n) for v in S):
         raise ValueError("S contains a vertex outside the graph")
     a = H.adjacency()
@@ -379,10 +382,11 @@ def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstanc
     """Apply cross-deletions and intra-T additions, in order.
 
     Explicit endpoints must name a current scaffold edge (DeleteCross) or a
-    current non-edge of G (AddIntra), else ValueError.  None endpoints are
-    sampled uniformly among the currently valid moves under the given seed
-    (a deletion is valid only if it leaves no zero scaffold column).  The
-    result must be connected with no zero column; otherwise ValueError.
+    current non-edge of G between two distinct vertices (AddIntra), else
+    ValueError.  None endpoints are sampled uniformly among the currently
+    valid moves under the given seed (a deletion is valid only if it leaves
+    no zero scaffold column).  The result must be connected with no zero
+    column; otherwise ValueError.
     """
     rng = np.random.default_rng(seed)
     A, K = inst.A.copy(), inst.K.copy()
@@ -417,6 +421,8 @@ def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstanc
                 i, j = _norm_edge(op.i, op.j)
                 if not (0 <= i < t and 0 <= j < t):
                     raise ValueError(f"AddIntra({op.i},{op.j}): endpoints must lie in T")
+                if i == j:
+                    raise ValueError(f"AddIntra({i},{j}): a loop is not an edge of a simple graph")
                 if A[i, j]:
                     raise ValueError(f"AddIntra({i},{j}): already an edge of G")
             A[i, j] = A[j, i] = 1

@@ -32,9 +32,11 @@ class EigensolverError(RuntimeError):
 
 
 def signless_laplacian(a) -> np.ndarray:
-    """Q = D + A of a symmetric 0/1 adjacency matrix a, D its diagonal of degrees."""
-    a = np.asarray(a, dtype=float)
-    return np.diag(a.sum(axis=1)) + a
+    """Q = D + A of a symmetric 0/1 adjacency matrix a, D its diagonal of degrees; each of a stack (..., n, n)."""
+    q = np.array(a, dtype=float)
+    i = np.arange(q.shape[-1])
+    q[..., i, i] += q.sum(axis=-1)
+    return q
 
 
 def laplacian(a) -> np.ndarray:

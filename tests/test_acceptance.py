@@ -40,20 +40,15 @@ from conftest import (
 )
 from exact_evidence import exact_q_mu, leading_minors, prove_census
 from rothlab.analysis import (
-    bdeg_check,
     boundary_characterization,
     build_q_mu,
     build_r_mu,
-    classification_record,
-    classify_q_mu,
+    decide_instance,
+    decide_stack,
     deg2_predicate,
-    gc_check,
     gdeg_check,
-    harmcond_check,
     is_complete_scaffold,
-    r_mu_rowsum_check,
     s_roth_oracle,
-    st_check,
 )
 from rothlab.bounds import (
     bai_golub_trace_bounds,
@@ -109,11 +104,11 @@ def _jobs() -> int:
 def test_criterion_1_worked_example_one(ex1):
     t0 = time.perf_counter()
     v = s_roth_oracle(ex1)
-    sm = build_q_mu(ex1, v.mu)
+    q_mu = build_q_mu(ex1, v.mu)
     elapsed = time.perf_counter() - t0
 
     mu_ok = abs(v.mu - EX1_MU) <= 5e-5
-    q_ok = np.abs(sm.q_mu - np.array(EX1_QMU)).max() <= 5e-4
+    q_ok = np.abs(q_mu - np.array(EX1_QMU)).max() <= 5e-4
     ref = np.array(EX1_X)
     x = v.eigenvector.copy()
     # match the printed orientation (T positive), then the printed scale
@@ -126,7 +121,7 @@ def test_criterion_1_worked_example_one(ex1):
         1, "worked example 1",
         mu_ok and q_ok and x_ok and time_ok,
         f"mu={v.mu:.6f} (ref {EX1_MU}, tol 5e-5) ok={mu_ok}; "
-        f"Q_mu max err {np.abs(sm.q_mu - np.array(EX1_QMU)).max():.2e} (tol 5e-4) ok={q_ok}; "
+        f"Q_mu max err {np.abs(q_mu - np.array(EX1_QMU)).max():.2e} (tol 5e-4) ok={q_ok}; "
         f"eigenvector max err {np.abs(x * scale - ref).max():.2e} (tol 1e-3) ok={x_ok}; "
         f"{elapsed * 1000:.0f}ms (< 1s) ok={time_ok}",
     )
@@ -143,8 +138,8 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
         and abs(v4.mu - EX4_MU) <= 5e-5
     )
 
-    rep2 = classify_q_mu(build_q_mu(ex2, v2.mu), ex2, v2)
-    hc2 = harmcond_check(ex2)
+    d2 = decide_instance(ex2)
+    rep2, hc2 = d2.classes, d2.harmcond
     ex2_ok = (
         rep2.m_matrix
         and not hc2.holds
@@ -152,7 +147,7 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
         and hc2.witness_sum == Fraction(5, 6)
     )
 
-    inv3 = np.linalg.inv(build_q_mu(ex3, v3.mu).q_mu)
+    inv3 = np.linalg.inv(build_q_mu(ex3, v3.mu))
     inv3_err = np.abs(inv3 - np.array(EX3_QMU_INV)).max()
     ex3_ok = inv3_err <= 5e-4
 
@@ -331,26 +326,24 @@ def s5_records():
     from rothlab.census import load_scaffolds
 
     g = complete_graph(4)
-    recs = []
-    for k in load_scaffolds(4, 5, out_dir=tempfile.mkdtemp()):
-        inst = compose(5, g, scaffold=k.tolist())
-        recs.append((inst, classification_record(inst)))
-    return recs
+    ks = load_scaffolds(4, 5, out_dir=tempfile.mkdtemp())
+    return [(compose(5, g, scaffold=k), d) for k, d in zip(ks, decide_stack(g.adjacency(), ks))]
 
 
 def test_criterion_5_dual_route_equivalences(s5_records):
     mismatches = 0
     rowsum_cases = 0
     rowsum_bad = 0
-    for inst, rec in s5_records:
-        if rec["minpositive"] is not None and rec["minpositive"] != rec["s_roth"]:
+    for inst, d in s5_records:
+        v = d.verdict
+        if d.classes is not None and d.classes.minpositive != v.is_s_roth:
             mismatches += 1
         if not is_complete_scaffold(inst):
             continue
-        rm = build_r_mu(inst, rec["mu"])
+        rm = build_r_mu(inst, v.mu)
         if rm.positive_definite:
             rowsum_cases += 1
-            if r_mu_rowsum_check(rm).s_roth != rec["s_roth"]:
+            if rm.s_roth != v.is_s_roth:
                 rowsum_bad += 1
     ok = mismatches == 0 and rowsum_bad == 0 and rowsum_cases >= 1
     _verdict(
@@ -368,14 +361,15 @@ def test_criterion_5_dual_route_equivalences(s5_records):
 def test_criterion_6_certificates_never_lie(s5_records):
     bad = []
 
-    def check(inst, verdict_is_s_roth, label):
-        if harmcond_check(inst).holds and not verdict_is_s_roth:
+    def check(inst, d, label):
+        verdict_is_s_roth = d.verdict.is_s_roth
+        if d.harmcond.holds and not verdict_is_s_roth:
             bad.append((label, "harmcond"))
-        if gc_check(inst) and not verdict_is_s_roth:
+        if d.gc and not verdict_is_s_roth:
             bad.append((label, "gc"))
-        if bdeg_check(inst) and not verdict_is_s_roth:
+        if d.bdeg and not verdict_is_s_roth:
             bad.append((label, "bdeg"))
-        if st_check(inst) and not verdict_is_s_roth:
+        if d.st and not verdict_is_s_roth:
             bad.append((label, "st"))
         if gdeg_check(inst) in ("A", "B") and not verdict_is_s_roth:
             bad.append((label, "gdeg"))
@@ -385,14 +379,14 @@ def test_criterion_6_certificates_never_lie(s5_records):
         if bc.applicable and bc.s_roth != verdict_is_s_roth:
             bad.append((label, "boundary"))
 
-    for inst, rec in s5_records:
-        check(inst, rec["s_roth"], rec["graph6"])
+    for i, (inst, d) in enumerate(s5_records):
+        check(inst, d, f"census#{i}")
 
     rng = np.random.default_rng(606)
     n_random = 1000
     for i in range(n_random):
         inst = random_instance(rng, smin=3, smax=9, tmin=3, tmax=9)
-        check(inst, s_roth_oracle(inst).is_s_roth, f"random#{i}")
+        check(inst, decide_instance(inst), f"random#{i}")
 
     ok = not bad
     _verdict(
@@ -540,7 +534,7 @@ def _confirmed_tree_counterexample(s: int, t: int, g6: str) -> bool:
     inst = compose(s, g)
     mu = float(np.linalg.eigvalsh(signless_laplacian(block_adjacency(inst.A, inst.K)))[0])
     max_degree = g.adjacency().sum(axis=1).max()
-    ok = max_degree == s and not r_mu_rowsum_check(build_r_mu(inst, mu)).s_roth
+    ok = max_degree == s and build_r_mu(inst, mu).s_roth is False
     if max_degree == t - 1:
         bc = boundary_characterization(inst)
         ok = ok and bc.applicable and bc.s_roth is False

@@ -1,5 +1,6 @@
 """Oracle, Schur complement, certificates, reduced matrix, matrix classes."""
 
+import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -31,20 +32,13 @@ from rothlab.analysis import (
     boundary_characterization,
     build_q_mu,
     build_r_mu,
-    classification_record,
-    classify_q_mu,
     decide_instance,
     decide_stack,
     deg2_predicate,
     gavrilov_check,
-    gc_check,
     gdeg_check,
-    harmcond_check,
-    bdeg_check,
     is_complete_scaffold,
-    r_mu_rowsum_check,
     s_roth_oracle,
-    st_check,
 )
 from rothlab.graphs import (
     Graph,
@@ -123,14 +117,15 @@ def test_q_mu_matches_printed_values(ex1, ex2, ex3, ex4):
         (ex3, EX3_MU, EX3_QMU),
         (ex4, EX4_MU, EX4_QMU),
     ):
-        sm = build_q_mu(inst, s_roth_oracle(inst).mu)
-        assert np.abs(sm.q_mu - np.array(ref)).max() < 5e-4
-        assert sm.mu == pytest.approx(mu, abs=5e-5)
+        v = s_roth_oracle(inst)
+        q = build_q_mu(inst, v.mu)
+        assert np.abs(q - np.array(ref)).max() < 5e-4
+        assert v.mu == pytest.approx(mu, abs=5e-5)
 
 
 def test_q_mu_exact_block_structure(ex88):
-    sm = build_q_mu(ex88, 2.0)
-    assert np.abs(sm.q_mu - np.array(EX88_QMU)).max() < 1e-9
+    q = build_q_mu(ex88, 2.0)
+    assert np.abs(q - np.array(EX88_QMU)).max() < 1e-9
 
 
 def test_q_mu_smallest_eigenvalue_is_mu():
@@ -138,8 +133,7 @@ def test_q_mu_smallest_eigenvalue_is_mu():
     for _ in range(40):
         inst = random_instance(rng)
         v = s_roth_oracle(inst)
-        sm = build_q_mu(inst, v.mu)
-        vals = np.linalg.eigvalsh(sm.q_mu)
+        vals = np.linalg.eigvalsh(build_q_mu(inst, v.mu))
         scale = 1.0 + abs(vals[-1])
         assert abs(vals[0] - v.mu) < 1e-7 * scale
 
@@ -149,10 +143,10 @@ def test_q_mu_eigenvector_is_t_block():
     for _ in range(20):
         inst = random_instance(rng)
         v = s_roth_oracle(inst)
-        sm = build_q_mu(inst, v.mu)
+        q = build_q_mu(inst, v.mu)
         w = v.eigenvector[: inst.t]
-        resid = sm.q_mu @ w - v.mu * w
-        assert np.abs(resid).max() < 1e-7 * (1.0 + np.abs(sm.q_mu).max())
+        resid = q @ w - v.mu * w
+        assert np.abs(resid).max() < 1e-7 * (1.0 + np.abs(q).max())
 
 
 def test_q_mu_complete_scaffold_closed_form():
@@ -169,10 +163,10 @@ def test_q_mu_complete_scaffold_closed_form():
         g = Graph(t, frozenset(g_edges))
         inst = compose(s, g)
         mu = s_roth_oracle(inst).mu
-        sm = build_q_mu(inst, mu)
+        q = build_q_mu(inst, mu)
         alpha = s / (t - mu)
         ref = signless_laplacian(g.adjacency()) + s * np.eye(t) - alpha * np.ones((t, t))
-        assert np.abs(sm.q_mu - ref).max() < 1e-8
+        assert np.abs(q - ref).max() < 1e-8
         assert alpha_of(inst, mu) == pytest.approx(alpha)
 
 
@@ -183,7 +177,7 @@ def test_q_mu_offdiagonal_formula():
     for _ in range(20):
         inst = random_instance(rng)
         mu = s_roth_oracle(inst).mu
-        sm = build_q_mu(inst, mu)
+        q = build_q_mu(inst, mu)
         d2 = inst.K.sum(axis=0)
         for i in range(inst.t):
             for j in range(i + 1, inst.t):
@@ -191,7 +185,7 @@ def test_q_mu_offdiagonal_formula():
                 val = float(inst.A[i, j]) - sum(
                     1.0 / (d2[k] - mu) for k in ks
                 )
-                assert abs(sm.q_mu[i, j] - val) < 1e-10
+                assert abs(q[i, j] - val) < 1e-10
 
 
 def test_q_mu_rejects_mu_at_pole(ex88):
@@ -203,8 +197,7 @@ def test_q_mu_rejects_mu_at_pole(ex88):
 
 
 def test_q_mu_inverse_printed(ex3):
-    sm = build_q_mu(ex3, s_roth_oracle(ex3).mu)
-    inv = np.linalg.inv(sm.q_mu)
+    inv = np.linalg.inv(build_q_mu(ex3, s_roth_oracle(ex3).mu))
     assert np.abs(inv - np.array(EX3_QMU_INV)).max() < 5e-4
 
 
@@ -212,39 +205,28 @@ def test_q_mu_inverse_printed(ex3):
 
 
 def test_classify_example2(ex2):
-    v = s_roth_oracle(ex2)
-    rep = classify_q_mu(build_q_mu(ex2, v.mu), ex2, v)
+    rep = decide_instance(ex2).classes
     assert rep.z_matrix and rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example3(ex3):
-    v = s_roth_oracle(ex3)
-    rep = classify_q_mu(build_q_mu(ex3, v.mu), ex3, v)
+    rep = decide_instance(ex3).classes
     assert not rep.z_matrix and not rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example4(ex4):
-    v = s_roth_oracle(ex4)
-    rep = classify_q_mu(build_q_mu(ex4, v.mu), ex4, v)
+    rep = decide_instance(ex4).classes
     assert not rep.z_matrix
     assert not rep.inverse_positive
     assert rep.minpositive
 
 
-def test_classify_singular_raises():
-    inst = compose(3, Graph(5))  # bipartite H, mu = 0, Q_mu singular
-    v = s_roth_oracle(inst)
-    assert v.mu == 0.0
-    with pytest.raises(ValueError):
-        classify_q_mu(build_q_mu(inst, v.mu), inst, v)
-
-
-def test_classify_rejects_q_mu_at_another_mu(ex2):
-    v = s_roth_oracle(ex2)
-    with pytest.raises(ValueError):
-        classify_q_mu(build_q_mu(ex2, v.mu - 0.1), ex2, v)
+def test_classify_singular_is_none():
+    d = decide_instance(compose(3, Graph(5)))  # bipartite H, mu = 0, Q_mu singular
+    assert d.verdict.mu == 0.0
+    assert d.classes is None
 
 
 def test_class_hierarchy_random():
@@ -253,12 +235,9 @@ def test_class_hierarchy_random():
     rng = np.random.default_rng(14)
     checked = 0
     for _ in range(120):
-        inst = random_instance(rng)
-        v = s_roth_oracle(inst)
-        sm = build_q_mu(inst, v.mu)
-        try:
-            rep = classify_q_mu(sm, inst, v)
-        except ValueError:
+        d = decide_instance(random_instance(rng))
+        v, rep = d.verdict, d.classes
+        if rep is None:
             continue
         checked += 1
         if rep.m_matrix:
@@ -273,12 +252,12 @@ def test_class_hierarchy_random():
 
 
 def test_harmcond_example1(ex1):
-    hc = harmcond_check(ex1)
+    hc = decide_instance(ex1).harmcond
     assert hc.holds
 
 
 def test_harmcond_example2_witness(ex2):
-    hc = harmcond_check(ex2)
+    hc = decide_instance(ex2).harmcond
     assert not hc.holds
     assert hc.witness == (0, 1)
     assert hc.witness_sum == Fraction(5, 6)
@@ -288,7 +267,7 @@ def test_harmcond_nonadjacent_needs_common_neighbor():
     # G with an isolated-from-each-other pair sharing no scaffold neighbor
     k = [[1, 0], [0, 1], [1, 1]]
     inst = compose(2, Graph(3), scaffold=k)
-    assert not harmcond_check(inst).holds
+    assert not decide_instance(inst).harmcond.holds
 
 
 def test_harmcond_complete_bipartite_minus_edge():
@@ -305,9 +284,9 @@ def test_harmcond_complete_bipartite_minus_edge():
                     if rng.random() < 0.5:
                         edges.add((u, w))
             g = Graph(t, frozenset(edges))
-            inst = compose(s, g, scaffold=k.tolist())
-            assert harmcond_check(inst).holds
-            assert s_roth_oracle(inst).is_s_roth
+            d = decide_instance(compose(s, g, scaffold=k.tolist()))
+            assert d.harmcond.holds
+            assert d.verdict.is_s_roth
 
 
 def test_gc_yeast_shape():
@@ -316,32 +295,32 @@ def test_gc_yeast_shape():
     cols = [[1, 1, 1, 1, 1]] + [[1, 1, 0, 0, 0]] * 7 + [[1, 0, 1, 0, 0]] * 9
     k = [list(row) for row in zip(*cols)]
     g = Graph(5, frozenset({(0, 1), (0, 2)}))
-    inst = compose(17, g, scaffold=k)
-    assert gc_check(inst)
-    assert s_roth_oracle(inst).is_s_roth
+    d = decide_instance(compose(17, g, scaffold=k))
+    assert d.gc
+    assert d.verdict.is_s_roth
 
 
 def test_gc_fails_on_sparse_overlap(ex4):
     # disjoint scaffold supports: a G-edge pair with no common neighbor
-    assert not gc_check(ex4)
+    assert not decide_instance(ex4).gc
 
 
 def test_bdeg_threshold():
     # all scaffold degrees >= (t+s)/2
-    inst = compose(4, complete_graph(4))  # complete scaffold: d_B = 4 = (4+4)/2
-    assert bdeg_check(inst)
-    assert s_roth_oracle(inst).is_s_roth
+    d = decide_instance(compose(4, complete_graph(4)))  # complete scaffold: d_B = 4 = (4+4)/2
+    assert d.bdeg
+    assert d.verdict.is_s_roth
     k = [[1, 0], [1, 0], [0, 1], [1, 1]]
     sparse = compose(2, path_graph(4), scaffold=k)
-    assert not bdeg_check(sparse)
+    assert not decide_instance(sparse).bdeg
 
 
 def test_st_check():
-    assert st_check(compose(5, cycle_graph(4)))
-    assert st_check(compose(4, cycle_graph(4)))
-    assert not st_check(compose(3, cycle_graph(4)))
+    assert decide_instance(compose(5, cycle_graph(4))).st
+    assert decide_instance(compose(4, cycle_graph(4))).st
+    assert not decide_instance(compose(3, cycle_graph(4))).st
     k = [[1, 1, 0], [1, 0, 1], [0, 1, 1]]
-    assert not st_check(compose(3, cycle_graph(3), scaffold=k))
+    assert not decide_instance(compose(3, cycle_graph(3), scaffold=k)).st
 
 
 def test_st_implies_s_roth():
@@ -354,9 +333,9 @@ def test_st_implies_s_roth():
             for w in range(u + 1, t):
                 if rng.random() < 0.5:
                     edges.add((u, w))
-        inst = compose(s, Graph(t, frozenset(edges)))
-        assert st_check(inst)
-        assert s_roth_oracle(inst).is_s_roth
+        d = decide_instance(compose(s, Graph(t, frozenset(edges))))
+        assert d.st
+        assert d.verdict.is_s_roth
 
 
 # ------------------------------------------------------------- alpha, gdeg
@@ -479,10 +458,9 @@ def test_r_mu_complete_bipartite_case():
     rm = build_r_mu(inst, 0.0)
     assert rm.positive_definite
     assert np.abs(rm.r_mu - 4 * np.eye(6)).max() < 1e-12
-    chk = r_mu_rowsum_check(rm)
-    assert chk.s_roth
-    assert chk.gamma == pytest.approx(6 / 4)
-    assert chk.gamma_expected == pytest.approx(6 / 4)
+    assert rm.s_roth
+    assert rm.gamma == pytest.approx(6 / 4)
+    assert rm.gamma_expected == pytest.approx(6 / 4)
 
 
 def test_r_mu_rejects_partial_scaffold(ex1):
@@ -493,24 +471,24 @@ def test_r_mu_rejects_partial_scaffold(ex1):
 def test_rowsum_check_path_cases():
     good = compose(6, path_graph(60))
     v = s_roth_oracle(good)
-    chk = r_mu_rowsum_check(build_r_mu(good, v.mu))
-    assert chk.s_roth and v.is_s_roth
-    assert chk.gamma == pytest.approx(chk.gamma_expected, rel=1e-8)
+    rm = build_r_mu(good, v.mu)
+    assert rm.s_roth and v.is_s_roth
+    assert rm.gamma == pytest.approx(rm.gamma_expected, rel=1e-8)
 
     bad = compose(4, path_graph(60))
     vb = s_roth_oracle(bad)
     rm = build_r_mu(bad, vb.mu)
     if rm.positive_definite:
-        chkb = r_mu_rowsum_check(rm)
-        assert not chkb.s_roth
+        assert not rm.s_roth
     assert not vb.is_s_roth
 
 
 def test_rowsum_check_requires_pd():
     inst = compose(3, cycle_graph(14))
     rm = build_r_mu(inst, s_roth_oracle(inst).mu)
-    with pytest.raises(ValueError):
-        r_mu_rowsum_check(rm)
+    # without positive definiteness the row-sum test does not apply
+    assert not rm.positive_definite
+    assert rm.s_roth is None and rm.rowsums is None and rm.gamma is None
 
 
 def test_rowsum_oracle_agreement_random():
@@ -530,9 +508,8 @@ def test_rowsum_oracle_agreement_random():
         if not rm.positive_definite:
             continue
         seen += 1
-        chk = r_mu_rowsum_check(rm)
-        assert chk.s_roth == v.is_s_roth
-        assert chk.gamma == pytest.approx(chk.gamma_expected, rel=1e-6)
+        assert rm.s_roth == v.is_s_roth
+        assert rm.gamma == pytest.approx(rm.gamma_expected, rel=1e-6)
     assert seen > 60
 
 
@@ -552,10 +529,9 @@ def test_w_reconstruction_from_rowsums():
         rm = build_r_mu(inst, v.mu)
         if not rm.positive_definite or v.multiplicity != 1:
             continue
-        rowsums = np.linalg.inv(rm.r_mu).sum(axis=1)
         w = v.eigenvector[: inst.t]
         z0 = v.eigenvector[inst.t]
-        ref = -inst.s * z0 * rowsums  # T-rows give R_mu w = -s z0 1
+        ref = -inst.s * z0 * rm.rowsums  # T-rows give R_mu w = -s z0 1
         assert np.abs(w - ref).max() < 1e-8 * (1 + np.abs(w).max())
 
 
@@ -567,7 +543,7 @@ def test_gavrilov_order2_is_z():
     for _ in range(40):
         inst = random_instance(rng)
         mu = s_roth_oracle(inst).mu
-        q = build_q_mu(inst, mu).q_mu
+        q = build_q_mu(inst, mu)
         vals = np.linalg.eigvalsh(q)
         if vals[0] <= 1e-9:
             continue
@@ -578,10 +554,10 @@ def test_gavrilov_order2_is_z():
 
 def test_gavrilov_orders_on_m_matrix(ex2, ex3):
     # principal submatrices of an M-matrix are M-matrices: all orders pass
-    q2 = build_q_mu(ex2, s_roth_oracle(ex2).mu).q_mu
+    q2 = build_q_mu(ex2, s_roth_oracle(ex2).mu)
     assert gavrilov_check(q2, 2) and gavrilov_check(q2, 3)
     # positive off-diagonal entries break order 2 and poison 3x3 blocks too
-    q3 = build_q_mu(ex3, s_roth_oracle(ex3).mu).q_mu
+    q3 = build_q_mu(ex3, s_roth_oracle(ex3).mu)
     assert not gavrilov_check(q3, 2)
     assert not gavrilov_check(q3, 3)
 
@@ -647,29 +623,12 @@ def test_is_complete_scaffold(ex1, ex88):
 
 
 def test_classification_record_schema(ex2):
-    rec = classification_record(ex2)
-    expected = {
-        "graph6",
-        "s",
-        "t",
-        "mu",
-        "multiplicity",
-        "s_roth",
-        "reason",
-        "harmcond",
-        "gc",
-        "bdeg",
-        "st",
-        "z",
-        "m_matrix",
-        "inv_positive",
-        "minpositive",
-        "s_maximal",
-    }
-    assert set(rec) == expected
-    assert rec["s"] == 7 and rec["t"] == 4
-    assert rec["s_roth"] is True
-    assert rec["m_matrix"] is True and rec["harmcond"] is False
+    # the instance's one record: its verdict, Q_mu classes and certificates
+    d = decide_instance(ex2)
+    assert {f.name for f in dataclasses.fields(d)} == {"verdict", "classes", "harmcond", "gc", "bdeg", "st"}
+    assert ex2.s == 7 and ex2.t == 4
+    assert d.verdict.is_s_roth is True
+    assert d.classes.m_matrix is True and d.harmcond.holds is False
 
 
 @pytest.mark.parametrize(
@@ -678,8 +637,8 @@ def test_classification_record_schema(ex2):
     ids=["3_vs_C12", "6_vs_K1_6"],
 )
 def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, capsys, monkeypatch):
-    # the census record and the CLI report both decide an exact-path instance
-    # from a single rational kernel
+    # the instance decision and the CLI report both decide an exact-path
+    # instance from a single rational kernel
     calls = []
 
     def counting_kernel(m, c):
@@ -687,8 +646,8 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
         return exact_kernel_dim(m, c)
 
     monkeypatch.setattr(rothlab.analysis, "exact_kernel_dim", counting_kernel)
-    rec = classification_record(compose(s, g))
-    assert (rec["mu"], rec["multiplicity"]) == (mu, nullity)
+    v = decide_instance(compose(s, g)).verdict
+    assert (v.mu, v.multiplicity) == (mu, nullity)
     assert calls == [mu]
 
     calls.clear()
@@ -701,10 +660,9 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
 
 
 def test_classification_record_singular():
-    rec = classification_record(compose(3, Graph(4)))
-    assert rec["s_roth"] is True
-    assert rec["z"] is None and rec["m_matrix"] is None
-    assert rec["minpositive"] is None
+    d = decide_instance(compose(3, Graph(4)))
+    assert d.verdict.is_s_roth is True
+    assert d.classes is None  # no z, m_matrix or minpositive flag
 
 
 def test_instance_from_graph_path():
@@ -768,7 +726,7 @@ def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
     for inst in instances:
         v = s_roth_oracle(inst)
         assert v.mu < inst.K.sum(axis=0).min()
-        es = full_spectrum(build_q_mu(inst, v.mu).q_mu)
+        es = full_spectrum(build_q_mu(inst, v.mu))
         tol = CLUSTER_TOL * (1.0 + abs(v.mu))
         assert abs(es.values[0] - v.mu) <= tol
         assert np.count_nonzero(es.values <= v.mu + tol) == v.multiplicity
@@ -811,9 +769,10 @@ def test_certificates_match_pairwise_fraction_loop():
     holds = 0
     for n in range(400):
         inst = random_instance(rng, smax=12, g_edge_p=[0.1, 0.5, 0.9][n % 3])
-        hc = harmcond_check(inst)
+        d = decide_instance(inst)
+        hc = d.harmcond
         assert (hc.holds, hc.witness, hc.witness_sum) == _harmcond_loop(inst)
-        assert gc_check(inst) == _gc_loop(inst)
+        assert d.gc == _gc_loop(inst)
         holds += hc.holds
     assert 0 < holds < 400
 
@@ -830,8 +789,8 @@ def test_harmonic_condition_exact_beyond_int64():
     g = Graph.from_edges(t, [(0, 1)])
     lcm = int(np.lcm.reduce(np.unique(k.sum(axis=0)).astype(object)))
     assert lcm * k.shape[1] > np.iinfo(np.int64).max
-    exact = harmcond_check(compose(k.shape[1], g, k))
-    assert exact.holds and not gc_check(compose(k.shape[1], g, k))
+    exact = decide_instance(compose(k.shape[1], g, k))
+    assert exact.harmcond.holds and not exact.gc
     # one all-T vertex fewer: the sum drops to 1 - 1/84
-    short = harmcond_check(compose(k.shape[1] - 1, g, np.delete(k, 4, axis=1)))
+    short = decide_instance(compose(k.shape[1] - 1, g, np.delete(k, 4, axis=1))).harmcond
     assert (short.holds, short.witness, short.witness_sum) == (False, (0, 1), Fraction(83, 84))

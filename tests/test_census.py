@@ -20,7 +20,7 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
-from rothlab.analysis import classification_record
+from rothlab.analysis import decide_instance
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from rothlab.graphs import (Graph, block_adjacency, complete_graph, compose, emit_graph6, encode_graph6, parse_graph6,
@@ -189,23 +189,26 @@ def test_classify_relabeling_invariance(tmp_path):
     mats = load_scaffolds(3, 4, str(tmp_path))
     g = Graph(3, frozenset({(0, 1)}))
     for k in (mats[0], mats[-1], mats[len(mats) // 2]):
-        base = classification_record(compose(4, g, k))
+        base = decide_instance(compose(4, g, k))
         # permute scaffold columns only: the instance is the same graph
         for _ in range(3):
             perm = rng.permutation(4)
-            rec = classification_record(compose(4, g, k[:, perm]))
-            for key in ("s_roth", "harmcond", "m_matrix", "inv_positive", "mu"):
-                if key == "mu":
-                    assert rec[key] == pytest.approx(base[key], abs=1e-9)
-                else:
-                    assert rec[key] == base[key]
+            d = decide_instance(compose(4, g, k[:, perm]))
+            assert _census_flags(d) == _census_flags(base)
+            assert d.verdict.mu == pytest.approx(base.verdict.mu, abs=1e-9)
+
+
+def _census_flags(d) -> tuple:
+    """(s_roth, harmcond, m_matrix, inv_positive) of a decision; None where Q_mu has no classes."""
+    c = d.classes
+    return (d.verdict.is_s_roth, d.harmcond.holds,
+            None if c is None else c.m_matrix, None if c is None else c.inverse_positive)
 
 
 def test_classification_record_of_composed_scaffold():
-    rec = classification_record(compose(4, complete_graph(3), np.ones((3, 4), dtype=int)))
-    assert rec["s"] == 4 and rec["t"] == 3
-    assert isinstance(rec["graph6"], str)
-    assert rec["s_roth"] in (True, False)
+    inst = compose(4, complete_graph(3), np.ones((3, 4), dtype=int))
+    assert inst.s == 4 and inst.t == 3
+    assert decide_instance(inst).verdict.is_s_roth in (True, False)
 
 
 def test_census_with_fixed_g(tmp_path):

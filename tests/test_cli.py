@@ -90,6 +90,14 @@ def test_analyze_requires_s_spec(tmp_path, capsys):
     assert code == 1
 
 
+def test_analyze_refuses_empty_s(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 2\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--s-vertices", ",")
+    assert code == 1 and not out
+    assert "S must contain at least one vertex" in err
+
+
 def test_census_command(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "census", "--t", "2", "--s", "1", "--out-dir", str(tmp_path)

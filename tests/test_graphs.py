@@ -317,6 +317,12 @@ def test_instance_from_graph_relabel():
         instance_from_graph(h, [9])
 
 
+def test_instance_from_graph_refuses_empty_s():
+    # an empty S would leave the oracle nothing to decide
+    with pytest.raises(ValueError, match="at least one vertex"):
+        instance_from_graph(path_graph(5), [])
+
+
 def test_common_neighbors_matches_gram():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -345,6 +351,14 @@ def test_apply_noise_explicit_ops():
         apply_noise(out, [AddIntra(0, 1)])  # already added
     with pytest.raises(ValueError):
         apply_noise(base, [AddIntra(0, 5)])  # endpoint outside T
+
+
+def test_apply_noise_refuses_a_loop():
+    # AddIntra(i, i) would put a loop in G, and H would no longer be simple
+    base = compose(3, path_graph(4))
+    with pytest.raises(ValueError, match="loop"):
+        apply_noise(base, [AddIntra(2, 2)])
+    assert base.A[2, 2] == 0
 
 
 def test_apply_noise_zero_column_rejected():
