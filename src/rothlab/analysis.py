@@ -65,7 +65,6 @@ class ReducedMatrix:
     s_roth: bool | None  # every row sum positive, when PD
     gamma: float | None  # sum of rowsums: all entries of r_mu^{-1}, when PD
     gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
-    beta: float  # (4+s-mu)^{-1}, the common row sum of a cycle block inverse
     s: int
     t: int
     mu: float
@@ -391,7 +390,6 @@ def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
         s_roth=s_roth,
         gamma=gamma,
         gamma_expected=(inst.t - mu) / inst.s,
-        beta=1.0 / (4.0 + inst.s - mu),
         s=inst.s,
         t=inst.t,
         mu=float(mu),

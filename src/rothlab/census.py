@@ -27,8 +27,8 @@ from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
-from .graphs import (Graph, block_adjacency, compose, complete_graph, cycle_graph, decode_graph6, emit_graph6,
-                     encode_graph6, instance_to_json, is_connected, path_graph)
+from .graphs import (CompositeInstance, Graph, _check_scaffold, block_adjacency, complete_graph, decode_graph6,
+                     emit_graph6, encode_graph6, instance_to_json, is_connected)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -201,26 +201,31 @@ def census_summary_path(t: int, s: int, out_dir: str = ".") -> str:
 # conjecture sweeps: H = (empty graph on s) joined with G, i.e. complete scaffold
 
 
-def _random_capped_graph(t: int, cap: int, rng) -> Graph:
-    """Random graph on t vertices with max degree <= cap (greedy over shuffled pairs)."""
+def _random_capped_graph(t: int, cap: int, rng) -> np.ndarray:
+    """Adjacency of a random graph on t vertices with max degree <= cap (greedy over shuffled pairs)."""
     pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
     rng.shuffle(pairs)
     target = int(rng.integers(0, min(len(pairs), t * cap // 2) + 1))
     deg = [0] * t
-    edges = set()
+    a = np.zeros((t, t), dtype=np.int64)
     for (u, v) in pairs:
-        if len(edges) >= target:
+        if not target:
             break
         if deg[u] < cap and deg[v] < cap:
-            edges.add((u, v))
+            a[u, v] = a[v, u] = 1
+            target -= 1
             deg[u] += 1
             deg[v] += 1
-    return Graph(t, frozenset(edges))
+    return a
 
 
-def _sample_trees(t: int, max_deg: int, limit: int, rng) -> list:
-    """Random labeled trees (Pruefer decode) with the degree cap; path always included."""
-    out = [path_graph(t)] if max_deg >= 2 else []
+def _path(t: int) -> np.ndarray:
+    return np.eye(t, k=1, dtype=np.int64) + np.eye(t, k=-1, dtype=np.int64)
+
+
+def _sample_trees(t: int, max_deg: int, limit: int, rng) -> np.ndarray:
+    """Adjacency stack of random labeled trees (Pruefer decode) with the degree cap; path always included."""
+    out = [_path(t)] if max_deg >= 2 else []
     attempts = 0
     while len(out) < limit and attempts < 50 * limit:
         attempts += 1
@@ -230,46 +235,43 @@ def _sample_trees(t: int, max_deg: int, limit: int, rng) -> list:
             deg[v] += 1
         if deg.max() > max_deg:
             continue
-        deg_left = deg.copy()
-        edges = set()
-        ptr = list(seq)
-        leaves = sorted(v for v in range(t) if deg_left[v] == 1)
-        heapq.heapify(leaves)
-        for v in ptr:
-            v = int(v)
+        a = np.zeros((t, t), dtype=np.int64)
+        leaves = [v for v in range(t) if deg[v] == 1]  # ascending, so already a heap
+        for v in seq.tolist():
             leaf = heapq.heappop(leaves)
-            edges.add((min(leaf, v), max(leaf, v)))
-            deg_left[v] -= 1
-            if deg_left[v] == 1:
+            a[leaf, v] = a[v, leaf] = 1
+            deg[v] -= 1
+            if deg[v] == 1:
                 heapq.heappush(leaves, v)
-        u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-        edges.add((min(u, v), max(u, v)))
-        out.append(Graph(t, frozenset(edges)))
-    return out
+        u, v = leaves  # the two vertices left
+        a[u, v] = a[v, u] = 1
+        out.append(a)
+    return np.array(out, dtype=np.int64).reshape(-1, t, t)
 
 
 MAXDEG_EXHAUSTIVE_T = 8
 TREE_EXHAUSTIVE_T = 12
 
 
-def _max_degree(g: Graph) -> int:
-    return int(g.adjacency().sum(axis=1).max())
-
-
-def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> list:
+def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> np.ndarray:
+    """The family of G on t vertices for the sweep at s, as an adjacency stack (N, t, t)."""
     if kind == "tree":
         if t <= TREE_EXHAUSTIVE_T:
-            return [g for g in all_trees(t) if _max_degree(g) <= s]
+            a = all_trees(t)
+            return a[a.sum(-1).max(-1) <= s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
         return _sample_trees(t, s, sample_limit, rng)
     if kind == "maxdeg":
         if t <= MAXDEG_EXHAUSTIVE_T:
-            return [g for g in all_graphs(t) if t == 1 or _max_degree(g) < s]
+            a = all_graphs(t)
+            return a[a.sum(-1).max(-1) < s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
-        fam = [path_graph(t), cycle_graph(t)]
+        cycle = _path(t)
+        cycle[0, -1] = cycle[-1, 0] = 1
+        fam = [_path(t), cycle]
         while len(fam) < sample_limit:
             fam.append(_random_capped_graph(t, s - 1, rng))
-        return fam
+        return np.array(fam)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -285,6 +287,8 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
     """
     pairs = []
     for s in s_range:
+        if s < 1:
+            raise ValueError("need s >= 1")
         for t in t_range:
             if t <= s:
                 continue
@@ -298,37 +302,43 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
         complete = np.ones((t, s), dtype=np.int64)
         for lo in range(0, len(family), CENSUS_BLOCK):
             block = family[lo:lo + CENSUS_BLOCK]
-            verdicts = oracle_stack(np.array([g.adjacency() for g in block]), complete)
+            verdicts = oracle_stack(block, complete)
             checked += len(block)
-            for g, verdict in zip(block, verdicts):
+            for a, text, verdict in zip(block, encode_graph6(block), verdicts):
                 if not verdict.is_s_roth:
                     counterexamples.append({
                         "kind": kind, "s": s, "t": t,
-                        "g_graph6": emit_graph6(g),
+                        "g_graph6": text,
                         "mu": verdict.mu, "reason": verdict.reason,
-                        "instance": instance_to_json(compose(s, g)),
+                        "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s)))),
                     })
     return {"kind": kind, "pairs": pairs, "checked": checked,
             "counterexamples": counterexamples}
 
 
-def ultra_roth_probe(scaffold: np.ndarray, g_family) -> dict:
-    """Run the verdict oracle for one scaffold against every G in the family, as one stack."""
-    scaffold = np.asarray(scaffold)
-    family = list(g_family)
-    if not family:
-        return {"all_s_roth": True, "failures": []}
+def ultra_roth_probe(scaffold: np.ndarray, a_g) -> dict:
+    """Run the verdict oracle for one t x s scaffold against every G of an adjacency stack (N, t, t), as one stack.
+
+    The scaffold must be 0/1 with no zero column, and every G 0/1, symmetric
+    and loop-free; both are checked even when the stack is empty.
+    """
+    scaffold, a_g = np.asarray(scaffold), np.asarray(a_g)
     t, s = scaffold.shape
-    compose(s, family[0], scaffold)  # raises on an invalid scaffold
-    if any(g.n != t for g in family):
-        raise ValueError(f"every G must have t = {t} vertices")
+    if s < 1:
+        raise ValueError("need s >= 1")
+    _check_scaffold(scaffold)
+    if a_g.shape[1:] != (t, t):
+        raise ValueError(f"G must be an adjacency stack (N, {t}, {t}), got shape {a_g.shape}")
+    upper = np.triu(a_g, 1) != 0
+    if not np.array_equal(a_g, upper | np.swapaxes(upper, 1, 2)):
+        raise ValueError("every G must be a 0/1, symmetric, loop-free adjacency matrix")
+    if not len(a_g):
+        return {"all_s_roth": True, "failures": []}
     # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
-    a_g = np.array([g.adjacency() for g in family])
     if not is_connected(a_g + scaffold @ scaffold.T):
         raise ValueError("composite instance is disconnected")
     failures = []
-    for g, verdict in zip(family, oracle_stack(a_g, scaffold)):
+    for text, verdict in zip(encode_graph6(a_g), oracle_stack(a_g, scaffold)):
         if not verdict.is_s_roth:
-            failures.append({"g_graph6": emit_graph6(g), "mu": verdict.mu,
-                             "reason": verdict.reason})
+            failures.append({"g_graph6": text, "mu": verdict.mu, "reason": verdict.reason})
     return {"all_s_roth": not failures, "failures": failures}

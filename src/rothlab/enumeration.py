@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Graph, _reach
+from .graphs import _pair_stack, _reach
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000
@@ -75,7 +75,41 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     return np.swapaxes(k, -1, -2) if transpose else k
 
 
-# all graphs on n vertices up to isomorphism, by vertex augmentation
+# all graphs on n vertices up to isomorphism, by vertex augmentation.  Inside, a
+# graph on n vertices is its graph6 bit code held as an int: the pair u < v is
+# bit v(v-1)/2 + u, so adding vertex n-1 sets bits from (n-1)(n-2)/2 up.
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    return tuple((u, v) for v in range(1, n) for u in range(v))
+
+
+def _edges(n: int, code: int) -> tuple:
+    """The pairs (u, v), u < v, of a bit code on n vertices, in bit order, and its adjacency lists."""
+    pairs, edges, adj = _pairs(n), [], [[] for _ in range(n)]
+    while code:
+        low = code & -code
+        u, v = pairs[low.bit_length() - 1]
+        edges.append((u, v))
+        adj[u].append(v)
+        adj[v].append(u)
+        code ^= low
+    return edges, adj
+
+
+def _code_stack(n: int, codes) -> np.ndarray:
+    """The read-only int64 adjacency stack (N, n, n) of N bit codes on n vertices."""
+    bits = np.array([[c >> i & 1 for i in range(n * (n - 1) // 2)] for c in codes], dtype=bool)
+    a = _pair_stack(bits, n).astype(np.int64)
+    a.flags.writeable = False  # the stack is cached and shared by every caller
+    return a
+
+
+def _stack_codes(a: np.ndarray) -> list:
+    """The bit codes of an adjacency stack (N, n, n)."""
+    v, u = np.tril_indices(a.shape[-1], -1)
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(a[:, u, v], axis=1, bitorder="little")]
 
 
 def _refine_colors(n: int, adj) -> list:
@@ -89,52 +123,52 @@ def _refine_colors(n: int, adj) -> list:
         colors = new
 
 
-def _canon_code(n: int, edges) -> int:
-    """Minimum edge bitmask over permutations respecting the refined colouring."""
-    adj = [[] for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _canon_code(n: int, code: int) -> int:
+    """Minimum edge bitmask (bit a*n + b for positions a < b) over permutations respecting the refined colouring."""
+    edges, adj = _edges(n, code)
     colors = _refine_colors(n, adj)
     cells = {}
     for v, c in enumerate(colors):
         cells.setdefault(c, []).append(v)
     pools = [list(itertools.permutations(cells[c])) for c in sorted(cells)]
     best = None
+    bit = _pair_bits(n)
     for combo in itertools.product(*pools):
         pos = [0] * n
-        i = 0
-        for cell in combo:
-            for v in cell:
-                pos[v] = i
-                i += 1
-        code = 0
+        for i, v in enumerate(itertools.chain.from_iterable(combo)):
+            pos[v] = i
+        key = 0
         for (u, v) in edges:
-            a, b = pos[u], pos[v]
-            if a > b:
-                a, b = b, a
-            code |= 1 << (a * n + b)
-        if best is None or code < best:
-            best = code
+            key |= bit[pos[u]][pos[v]]
+        if best is None or key < best:
+            best = key
     return best
 
 
 @lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple:
-    """All graphs on n vertices up to isomorphism (1, 2, 4, 11, 34, 156, 1044, ...)."""
+def _pair_bits(n: int) -> tuple:
+    """bit[a][b] = 1 << (a*n + b) for positions a < b, and the same for b < a."""
+    return tuple(tuple(1 << (min(a, b) * n + max(a, b)) for b in range(n)) for a in range(n))
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> np.ndarray:
+    """All graphs on n vertices up to isomorphism (1, 2, 4, 11, 34, 156, 1044, ...).
+
+    A cached, read-only int64 adjacency stack (N, n, n): of each class, the
+    first labelled extension of all_graphs(n - 1) met, in canonical-key order.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return (Graph(1),)
+        return _code_stack(1, [0])
     reps = {}
-    for g in all_graphs(n - 1):
-        base = set(g.edges)
+    shift = (n - 1) * (n - 2) // 2
+    for g in _stack_codes(all_graphs(n - 1)):
         for sub in range(1 << (n - 1)):
-            edges = frozenset(base | {(u, n - 1) for u in range(n - 1) if sub >> u & 1})
-            key = _canon_code(n, edges)
-            if key not in reps:
-                reps[key] = edges
-    return tuple(Graph(n, e) for _, e in sorted(reps.items()))
+            code = g | sub << shift
+            reps.setdefault(_canon_code(n, code), code)
+    return _code_stack(n, [reps[k] for k in sorted(reps)])
 
 
 # trees up to isomorphism, by leaf augmentation with a rooted canonical form
@@ -165,12 +199,8 @@ def _rooted_encoding(adj, root: int, blocked: int) -> str:
     return "(" + "".join(subs) + ")"
 
 
-def _tree_key(g: Graph) -> str:
-    adj = [[] for _ in range(g.n)]
-    for (u, v) in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    centers = _tree_centers(g.n, adj)
+def _tree_key(n: int, adj) -> str:
+    centers = _tree_centers(n, adj)
     if len(centers) == 1:
         return _rooted_encoding(adj, centers[0], -1)
     c1, c2 = centers
@@ -178,15 +208,20 @@ def _tree_key(g: Graph) -> str:
 
 
 @lru_cache(maxsize=None)
-def all_trees(n: int) -> tuple:
-    """All trees on n vertices up to isomorphism (1, 1, 1, 2, 3, 6, 11, 23, 47, ...)."""
+def all_trees(n: int) -> np.ndarray:
+    """All trees on n vertices up to isomorphism (1, 1, 1, 2, 3, 6, 11, 23, 47, ...).
+
+    A cached, read-only int64 adjacency stack (N, n, n): of each class, the
+    first leaf extension of all_trees(n - 1) met, in key order.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return (Graph(1),)
+        return _code_stack(1, [0])
     reps = {}
-    for g in all_trees(n - 1):
+    shift = (n - 1) * (n - 2) // 2
+    for g in _stack_codes(all_trees(n - 1)):
         for v in range(n - 1):
-            t = Graph(n, frozenset(set(g.edges) | {(v, n - 1)}))
-            reps.setdefault(_tree_key(t), t)
-    return tuple(reps[k] for k in sorted(reps))
+            code = g | 1 << (shift + v)
+            reps.setdefault(_tree_key(n, _edges(n, code)[1]), code)
+    return _code_stack(n, [reps[k] for k in sorted(reps)])

@@ -199,9 +199,14 @@ def decode_graph6(lines) -> np.ndarray:
     bits = np.unpackbits(body.astype(np.uint8)[..., None], axis=-1)[..., 2:].reshape(len(lines), 6 * nchars)
     if bits[:, nbits:].any():
         raise ValueError("nonzero trailing bits in graph6 input")
-    a = np.zeros((len(lines), n, n), dtype=bool)
+    return _pair_stack(bits[:, :nbits], n)
+
+
+def _pair_stack(bits, n: int) -> np.ndarray:
+    """Bool adjacency stack (N, n, n) of N rows of graph6 pair bits: bit v(v-1)/2 + u holds the pair u < v."""
+    a = np.zeros((len(bits), n, n), dtype=bool)
     v, u = np.tril_indices(n, -1)
-    a[:, u, v] = a[:, v, u] = bits[:, :nbits]
+    a[:, u, v] = a[:, v, u] = bits
     return a
 
 
@@ -285,11 +290,16 @@ class CompositeInstance:
         return self.K.shape[0]
 
 
-def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
+def _check_scaffold(k: np.ndarray) -> None:
+    """Raise ValueError unless the t x s scaffold K is 0/1 and every S-vertex has a neighbour in T."""
     if not np.array_equal(k, k.astype(bool).astype(k.dtype)):
         raise ValueError("scaffold must be a 0/1 matrix")
     if np.any(k.sum(axis=0) == 0):
         raise ValueError("zero column in scaffold: an S-vertex has no neighbour in T")
+
+
+def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
+    _check_scaffold(k)
     a, k = a.astype(np.int64), k.astype(np.int64)
     if not is_connected(block_adjacency(a, k)):
         raise ValueError("composite instance is disconnected")

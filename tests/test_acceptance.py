@@ -557,8 +557,8 @@ def test_criterion_9_conjecture_sweeps():
     maxdeg_ok = maxdeg["checked"] == 19649 and not maxdeg["counterexamples"]
     found = {(c["s"], c["t"], c["g_graph6"], c["reason"]) for c in tree["counterexamples"]}
     found_ok = found == TREE_COUNTEREXAMPLES and len(tree["counterexamples"]) == len(found)
-    n_below_s = sum(1 for (s, t) in tree["pairs"] for g in all_trees(t)
-                    if g.adjacency().sum(axis=1).max() < s)
+    n_below_s = sum(1 for (s, t) in tree["pairs"] for a in all_trees(t)
+                    if a.sum(axis=1).max() < s)
     sharp_ok = not any(parse_graph6(g6).adjacency().sum(axis=1).max() < s for (s, _, g6, _) in found)
     confirmed_ok = all(_confirmed_tree_counterexample(s, t, g6) for (s, t, g6, _) in found)
 

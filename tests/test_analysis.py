@@ -484,11 +484,13 @@ def test_rowsum_check_path_cases():
 
 
 def test_rowsum_check_requires_pd():
-    inst = compose(3, cycle_graph(14))
-    rm = build_r_mu(inst, s_roth_oracle(inst).mu)
-    # without positive definiteness the row-sum test does not apply
-    assert not rm.positive_definite
-    assert rm.s_roth is None and rm.rowsums is None and rm.gamma is None
+    c14 = compose(3, cycle_graph(14))
+    # R_mu = A(K6) + I is singular at mu = 5: recorded, not raised
+    for inst, mu in ((c14, s_roth_oracle(c14).mu), (compose(1, complete_graph(6)), 5.0)):
+        rm = build_r_mu(inst, mu)
+        # without positive definiteness the row-sum test does not apply
+        assert not rm.positive_definite
+        assert rm.s_roth is None and rm.rowsums is None and rm.gamma is None
 
 
 def test_rowsum_oracle_agreement_random():

@@ -20,7 +20,7 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
-from rothlab.analysis import decide_instance
+from rothlab.analysis import decide_instance, s_roth_oracle
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from rothlab.graphs import (Graph, block_adjacency, complete_graph, compose, emit_graph6, encode_graph6, parse_graph6,
@@ -225,6 +225,8 @@ def test_census_with_fixed_g(tmp_path):
 def test_sweep_rejects_small_s():
     with pytest.raises(ValueError):
         conjecture_sweep("maxdeg", [4], [7])
+    with pytest.raises(ValueError, match="s >= 1"):
+        conjecture_sweep("tree", [0], [1], relax=True)
 
 
 def test_sweep_tree_finds_star():
@@ -297,15 +299,37 @@ def test_ultra_probe_rejects_a_later_disconnected_composite():
     # K joins T-vertices 0,1 and 2,3; the first G bridges the halves, the second does not
     scaffold = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
     bridged, split = Graph.from_edges(4, [(1, 2)]), Graph.from_edges(4, [(0, 1)])
-    assert set(ultra_roth_probe(scaffold, [bridged])) == {"all_s_roth", "failures"}
+    assert set(ultra_roth_probe(scaffold, bridged.adjacency()[None])) == {"all_s_roth", "failures"}
     with pytest.raises(ValueError, match="disconnected"):
-        ultra_roth_probe(scaffold, [bridged, split])
+        ultra_roth_probe(scaffold, np.array([bridged.adjacency(), split.adjacency()]))
+
+
+def test_ultra_probe_validates_before_an_empty_family():
+    # with no G to compose, the scaffold and the stack are still checked
+    with pytest.raises(ValueError, match="0/1"):
+        ultra_roth_probe(np.full((3, 2), 7), np.zeros((0, 3, 3)))
+    scaffold = np.ones((3, 2), dtype=int)
+    assert ultra_roth_probe(scaffold, np.zeros((0, 3, 3))) == {"all_s_roth": True, "failures": []}
+    with pytest.raises(ValueError, match="stack"):
+        ultra_roth_probe(scaffold, np.zeros((0, 4, 4)))
+    bad = np.zeros((3, 3, 3))
+    bad[0, 0, 1] = 1  # not symmetric
+    bad[1, 2, 2] = 1  # a loop
+    bad[2, 0, 1] = bad[2, 1, 0] = 2  # not 0/1
+    for a in bad:
+        with pytest.raises(ValueError, match="loop-free"):
+            ultra_roth_probe(scaffold, a[None])
 
 
 def test_ultra_probe_records_failures():
     # a thin scaffold cannot survive every target graph
     scaffold = np.array([[1, 0], [1, 0], [0, 1], [0, 1], [1, 1]])
     out = ultra_roth_probe(scaffold, all_graphs(5))
-    if not out["all_s_roth"]:
-        for rec in out["failures"]:
-            assert set(rec) == {"g_graph6", "mu", "reason"}
+    assert not out["all_s_roth"]
+    for rec in out["failures"]:
+        assert set(rec) == {"g_graph6", "mu", "reason"}
+    # the same failures, one instance at a time through the Graph codec
+    failing = [g6 for g6 in encode_graph6(all_graphs(5))
+               if not s_roth_oracle(compose(2, parse_graph6(g6), scaffold)).is_s_roth]
+    assert [rec["g_graph6"] for rec in out["failures"]] == failing
+    assert len(failing) == 33

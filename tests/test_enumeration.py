@@ -5,12 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+import rothlab.enumeration
 from rothlab.enumeration import (
     all_graphs,
     all_trees,
     enumerate_connected_bipartite,
 )
-from rothlab.graphs import Graph
+from rothlab.graphs import Graph, encode_graph6
 
 
 def test_known_counts():
@@ -100,8 +101,8 @@ def test_all_graphs_counts():
 
 def test_all_graphs_are_distinct_objects():
     gs = all_graphs(5)
-    assert len({g.edges for g in gs}) == len(gs)
-    assert all(g.n == 5 for g in gs)
+    assert len({frozenset(_edges(a)) for a in gs}) == len(gs)
+    assert gs.shape[1:] == (5, 5)
 
 
 def test_all_trees_counts():
@@ -114,14 +115,14 @@ def test_trees_are_trees():
     from rothlab.graphs import is_connected
 
     for n in range(2, 9):
-        for g in all_trees(n):
-            assert len(g.edges) == n - 1
-            assert is_connected(g.adjacency())
+        for a in all_trees(n):
+            assert len(_edges(a)) == n - 1
+            assert is_connected(a)
 
 
 def test_trees_subset_of_graphs():
     for n in range(1, 8):
-        keys = {frozenset(g.edges) for g in all_graphs(n)}
+        keys = {frozenset(_edges(a)) for a in all_graphs(n)}
         seen = set()
         for t in all_trees(n):
             # not necessarily the same labeling; count by brute canonical form
@@ -129,10 +130,14 @@ def test_trees_subset_of_graphs():
         assert len(seen) == len(all_trees(n))
 
 
-def _canon_small(g: Graph) -> tuple:
+def _edges(a) -> list:
+    return [tuple(e) for e in np.argwhere(np.triu(a)).tolist()]
+
+
+def _canon_small(a) -> tuple:
     best = None
-    for p in itertools.permutations(range(g.n)):
-        key = tuple(sorted(tuple(sorted((p[u], p[v]))) for (u, v) in g.edges))
+    for p in itertools.permutations(range(len(a))):
+        key = tuple(sorted(tuple(sorted((p[u], p[v]))) for (u, v) in _edges(a)))
         if best is None or key < best:
             best = key
     return best
@@ -142,3 +147,23 @@ def test_graph_enumeration_canonical_distinct():
     for n in range(1, 7):
         keys = {_canon_small(g) for g in all_graphs(n)}
         assert len(keys) == len(all_graphs(n))
+
+
+def test_enumerators_keep_their_labelled_order():
+    # the sweeps report counterexamples by graph6, so the labelling and the order are part of the output
+    assert encode_graph6(all_graphs(4)) == ["C?", "CQ", "C]", "CC", "CU", "CE", "CF", "CT", "CV", "C^", "C~"]
+    assert encode_graph6(all_trees(7)) == ["FqGOO", "FqHA?", "FqH@?", "FqHC?", "FqH?O", "FqI?G", "FqIC?",
+                                           "FqH?_", "FsaC?", "FsaA?", "Fs`A?"]
+
+
+def test_enumerated_stacks_are_read_only():
+    # the stacks are cached: a write would reach every later caller
+    for a in (all_graphs(5), all_trees(6)):
+        assert a.dtype == np.int64
+        with pytest.raises(ValueError):
+            a[0, 0, 1] = 1
+
+
+def test_enumeration_binds_no_graph():
+    # inside the enumerators a graph is a bit code, outside an adjacency stack
+    assert not any(value is Graph for value in vars(rothlab.enumeration).values())
