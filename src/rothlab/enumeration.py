@@ -15,31 +15,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _pair_stack, _reach
+from .graphs import _reach
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000
 
 
-def _perm_lut(m: int) -> np.ndarray:
-    """lut[p, c] = image of column type c under the p-th permutation of m rows."""
-    perms = list(itertools.permutations(range(m)))
-    ncols = 1 << m
-    lut = np.zeros((len(perms), ncols), dtype=np.int64)
-    for pi, p in enumerate(perms):
-        for c in range(ncols):
-            out = 0
-            for i in range(m):
-                if c >> i & 1:
-                    out |= 1 << p[i]
-            lut[pi, c] = out
-    return lut
-
-
 def _canonical_codes(m: int, cols: int):
     """Yield the canonical column-multisets of an m x cols biadjacency, in chunks (M, cols) of column codes."""
-    lut = _perm_lut(m)
     ncols = 1 << m
+    # lut[p, c] = image of column type c under the p-th permutation of the m rows, the identity first
+    lut = (1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
     w = (ncols ** np.arange(cols - 1, -1, -1)).astype(np.int64)
     it = itertools.combinations_with_replacement(range(1, ncols), cols)
     while True:
@@ -75,80 +61,95 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     return np.swapaxes(k, -1, -2) if transpose else k
 
 
-# all graphs on n vertices up to isomorphism, by vertex augmentation.  Inside, a
-# graph on n vertices is its graph6 bit code held as an int: the pair u < v is
-# bit v(v-1)/2 + u, so adding vertex n-1 sets bits from (n-1)(n-2)/2 up.
+# all graphs on n vertices up to isomorphism, by vertex augmentation: the extensions
+# of all_graphs(n - 1), parent major, then sub ascending, are keyed in blocks
+
+_BLOCK = 1 << 14  # extensions keyed at once: about 1 MB of bool adjacency at n = 8
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple:
-    return tuple((u, v) for v in range(1, n) for u in range(v))
-
-
-def _edges(n: int, code: int) -> tuple:
-    """The pairs (u, v), u < v, of a bit code on n vertices, in bit order, and its adjacency lists."""
-    pairs, edges, adj = _pairs(n), [], [[] for _ in range(n)]
-    while code:
-        low = code & -code
-        u, v = pairs[low.bit_length() - 1]
-        edges.append((u, v))
-        adj[u].append(v)
-        adj[v].append(u)
-        code ^= low
-    return edges, adj
-
-
-def _code_stack(n: int, codes) -> np.ndarray:
-    """The read-only int64 adjacency stack (N, n, n) of N bit codes on n vertices."""
-    bits = np.array([[c >> i & 1 for i in range(n * (n - 1) // 2)] for c in codes], dtype=bool)
-    a = _pair_stack(bits, n).astype(np.int64)
-    a.flags.writeable = False  # the stack is cached and shared by every caller
+def _extend(prev: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Bool stack (N, m + 1, m + 1): prev[e >> m], on m vertices, plus vertex m joined to the bits of e mod 2^m."""
+    m = prev.shape[-1]
+    a = np.zeros((len(e), m + 1, m + 1), dtype=bool)
+    a[:, :m, :m] = prev[e >> m]
+    a[:, :m, m] = a[:, m, :m] = e[:, None] >> np.arange(m) & 1
     return a
 
 
-def _stack_codes(a: np.ndarray) -> list:
-    """The bit codes of an adjacency stack (N, n, n)."""
-    v, u = np.tril_indices(a.shape[-1], -1)
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(a[:, u, v], axis=1, bitorder="little")]
+def _ranks(key: np.ndarray) -> np.ndarray:
+    """The dense rank (B, n), as uint8, of each entry of each row of key among the distinct values of its row."""
+    order = np.argsort(key, axis=1)
+    ranked = np.take_along_axis(key, order, axis=1)
+    rank = np.zeros(key.shape, dtype=np.uint8)
+    rank[:, 1:] = np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1)
+    np.put_along_axis(rank, order, rank.copy(), axis=1)
+    return rank
 
 
-def _refine_colors(n: int, adj) -> list:
-    colors = [0] * n
-    while True:
-        key = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
-        order = {k: i for i, k in enumerate(sorted(set(key)))}
-        new = [order[k] for k in key]
-        if new == colors:
-            return colors
-        colors = new
+def _refine_colors(a: np.ndarray) -> np.ndarray:
+    """The stable colour refinement (B, n), as uint8, of each graph of a bool stack (B, n, n).
+
+    Colours start as degree ranks; each round ranks the vertices by colour, then sorted neighbour
+    colours, until none changes.  Vertices of one colour share a degree, so that tuple order is the
+    order of an int in base n + 1: the colour, then per vertex 0 or neighbour colour + 1, ascending.
+    """
+    b, n = a.shape[:2]
+    digits = (n + 1) ** np.arange(n - 1, -1, -1)
+    colors = _ranks(a.sum(axis=2))
+    live = np.arange(b)  # graphs whose colours changed in the last round
+    while live.size:
+        c = colors[live]
+        nb = a[live] * (c[:, None, :] + np.uint8(1))
+        nb.sort(axis=2)
+        new = _ranks(c * digits[0] + np.einsum("bvj,j->bv", nb, digits))  # einsum casts nb in small buffers
+        colors[live] = new
+        live = live[(new != c).any(axis=1)]
+    return colors
 
 
-def _canon_code(n: int, code: int) -> int:
-    """Minimum edge bitmask (bit a*n + b for positions a < b) over permutations respecting the refined colouring."""
-    edges, adj = _edges(n, code)
-    colors = _refine_colors(n, adj)
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    pools = [list(itertools.permutations(cells[c])) for c in sorted(cells)]
-    best = None
-    bit = _pair_bits(n)
-    for combo in itertools.product(*pools):
-        pos = [0] * n
-        for i, v in enumerate(itertools.chain.from_iterable(combo)):
-            pos[v] = i
-        key = 0
-        for (u, v) in edges:
-            key |= bit[pos[u]][pos[v]]
-        if best is None or key < best:
-            best = key
-    return best
+def _cell_perms(cells: tuple) -> np.ndarray:
+    """The permutations (P, n) of 0..n-1 that map each run of equal entries of cells onto itself, identity first."""
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for _, run in itertools.groupby(range(len(cells)), key=cells.__getitem__):
+        q = np.array(list(itertools.permutations(run)))
+        perms = np.hstack([np.repeat(perms, len(q), axis=0), np.tile(q, (len(perms), 1))])
+    return perms
 
 
 @lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple:
-    """bit[a][b] = 1 << (a*n + b) for positions a < b, and the same for b < a."""
-    return tuple(tuple(1 << (min(a, b) * n + max(a, b)) for b in range(n)) for a in range(n))
+def _cell_ranks(cells: tuple) -> np.ndarray:
+    """Pair ranks (P, n(n-1)/2), as uint8: row p holds, for each pair i < j in row-major order,
+    the row-major rank of the pair that the p-th permutation of _cell_perms moves it to."""
+    n, perms = len(cells), _cell_perms(cells)
+    iu, ju = np.triu_indices(n, 1)
+    rank = np.zeros((n, n), dtype=np.uint8)
+    rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
+    return rank[perms[:, iu], perms[:, ju]]
+
+
+def _canonical_keys(a: np.ndarray) -> np.ndarray:
+    """The canonical key (B,) of each graph of a bool stack (B, n, n).
+
+    The least, over the orders within each colour cell (cells in colour order), of the upper
+    triangle read as an int with row-major pair k at bit k.  Keys order graphs as the edge
+    bitmasks with bit a*n + b for positions a < b do.
+    """
+    b, n = a.shape[:2]
+    colors = _refine_colors(a)
+    order = np.argsort(colors, axis=1)
+    iu, ju = np.triu_indices(n, 1)
+    upper = a[np.arange(b)[:, None], order[:, iu], order[:, ju]]
+    cells, group = np.unique(np.sort(colors, axis=1), axis=0, return_inverse=True)
+    keys = np.empty(b, dtype=np.int64)
+    for g, row in enumerate(cells):
+        ranks, members = _cell_ranks(tuple(row.tolist())), group == g
+        u = upper[members].astype(np.int64)
+        best = np.full(len(u), np.iinfo(np.int64).max)
+        step = max(1, _BLOCK * 8 // len(u))  # keeps each (G, step) product near 1 MB
+        for p in range(0, len(ranks), step):
+            np.minimum(best, (u @ (1 << ranks[p:p + step].T.astype(np.int64))).min(axis=1), out=best)
+        keys[members] = best
+    return keys
 
 
 @lru_cache(maxsize=None)
@@ -157,39 +158,42 @@ def all_graphs(n: int) -> np.ndarray:
 
     A cached, read-only int64 adjacency stack (N, n, n): of each class, the
     first labelled extension of all_graphs(n - 1) met, in canonical-key order.
+    n above 11 raises ValueError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 11:
+        raise ValueError(f"n = {n} exceeds 11: a canonical key of n(n-1)/2 bits overflows int64")
     if n == 1:
-        return _code_stack(1, [0])
-    reps = {}
-    shift = (n - 1) * (n - 2) // 2
-    for g in _stack_codes(all_graphs(n - 1)):
-        for sub in range(1 << (n - 1)):
-            code = g | sub << shift
-            reps.setdefault(_canon_code(n, code), code)
-    return _code_stack(n, [reps[k] for k in sorted(reps)])
+        return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
+    prev = all_graphs(n - 1).astype(bool)
+    total = len(prev) << (n - 1)
+    keys = np.concatenate([_canonical_keys(_extend(prev, np.arange(lo, min(lo + _BLOCK, total))))
+                           for lo in range(0, total, _BLOCK)])
+    first = np.unique(keys, return_index=True)[1]
+    return _read_only(_extend(prev, first).astype(np.int64))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # the stack is cached and shared by every caller
+    return a
 
 
 # trees up to isomorphism, by leaf augmentation with a rooted canonical form
 
 
 def _tree_centers(n: int, adj) -> list:
-    if n == 1:
-        return [0]
-    deg = [len(adj[v]) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = len(layer)
-    while removed < n:
+    """The one or two centres of a tree: peel off leaves until at most two vertices are left."""
+    deg = [len(nbrs) for nbrs in adj]
+    layer, left = [v for v in range(n) if deg[v] <= 1], n
+    while left > 2:
+        left -= len(layer)
         nxt = []
         for v in layer:
             for u in adj[v]:
                 deg[u] -= 1
                 if deg[u] == 1:
                     nxt.append(u)
-        if not nxt:
-            break
-        removed += len(nxt)
         layer = nxt
     return sorted(layer)
 
@@ -217,11 +221,12 @@ def all_trees(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     if n == 1:
-        return _code_stack(1, [0])
+        return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
+    prev = all_trees(n - 1).astype(bool)
+    # parent major, then the vertex the leaf hangs from
+    a = _extend(prev, (np.arange(len(prev))[:, None] << n - 1 | 1 << np.arange(n - 1)).ravel())
+    nbrs = np.nonzero(a)[2].reshape(len(a), -1).tolist()  # row-major: a tree's 2(n - 1) entries, vertex by vertex
     reps = {}
-    shift = (n - 1) * (n - 2) // 2
-    for g in _stack_codes(all_trees(n - 1)):
-        for v in range(n - 1):
-            code = g | 1 << (shift + v)
-            reps.setdefault(_tree_key(n, _edges(n, code)[1]), code)
-    return _code_stack(n, [reps[k] for k in sorted(reps)])
+    for i, (vs, ends) in enumerate(zip(nbrs, a.sum(axis=2).cumsum(axis=1).tolist())):
+        reps.setdefault(_tree_key(n, [vs[lo:hi] for lo, hi in zip([0, *ends], ends)]), i)
+    return _read_only(a[[reps[k] for k in sorted(reps)]].astype(np.int64))

@@ -199,14 +199,9 @@ def decode_graph6(lines) -> np.ndarray:
     bits = np.unpackbits(body.astype(np.uint8)[..., None], axis=-1)[..., 2:].reshape(len(lines), 6 * nchars)
     if bits[:, nbits:].any():
         raise ValueError("nonzero trailing bits in graph6 input")
-    return _pair_stack(bits[:, :nbits], n)
-
-
-def _pair_stack(bits, n: int) -> np.ndarray:
-    """Bool adjacency stack (N, n, n) of N rows of graph6 pair bits: bit v(v-1)/2 + u holds the pair u < v."""
-    a = np.zeros((len(bits), n, n), dtype=bool)
+    a = np.zeros((len(lines), n, n), dtype=bool)
     v, u = np.tril_indices(n, -1)
-    a[:, u, v] = a[:, v, u] = bits
+    a[:, u, v] = a[:, v, u] = bits[:, :nbits]
     return a
 
 

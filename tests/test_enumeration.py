@@ -1,7 +1,9 @@
 """Bipartite scaffold enumeration, small-graph and tree generators."""
 
+import hashlib
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -94,8 +96,8 @@ def test_enumeration_output_is_valid():
 
 
 def test_all_graphs_counts():
-    expected = [1, 2, 4, 11, 34, 156, 1044]
-    for n, cnt in zip(range(1, 8), expected):
+    expected = [1, 2, 4, 11, 34, 156, 1044, 12346]
+    for n, cnt in zip(range(1, 9), expected):
         assert len(all_graphs(n)) == cnt
 
 
@@ -122,12 +124,11 @@ def test_trees_are_trees():
 
 def test_trees_subset_of_graphs():
     for n in range(1, 8):
-        keys = {frozenset(_edges(a)) for a in all_graphs(n)}
-        seen = set()
+        candidates = [nx.from_numpy_array(a) for a in all_graphs(n) if a.sum() == 2 * (n - 1)]
+        candidates = [g for g in candidates if nx.is_connected(g)]
         for t in all_trees(n):
-            # not necessarily the same labeling; count by brute canonical form
-            seen.add(_canon_small(t))
-        assert len(seen) == len(all_trees(n))
+            tree = nx.from_numpy_array(t)
+            assert sum(nx.is_isomorphic(tree, g) for g in candidates) == 1
 
 
 def _edges(a) -> list:
@@ -165,5 +166,97 @@ def test_enumerated_stacks_are_read_only():
 
 
 def test_enumeration_binds_no_graph():
-    # inside the enumerators a graph is a bit code, outside an adjacency stack
+    # the enumerators hold graphs as adjacency stacks throughout
     assert not any(value is Graph for value in vars(rothlab.enumeration).values())
+
+
+def test_enumerated_stacks_match_their_pinned_digests():
+    # sha256 of the graph6 lines joined by newlines, recorded from the per-code labeller
+    # that the stacked canonical key replaced: the labelled output and its order are pinned
+    pinned = {
+        (all_graphs, 5): "313f5c6f37b5b243a4f6db065ca72b4b5c3656cd3a3880420f7759f4c84ba8d3",
+        (all_graphs, 6): "02462efa1a05aa67541a345d4e097f51accf828de12ca43f6fdbfdf5ead44bff",
+        (all_graphs, 7): "bb522a56ea143f2771b027ce9d8ecdfac6c1d083faa1801e3e45b224f5d1a6e2",
+        (all_graphs, 8): "89d25a55c9fb9df05b2bf674d8066dfd3561b80a45defcc0825a1197f307de12",
+        (all_trees, 8): "79937b253a5064b284ec16229d5aeaac3c8650a243e80f18b73b75cc7e8ede0d",
+        (all_trees, 9): "175095c4c6c779422e3e746faca45015256de368809c6b3a6ccee93a487310be",
+        (all_trees, 10): "9b75eab16858d31dd46aea27726ac4f225aabd56000d36823da549cafdbc20c5",
+        (all_trees, 11): "bdf2d65bfab97048f12a3660e87c6e3368ec4899b381aafa3cb4e520ee9b021e",
+        (all_trees, 12): "d490673239ac25d7813da63ba696ca403ce54767ae459a671eabd3731f13c24c",
+    }
+    for (enumerate_, n), digest in pinned.items():
+        text = "\n".join(encode_graph6(enumerate_(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (enumerate_.__name__, n)
+
+
+# reference labeller: colour refinement, then the least edge bitmask (bit a*n + b for the
+# positions a < b of each edge) over the orders of each colour cell, one graph at a time
+
+
+def _ref_refine_colors(n: int, adj) -> list:
+    colors = [0] * n
+    while True:
+        key = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+        order = {k: i for i, k in enumerate(sorted(set(key)))}
+        new = [order[k] for k in key]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _ref_canon_code(n: int, edges, adj) -> int:
+    colors = _ref_refine_colors(n, adj)
+    cells = {}
+    for v, c in enumerate(colors):
+        cells.setdefault(c, []).append(v)
+    best = None
+    for combo in itertools.product(*(itertools.permutations(cells[c]) for c in sorted(cells))):
+        pos = [0] * n
+        for i, v in enumerate(itertools.chain.from_iterable(combo)):
+            pos[v] = i
+        key = 0
+        for (u, v) in edges:
+            key |= 1 << (min(pos[u], pos[v]) * n + max(pos[u], pos[v]))
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _extensions(n: int) -> np.ndarray:
+    """Every graph all_graphs(n - 1)[i] plus vertex n - 1 joined to the bits of sub, i major, sub ascending."""
+    out = []
+    for g in all_graphs(n - 1):
+        for sub in range(1 << (n - 1)):
+            a = np.zeros((n, n), dtype=bool)
+            a[:n - 1, :n - 1] = g
+            a[:n - 1, n - 1] = a[n - 1, :n - 1] = [sub >> i & 1 for i in range(n - 1)]
+            out.append(a)
+    return np.array(out)
+
+
+def test_stacked_labeller_matches_the_reference():
+    rng = np.random.default_rng(20140101)
+    for n in range(2, 9):
+        ext = _extensions(n)
+        if n >= 7:
+            ext = ext[np.sort(rng.choice(len(ext), 2000, replace=False))]
+        colors = rothlab.enumeration._refine_colors(ext)
+        keys = rothlab.enumeration._canonical_keys(ext).tolist()
+        iu, ju = np.triu_indices(n, 1)
+        for a, got_colors, got in zip(ext, colors.tolist(), keys):
+            edges = _edges(a)
+            adj = [np.flatnonzero(row).tolist() for row in a]
+            assert got_colors == _ref_refine_colors(n, adj)
+            # the stacked key puts pair rank k at bit k; the reference puts it at bit iu[k]*n + ju[k]
+            as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
+            assert as_ref == _ref_canon_code(n, edges, adj)
+
+
+def test_all_graphs_refuses_orders_whose_keys_overflow(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("all_graphs enumerated before refusing the order")
+
+    monkeypatch.setattr(rothlab.enumeration, "_extend", no_enumeration)
+    for n in (12, 13, 40):
+        with pytest.raises(ValueError, match="overflow"):
+            all_graphs(n)
