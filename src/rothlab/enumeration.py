@@ -94,14 +94,14 @@ def _refine_colors(a: np.ndarray) -> np.ndarray:
     order of an int in base n + 1: the colour, then per vertex 0 or neighbour colour + 1, ascending.
     """
     b, n = a.shape[:2]
-    digits = (n + 1) ** np.arange(n - 1, -1, -1)
+    digits = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     colors = _ranks(a.sum(axis=2))
     live = np.arange(b)  # graphs whose colours changed in the last round
     while live.size:
         c = colors[live]
         nb = a[live] * (c[:, None, :] + np.uint8(1))
         nb.sort(axis=2)
-        new = _ranks(c * digits[0] + np.einsum("bvj,j->bv", nb, digits))  # einsum casts nb in small buffers
+        new = _ranks(c.astype(np.int64) * digits[0] + np.einsum("bvj,j->bv", nb, digits))  # int64 on numpy 1.x too
         colors[live] = new
         live = live[(new != c).any(axis=1)]
     return colors
@@ -157,8 +157,8 @@ def all_graphs(n: int) -> np.ndarray:
     """All graphs on n vertices up to isomorphism (1, 2, 4, 11, 34, 156, 1044, ...).
 
     A cached, read-only int64 adjacency stack (N, n, n): of each class, the
-    first labelled extension of all_graphs(n - 1) met, in canonical-key order.
-    n above 11 raises ValueError.
+    first labelled extension of all_graphs(n - 1) met, in canonical-key order. n above 11
+    raises ValueError; n above 8 is untested, and a one-cell group holds all n! cell orders.
     """
     if n < 1:
         raise ValueError("need n >= 1")

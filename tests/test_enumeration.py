@@ -123,12 +123,18 @@ def test_trees_are_trees():
 
 
 def test_trees_subset_of_graphs():
+    # each tree matches exactly one connected (n - 1)-edge graph, and no two trees match the
+    # same one: the trees are a bijection onto those graphs, so they are pairwise non-isomorphic
     for n in range(1, 8):
         candidates = [nx.from_numpy_array(a) for a in all_graphs(n) if a.sum() == 2 * (n - 1)]
         candidates = [g for g in candidates if nx.is_connected(g)]
+        matched = []
         for t in all_trees(n):
             tree = nx.from_numpy_array(t)
-            assert sum(nx.is_isomorphic(tree, g) for g in candidates) == 1
+            hits = [i for i, g in enumerate(candidates) if nx.is_isomorphic(tree, g)]
+            assert len(hits) == 1, (n, hits)
+            matched += hits
+        assert sorted(matched) == list(range(len(candidates))), n
 
 
 def _edges(a) -> list:
