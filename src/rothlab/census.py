@@ -13,6 +13,7 @@ with other parameters refuses to resume it.
 from __future__ import annotations
 
 import csv
+import gc
 import heapq
 import json
 import os
@@ -169,20 +170,18 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
             writer.writerow(DETAIL_COLUMNS)
         work = partial(_census_rows, g.adjacency())
         text = iter(texts[done:])
-        with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
-            for rows in (pool.imap(work, blocks) if pool else map(work, blocks)):
-                writer.writerows([next(text)] + row for row in rows)
+        gc.freeze()  # while the blocks are decided, a forked worker's full collection skips these objects: no copy
+        try:
+            with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
+                for rows in (pool.imap(work, blocks) if pool else map(work, blocks)):
+                    writer.writerows([next(text)] + row for row in rows)
+        finally:
+            gc.unfreeze()
 
-    counts = {"s_roth": 0, "harmcond": 0, "m_matrix": 0, "inv_positive": 0}
-    total = 0
-    with open(detail_path) as fh:
-        for rec in csv.DictReader(fh):
-            total += 1
-            for key in counts:
-                counts[key] += rec[key] == "1"
-    row = CensusRow(s=s, t=t, total=total, n_s_roth=counts["s_roth"],
-                    n_harmcond=counts["harmcond"], n_m_matrix=counts["m_matrix"],
-                    n_inv_positive=counts["inv_positive"])
+    with open(detail_path, newline="") as fh:  # the whole file, so that resumed rows count too
+        recs = csv.reader(fh)
+        col = dict(zip(next(recs), zip(*recs)))  # header field -> that column's values
+    row = CensusRow(s=s, t=t, total=len(col["graph6"]), **{f"n_{k}": col[k].count("1") for k in DETAIL_COLUMNS[3:]})
 
     def write_summary(fh):
         writer = csv.writer(fh)

@@ -1,11 +1,12 @@
 """Isomorph-free generation: connected bipartite scaffolds, small graphs, trees.
 
-Bipartite scaffolds with parts (t, s) are generated as multisets of column
-types (a column type is a nonempty subset of the smaller part), which keeps
-the working set at multiset-coefficient size instead of 2^(t*s).  A matrix is
-emitted iff it equals its canonical form: the lexicographically least
-biadjacency under independent part permutations.  Emission is in ascending
-canonical order, so the stream is deterministic and duplicate free.
+Bipartite scaffolds with parts (t, s) are multisets of column types (nonempty
+subsets of the smaller part, as bitmasks), kept iff the ascending code tuple is
+least among its sorted images under the row permutations.  Orderly generation
+(Read 1978; McKay 1998) appends columns c >= the last to canonical tuples only:
+a prefix X' of a canonical X is canonical, since the r-th entry of sorted p(X)
+is at most that of sorted p(X').  Tuples come out in lexicographic order, and
+only full tuples are tested for connectivity.
 """
 
 from __future__ import annotations
@@ -18,26 +19,29 @@ import numpy as np
 from .graphs import _reach
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
-_CHUNK = 500_000
+_CHUNK = 500_000  # candidate tuples tested at once
 
 
-def _canonical_codes(m: int, cols: int):
-    """Yield the canonical column-multisets of an m x cols biadjacency, in chunks (M, cols) of column codes."""
+def _canonical_codes(m: int, cols: int) -> np.ndarray:
+    """The canonical column-multisets (M, cols) of an m x cols biadjacency, as ascending codes, in lex order."""
     ncols = 1 << m
+    dtype = np.min_scalar_type(ncols - 1)  # narrow codes keep the candidate stacks small
     # lut[p, c] = image of column type c under the p-th permutation of the m rows, the identity first
-    lut = (1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
-    w = (ncols ** np.arange(cols - 1, -1, -1)).astype(np.int64)
-    it = itertools.combinations_with_replacement(range(1, ncols), cols)
-    while True:
-        chunk = np.array(list(itertools.islice(it, _CHUNK)), dtype=np.int64)
-        if chunk.size == 0:
-            return
-        codes = chunk @ w
-        best = codes.copy()
-        for pi in range(1, lut.shape[0]):
-            mapped = np.sort(lut[pi][chunk], axis=1)
-            np.minimum(best, mapped @ w, out=best)
-        yield chunk[codes == best]
+    lut = ((1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)).astype(dtype)
+    level = np.zeros((1, 0), dtype=dtype)
+    for k in range(1, cols + 1):
+        # each canonical parent, in order, then each column type c >= its last one (lut[0] lists the types in order)
+        cand = np.hstack([np.repeat(level, ncols - 1, axis=0), np.tile(lut[0, 1:, None], (len(level), 1))])
+        cand = cand[cand[:, -1] >= cand[:, -min(k, 2)]]  # at k = 1 a column meets only itself
+        w = ncols ** np.arange(k - 1, -1, -1, dtype=np.int64)
+        keep = []
+        for chunk in np.split(cand, range(_CHUNK, len(cand), _CHUNK)):
+            best = chunk @ w
+            for p in lut[1:]:
+                np.minimum(best, np.sort(p[chunk], axis=1) @ w, out=best)
+            keep.append(chunk[chunk @ w == best])
+        level = np.concatenate(keep)
+    return level
 
 
 def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
@@ -52,12 +56,9 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     if t * s > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
-    out = []
-    for codes in _canonical_codes(m, cols):
-        k = codes[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
-        # column codes are nonzero, so B is connected iff its rows are, through shared columns
-        out.append(k[_reach(k @ np.swapaxes(k, -1, -2)).all(axis=(-2, -1))])
-    k = np.concatenate(out)
+    k = _canonical_codes(m, cols)[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
+    # column codes are nonzero, so B is connected iff its rows are, through shared columns
+    k = k[_reach(k @ np.swapaxes(k, -1, -2)).all(axis=(-2, -1))]
     return np.swapaxes(k, -1, -2) if transpose else k
 
 

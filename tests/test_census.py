@@ -1,6 +1,7 @@
 """Census pipeline, conjecture sweeps, one-parameter probes."""
 
 import csv
+import gc
 import json
 import os
 import shutil
@@ -118,6 +119,7 @@ def test_census_blocks_and_pool_give_identical_files(tmp_path):
     assert 558 > CENSUS_BLOCK
     rows = [run_census(4, 5, out_dir=str(tmp_path / str(jobs)), jobs=jobs) for jobs in (1, 2)]
     assert rows[0] == rows[1] and rows[0].total == 558
+    assert gc.get_freeze_count() == 0  # the objects frozen while the blocks are decided are released
     for name in ("classify_t4_s5.csv", "census_t4_s5.csv", "classify_t4_s5.json"):
         with open(tmp_path / "1" / name, "rb") as a, open(tmp_path / "2" / name, "rb") as b:
             assert a.read() == b.read()
