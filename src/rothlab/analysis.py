@@ -190,23 +190,29 @@ def build_q_mu(inst: CompositeInstance, mu: float) -> np.ndarray:
     return _q_mu(inst.A, inst.K, mu)
 
 
-def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> list:
-    """Q_mu over the rationals, valid when mu = c exactly and c < min(D2)."""
-    t, s = k.shape
-    qg = (np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))).tolist()
-    w = [Fraction(1, c - int(d)) for d in k.sum(axis=0)]
-    k = k.tolist()
-    return [[qg[i][j] + sum((w[x] for x in range(s) if k[i][x] and k[j][x]), Fraction(0))
-             for j in range(t)] for i in range(t)]
+def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
+    """The integer L*Q_mu = L*(Q(G) + D1) - K diag(L/(d_B(k) - c)) K^T at mu = c < min(D2).
+
+    L = lcm(d_B(k) - c) > 0.  int64, or Python ints when L*(largest entry of Q(G) + D1, plus s) passes int64.
+    """
+    qg = np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))
+    gaps = k.sum(axis=0).astype(np.int64) - c
+    lcm = math.lcm(*np.unique(gaps).tolist())
+    big = lcm * (int(qg.max()) + k.shape[1]) > np.iinfo(np.int64).max
+    qg, k, gaps = (x.astype(object if big else np.int64) for x in (qg, k, gaps))
+    return lcm * qg - (k * (lcm // gaps)) @ k.T
 
 
 def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_positive: bool) -> MatrixClassReport:
-    """Q_mu classes at mu = c from the rational Q_mu and the verdict's kernel."""
+    """Q_mu classes at mu = c from the integer L*Q_mu and the verdict's kernel.
+
+    L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
+    """
     t = k.shape[0]
     mq = _exact_q_mu(a, k, c)
-    z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
+    z_matrix = bool(np.all(mq[~np.eye(t, dtype=bool)] <= 0))
     if t <= 16:
-        minv = exact_inverse(mq)
+        minv = exact_inverse(mq.tolist())
         inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
     # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
     minpositive = False
@@ -228,7 +234,7 @@ def _classify(q_mu: np.ndarray, a: np.ndarray, k: np.ndarray, verdicts: list) ->
     T-parts of those of Q(H).  One stacked inverse serves the whole stack.  A
     verdict decided from a rational kernel (mu on an integer c: the t-s
     boundary of complete scaffolds and its relatives) has its flags computed
-    from the rational Q_mu and that kernel, so borderline zero entries are
+    from the integer L*Q_mu and that kernel, so borderline zero entries are
     decided exactly.
     """
     t = q_mu.shape[-1]
@@ -293,17 +299,16 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     low = edge & (harm < lcm)  # G-edges with harmonic sum below 1
     empty = ~edge & (common == 0)  # non-adjacent pairs without a common S-neighbour
     gc = ~np.any((edge & (common < d2.max(axis=1)[:, None])) | empty, axis=1)
-    pairs = list(zip(iu.tolist(), ju.tolist()))
     conditions = []
     for i, (any_low, first_low, any_empty, first_empty) in enumerate(zip(
             low.any(axis=1).tolist(), low.argmax(axis=1).tolist(),
             empty.any(axis=1).tolist(), empty.argmax(axis=1).tolist())):
-        if any_low:
-            conditions.append(HarmonicCondition(False, pairs[first_low], Fraction(int(harm[i, first_low]), lcm)))
-        elif any_empty:
-            conditions.append(HarmonicCondition(False, pairs[first_empty], Fraction(0)))
-        else:
+        if not (any_low or any_empty):
             conditions.append(HarmonicCondition(True, None, None))
+            continue
+        j = first_low if any_low else first_empty
+        total = Fraction(int(harm[i, j]), lcm) if any_low else Fraction(0)
+        conditions.append(HarmonicCondition(False, (int(iu[j]), int(ju[j])), total))
     return conditions, gc
 
 

@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Subcommands: analyze (single-instance JSON report), census (Table-style CSV),
-noise (seeded sign-pattern recovery trials), conjecture (family sweeps),
-bounds (inverse-bound sweeps as CSV).  Exit codes for analyze: 0 when the
-instance is S-Roth, 3 when it is not, 1 on any error.
+Subcommands: analyze (single-instance JSON report on one line), census
+(Table-style CSV), noise (seeded sign-pattern recovery trials), conjecture
+(family sweeps), bounds (inverse-bound sweeps as CSV).  Exit codes for
+analyze: 0 when the instance is S-Roth, 3 when it is not, 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -93,7 +94,7 @@ def cmd_analyze(args) -> int:
             "upper_cut": spectra.mu_upper_bound_cut(inst),
         },
     }
-    sys.stdout.write(json.dumps(report, indent=2, default=_json_default) + "\n")
+    print(json.dumps(report, default=_json_default))
     return 0 if verdict.is_s_roth else 3
 
 
@@ -198,6 +199,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rothlab",
                                 description="Smallest signless-Laplacian eigenvector sign analysis")

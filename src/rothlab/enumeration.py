@@ -49,10 +49,12 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
 
     Classes are taken under independent permutations of the two parts; parts
     never swap.  Matrices arrive in ascending canonical order.  t*s above
-    EXHAUSTIVE_LIMIT raises unless allow_long is set.
+    EXHAUSTIVE_LIMIT raises unless allow_long is set, and above 63 always.
     """
     if t < 1 or s < 1:
         raise ValueError("need t, s >= 1")
+    if t * s > 63:  # _canonical_codes packs a tuple of columns into t*s bits
+        raise ValueError(f"t*s = {t*s} exceeds 63: packed column codes would overflow int64")
     if t * s > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
@@ -159,7 +161,7 @@ def all_graphs(n: int) -> np.ndarray:
 
     A cached, read-only int64 adjacency stack (N, n, n): of each class, the
     first labelled extension of all_graphs(n - 1) met, in canonical-key order. n above 11
-    raises ValueError; n above 8 is untested, and a one-cell group holds all n! cell orders.
+    raises ValueError; n above 9 is untested, and a one-cell group holds all n! cell orders.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -171,6 +173,7 @@ def all_graphs(n: int) -> np.ndarray:
     total = len(prev) << (n - 1)
     keys = np.concatenate([_canonical_keys(_extend(prev, np.arange(lo, min(lo + _BLOCK, total))))
                            for lo in range(0, total, _BLOCK)])
+    _cell_ranks.cache_clear()  # its keys have length n, so no other level reuses an entry
     first = np.unique(keys, return_index=True)[1]
     return _read_only(_extend(prev, first).astype(np.int64))
 

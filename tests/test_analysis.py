@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,9 @@ from rothlab.analysis import (
     REASON_MULTIPLE,
     REASON_SIGNED,
     REASON_ZERO,
+    MatrixClassReport,
+    _exact_classes,
+    _exact_q_mu,
     alpha_of,
     boundary_characterization,
     build_q_mu,
@@ -54,7 +58,15 @@ from rothlab.graphs import (
 )
 from rothlab.census import load_scaffolds
 from rothlab.cli import main
-from rothlab.spectra import CLUSTER_TOL, SIGN_TOL, exact_kernel_dim, full_spectrum, signless_laplacian
+from rothlab.enumeration import enumerate_connected_bipartite
+from rothlab.spectra import (
+    CLUSTER_TOL,
+    SIGN_TOL,
+    exact_inverse,
+    exact_kernel_dim,
+    full_spectrum,
+    signless_laplacian,
+)
 
 
 # ---------------------------------------------------------------- oracle
@@ -796,3 +808,80 @@ def test_harmonic_condition_exact_beyond_int64():
     # one all-T vertex fewer: the sum drops to 1 - 1/84
     short = decide_instance(compose(k.shape[1] - 1, g, np.delete(k, 4, axis=1))).harmcond
     assert (short.holds, short.witness, short.witness_sum) == (False, (0, 1), Fraction(83, 84))
+
+
+def _fraction_q_mu(a, k, c):
+    """Reference: Q_mu at mu = c as sums of Fractions, the loop the integer L*Q_mu replaced."""
+    t, s = k.shape
+    qg = (np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))).tolist()
+    w = [Fraction(1, c - int(d)) for d in k.sum(axis=0)]
+    k = k.tolist()
+    return [[qg[i][j] + sum((w[x] for x in range(s) if k[i][x] and k[j][x]), Fraction(0))
+             for j in range(t)] for i in range(t)]
+
+
+def _fraction_classes(a, k, c, basis, inverse_positive):
+    """Reference: the Q_mu classes at mu = c from the Fraction Q_mu."""
+    t = k.shape[0]
+    mq = _fraction_q_mu(a, k, c)
+    z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
+    if t <= 16:
+        minv = exact_inverse(mq)
+        inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
+    w = basis[0][:t] if len(basis) == 1 else None
+    if w is not None and sum(w) < 0:
+        w = [-v for v in w]
+    minpositive = w is not None and all(v > 0 for v in w)
+    return MatrixClassReport(z_matrix, z_matrix, inverse_positive, minpositive), mq
+
+
+def _assert_exact_classes(a, k, c, basis, inverse_positive):
+    """_exact_q_mu is L times the Fraction Q_mu, and _exact_classes gives the reference flags."""
+    ref, mq = _fraction_classes(a, k, c, basis, inverse_positive)
+    lcm = math.lcm(*(int(d) - c for d in k.sum(axis=0)))
+    assert _exact_q_mu(a, k, c).tolist() == [[lcm * v for v in row] for row in mq]
+    assert _exact_classes(a, k, c, basis, inverse_positive) == ref
+    return ref
+
+
+@pytest.mark.parametrize("s", [5, 7])
+def test_exact_classes_match_fraction_reference_on_census(s):
+    a = complete_graph(4).adjacency()
+    ks = enumerate_connected_bipartite(4, s)
+    exact = 0
+    for k, d in zip(ks, decide_stack(a, ks)):
+        v = d.verdict
+        if v.kernel is not None and 0 < v.mu < k.sum(axis=0).min():
+            assert d.classes == _assert_exact_classes(a, k, int(v.mu), v.kernel, None)
+            exact += 1
+    assert exact > 0
+
+
+@pytest.mark.parametrize("s, g", [(3, cycle_graph(k)) for k in (5, 12, 14, 16, 40)]
+                         + [(s, complete_bipartite(1, s)) for s in (1, 2, 6, 15, 29)])
+def test_exact_classes_match_fraction_reference_on_families(s, g):
+    # 3 + C_k sits at mu = 3 (mu = 2 for C_5) and the star K_{1,s} at mu = 1;
+    # past t = 16 the float inverse_positive is kept, as in the reference
+    inst = compose(s, g)
+    d = decide_instance(inst)
+    v = d.verdict
+    assert v.kernel is not None and d.classes is not None
+    assert d.classes == _assert_exact_classes(inst.A, inst.K, int(v.mu), v.kernel, d.classes.inverse_positive)
+
+
+def test_exact_classes_beyond_int64():
+    # S-degrees p + 1 for the primes p up to 53, and one S-vertex on all of T:
+    # at c = 1 the lcm of the d_B(k) - c is 53# * 59, so L * Q_mu needs Python
+    # ints; the classes depend only on A_G, K, c and the kernel basis given
+    t, c = 60, 1
+    primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+    k = np.zeros((t, len(primes) + 1), dtype=np.int64)
+    for j, p in enumerate(primes):
+        k[:p + 1, j] = 1
+    k[:, -1] = 1
+    a = cycle_graph(t).adjacency()
+    mq = _exact_q_mu(a, k, c)
+    assert mq.dtype == object and math.lcm(*primes, t - c) > np.iinfo(np.int64).max
+    basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]
+    report = _assert_exact_classes(a, k, c, basis, True)
+    assert report.minpositive and not report.z_matrix

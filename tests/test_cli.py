@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from rothlab.cli import main
+from rothlab.cli import build_parser, main
 from rothlab.graphs import block_adjacency, complete_bipartite, emit_graph6, encode_graph6
 
 
@@ -42,6 +42,22 @@ def test_analyze_full_instance_report(tmp_path, capsys, ex1):
     assert rep["s_roth"] is True
     assert set(rep["certificates"]) >= {"harmcond", "gc", "bdeg", "st", "gdeg", "deg2"}
     assert "matrix_classes" in rep and "bounds" in rep
+
+
+def test_analyze_prints_one_line_report(tmp_path, capsys, ex2):
+    path = tmp_path / "h2.g6"
+    path.write_text(encode_graph6(block_adjacency(ex2.A, ex2.K[None]))[0] + "\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--s-vertices", "4,5,6,7,8,9,10")
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    rep = json.loads(out)
+    assert (rep["s_roth"], rep["reason"], rep["multiplicity"]) == (True, "SignedEigenvector", 1)
+    assert rep["certificates"] == {
+        "harmcond": False, "harmcond_witness": [0, 1], "gc": False, "bdeg": False,
+        "st": False, "gdeg": "none", "deg2": False,
+        "boundary": {"applicable": False, "s_roth": None, "witness": None}}
+    assert rep["matrix_classes"] == {"z": True, "m_matrix": True, "inv_positive": True,
+                                     "minpositive": True}
 
 
 def test_analyze_failure_exit_code(tmp_path, capsys, ex88):
@@ -255,3 +271,20 @@ def test_explicit_format_override(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["instance"]["t"] == 3
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_consecutive_calls_share_no_argument_state(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 2\n")
+    first = run_cli(capsys, "analyze", str(path), "--complete-scaffold", "4")
+    census = run_cli(capsys, "census", "--t", "2", "--s", "1", "--jobs", "1",
+                     "--out-dir", str(tmp_path))
+    assert census[0] == 0 and json.loads(census[1])["row"]["total"] == 1
+    assert run_cli(capsys, "analyze", str(path), "--complete-scaffold", "4") == first
+    ns = build_parser().parse_args(["census", "--t", "2", "--s", "1"])
+    assert not hasattr(ns, "input") and not hasattr(ns, "complete_scaffold")
+    assert ns.jobs == (os.cpu_count() or 1) and ns.out_dir == "." and not ns.resume

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import os
 
 import networkx as nx
 import numpy as np
@@ -43,6 +44,19 @@ def test_size_guard():
     # explicit override allows oversized shapes; a thin one stays cheap
     mats = list(enumerate_connected_bipartite(41, 1, allow_long=True))
     assert len(mats) == 1 and mats[0].shape == (41, 1)
+
+
+def test_packed_code_limit(monkeypatch):
+    # a tuple of k columns on m rows packs into m*k bits of an int64: past 63 the
+    # shape is refused before any enumeration, even with allow_long
+    def unreachable(m, cols):
+        raise AssertionError("enumeration started")
+
+    assert len(enumerate_connected_bipartite(63, 1, allow_long=True)) == 1
+    monkeypatch.setattr(rothlab.enumeration, "_canonical_codes", unreachable)
+    for shape in ((8, 8), (64, 1), (7, 10)):
+        with pytest.raises(ValueError, match="overflow int64"):
+            enumerate_connected_bipartite(*shape, allow_long=True)
 
 
 def _brute_force_count(t: int, s: int) -> int:
@@ -171,6 +185,23 @@ def test_all_graphs_counts():
     expected = [1, 2, 4, 11, 34, 156, 1044, 12346]
     for n, cnt in zip(range(1, 9), expected):
         assert len(all_graphs(n)) == cnt
+
+
+def test_cell_ranks_cleared_after_each_level():
+    # a level's cell-rank tables are keyed by colour tuples of its own length
+    all_graphs.__wrapped__(6)
+    assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
+
+
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 45 s, 350 MB)")
+def test_all_graphs_nine():
+    # the known count (OEIS A000088); the digest, of the graph6 lines joined by
+    # newlines, pins the labelled output and its order as the n <= 8 digests do
+    gs = all_graphs(9)
+    assert len(gs) == 274668
+    digest = hashlib.sha256("\n".join(encode_graph6(gs)).encode()).hexdigest()
+    assert digest == "01ced676852cfd8c9ed260a657f93b59d0baf4630cdf696df096f3a41054bda0"
+    assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
 
 
 def test_all_graphs_are_distinct_objects():
