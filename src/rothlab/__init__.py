@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .graphs import (
-    Graph,
     CompositeInstance,
     DeleteCross,
     AddIntra,
     apply_noise,
-    common_neighbors,
     complement,
     complete_bipartite,
     complete_graph,
@@ -16,10 +14,7 @@ from .graphs import (
     connected_components,
     cycle_graph,
     decode_graph6,
-    disjoint_union,
     empty_graph,
-    emit_edge_list,
-    emit_graph6,
     encode_graph6,
     instance_from_graph,
     instance_to_json,
@@ -37,10 +32,8 @@ from .spectra import (
     exact_kernel_dim,
     full_spectrum,
     integer_candidate,
-    laplacian,
     mu_lower_bound_degrees,
     mu_upper_bound_cut,
-    rayleigh_quotient_signless,
     signless_laplacian,
     smallest_eigenpair,
 )
@@ -58,7 +51,6 @@ from .analysis import (
     decide_instance,
     decide_stack,
     deg2_predicate,
-    gavrilov_check,
     gdeg_check,
     is_complete_scaffold,
     oracle_stack,
@@ -68,7 +60,6 @@ from .bounds import (
     InverseBoundReport,
     bai_golub_trace_bounds,
     cycle_block_bounds,
-    diag_dominance_inverse_bound,
     path_block_rowsums,
 )
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite

@@ -19,7 +19,6 @@ arithmetic; floating point alone never decides a boundary case.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -399,26 +398,6 @@ def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
         t=inst.t,
         mu=float(mu),
     )
-
-
-def gavrilov_check(m: np.ndarray, order: int) -> bool:
-    """True iff every principal submatrix of the given order has nonnegative inverse.
-
-    For a positive definite matrix this forces monotonicity of the whole
-    matrix (Gavrilov); at order 2 it reduces to the Z-matrix sign pattern.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if not (2 <= order < n):
-        raise ValueError("order must satisfy 2 <= order < n")
-    if full_spectrum(m).values[0] <= 0:
-        raise ValueError("matrix is not positive definite")
-    for rows in itertools.combinations(range(n), order):
-        sub = m[np.ix_(rows, rows)]
-        inv = np.linalg.inv(sub)
-        if inv.min() < -1e-12 * (1.0 + np.abs(inv).max()):
-            return False
-    return True
 
 
 def deg2_predicate(inst: CompositeInstance) -> bool:

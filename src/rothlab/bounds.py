@@ -1,4 +1,4 @@
-"""Inverse-matrix bounds: trace brackets, diagonal dominance, cycle and path blocks.
+"""Inverse-matrix bounds: trace brackets, cycle and path blocks.
 
 The matrices here are Q(C_k) + lambda*I and their rank-one path modifications;
 lambda adds to the diagonal so everything is well conditioned and direct
@@ -50,26 +50,6 @@ def bai_golub_trace_bounds(a_mat: np.ndarray, a: float, b: float) -> tuple:
     return quad(b), quad(a)
 
 
-def diag_dominance_inverse_bound(a: np.ndarray) -> np.ndarray:
-    """Per-column ratio bounds on inverse entries of a strictly diagonally dominant matrix.
-
-    Returns r with |(A^{-1})_{ji}| <= r[i] * (A^{-1})_{ii} for all j != i, where
-    r[i] = max over l != i of |a_li| / (|a_ll| - sum_{k != l,i} |a_lk|).
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    r = np.abs(a)
-    diag = np.diag(r)
-    offsum = r.sum(axis=1) - diag
-    if np.any(diag <= offsum):
-        raise ValueError("matrix is not strictly diagonally dominant")
-    # denom[l, i] = |a_ll| - (offsum_l - |a_li|); strict dominance keeps it positive
-    denom = (diag - offsum)[:, None] + r
-    ratios = r / denom
-    np.fill_diagonal(ratios, 0.0)
-    return ratios.max(axis=0)
-
-
 @dataclass
 class InverseBoundReport:
     k: int
@@ -94,7 +74,7 @@ def cycle_block_bounds(k: int, lam: float) -> InverseBoundReport:
         raise ValueError("need lambda > 0")
     if k < 3:
         raise ValueError("need k >= 3")
-    a = signless_laplacian(cycle_graph(k).adjacency()) + lam * np.eye(k)
+    a = signless_laplacian(cycle_graph(k)) + lam * np.eye(k)
     inv = _chol_inverse(a)
     # spectrum of Q(C_k) lies in [0, 4], so [lam, lam+4] brackets A
     lower, upper = bai_golub_trace_bounds(a, lam, lam + 4.0)
@@ -130,7 +110,7 @@ def path_block_rowsums(k: int, s: int, mu: float) -> np.ndarray:
         raise ValueError("need s - mu > 0")
     if k < 3:
         raise ValueError("need k >= 3")
-    a = signless_laplacian(cycle_graph(k).adjacency()) + lam * np.eye(k)
+    a = signless_laplacian(cycle_graph(k)) + lam * np.eye(k)
     atil = _chol_inverse(a)
     d = float(np.diag(atil).mean())
     a1k = float(atil[0, k - 1])

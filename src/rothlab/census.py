@@ -28,8 +28,8 @@ from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
-from .graphs import (CompositeInstance, Graph, _check_scaffold, block_adjacency, complete_graph, decode_graph6,
-                     emit_graph6, encode_graph6, instance_to_json, is_connected)
+from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, block_adjacency, complete_graph,
+                     cycle_graph, decode_graph6, encode_graph6, instance_to_json, is_connected, path_graph)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -132,9 +132,9 @@ def _check_manifest(path: str, manifest: dict, detail_path: str) -> None:
                              f"this run has {key}={value!r}")
 
 
-def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
+def run_census(t: int, s: int, g=None, out_dir: str = ".",
                jobs: int = 1, resume: bool = False, allow_long: bool = False) -> CensusRow:
-    """Classify every (t, s) scaffold composed with G (default K_t); aggregate flag counts.
+    """Classify every (t, s) scaffold composed with G, of adjacency matrix g (default K_t); aggregate flag counts.
 
     Writes classify_t{t}_s{s}.csv (one row per scaffold, resumable), its
     manifest classify_t{t}_s{s}.json (t, s, G as graph6, scaffold count,
@@ -144,14 +144,13 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
     mapped over jobs worker processes; rows are written in enumeration order
     regardless of jobs.
     """
-    if g is None:
-        g = complete_graph(t)
-    if g.n != t:
-        raise ValueError(f"G has {g.n} vertices, expected t = {t}")
+    g = complete_graph(t) if g is None else _check_adjacency(g)
+    if g.shape != (t, t):
+        raise ValueError(f"G has shape {g.shape}, expected ({t}, {t})")
     scaffolds, texts = _scaffold_stream(t, s, out_dir, allow_long)
     detail_path = os.path.join(out_dir, f"classify_t{t}_s{s}.csv")
     manifest_path = os.path.join(out_dir, f"classify_t{t}_s{s}.json")
-    manifest = {"t": t, "s": s, "g": emit_graph6(g), "scaffolds": len(scaffolds),
+    manifest = {"t": t, "s": s, "g": encode_graph6(g[None])[0], "scaffolds": len(scaffolds),
                 "version": __version__}
 
     done = 0
@@ -168,7 +167,7 @@ def run_census(t: int, s: int, g: Graph | None = None, out_dir: str = ".",
         writer = csv.writer(fh)
         if not done:
             writer.writerow(DETAIL_COLUMNS)
-        work = partial(_census_rows, g.adjacency())
+        work = partial(_census_rows, g)
         text = iter(texts[done:])
         gc.freeze()  # while the blocks are decided, a forked worker's full collection skips these objects: no copy
         try:
@@ -218,13 +217,9 @@ def _random_capped_graph(t: int, cap: int, rng) -> np.ndarray:
     return a
 
 
-def _path(t: int) -> np.ndarray:
-    return np.eye(t, k=1, dtype=np.int64) + np.eye(t, k=-1, dtype=np.int64)
-
-
 def _sample_trees(t: int, max_deg: int, limit: int, rng) -> np.ndarray:
     """Adjacency stack of random labeled trees (Pruefer decode) with the degree cap; path always included."""
-    out = [_path(t)] if max_deg >= 2 else []
+    out = [path_graph(t)] if max_deg >= 2 else []
     attempts = 0
     while len(out) < limit and attempts < 50 * limit:
         attempts += 1
@@ -265,9 +260,7 @@ def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> np.ndarr
             a = all_graphs(t)
             return a[a.sum(-1).max(-1) < s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
-        cycle = _path(t)
-        cycle[0, -1] = cycle[-1, 0] = 1
-        fam = [_path(t), cycle]
+        fam = [path_graph(t), cycle_graph(t)]
         while len(fam) < sample_limit:
             fam.append(_random_capped_graph(t, s - 1, rng))
         return np.array(fam)
@@ -321,16 +314,14 @@ def ultra_roth_probe(scaffold: np.ndarray, a_g) -> dict:
     The scaffold must be 0/1 with no zero column, and every G 0/1, symmetric
     and loop-free; both are checked even when the stack is empty.
     """
-    scaffold, a_g = np.asarray(scaffold), np.asarray(a_g)
+    scaffold = np.asarray(scaffold)
     t, s = scaffold.shape
     if s < 1:
         raise ValueError("need s >= 1")
     _check_scaffold(scaffold)
+    a_g = _check_adjacency(a_g)
     if a_g.shape[1:] != (t, t):
         raise ValueError(f"G must be an adjacency stack (N, {t}, {t}), got shape {a_g.shape}")
-    upper = np.triu(a_g, 1) != 0
-    if not np.array_equal(a_g, upper | np.swapaxes(upper, 1, 2)):
-        raise ValueError("every G must be a 0/1, symmetric, loop-free adjacency matrix")
     if not len(a_g):
         return {"all_s_roth": True, "failures": []}
     # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour

@@ -27,7 +27,8 @@ def _json_default(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def _load_graph(path: str, fmt: str) -> graphs.Graph:
+def _load_graph(path: str, fmt: str) -> np.ndarray:
+    """Adjacency matrix of the first graph6 line, or of the edge list, in the file at path."""
     with open(path) as fh:
         text = fh.read()
     if fmt == "auto":
@@ -38,7 +39,7 @@ def _load_graph(path: str, fmt: str) -> graphs.Graph:
     if fmt == "g6":
         for line in text.splitlines():
             if line.strip():
-                return graphs.parse_graph6(line.strip())
+                return graphs.decode_graph6([line])[0]
         raise ValueError(f"{path}: no graph6 line found")
     return graphs.parse_edge_list(text)
 
@@ -102,7 +103,7 @@ _NAMED_GRAPHS = {"K": graphs.complete_graph, "P": graphs.path_graph,
                  "C": graphs.cycle_graph, "E": graphs.empty_graph}
 
 
-def _named_graph(spec: str) -> graphs.Graph:
+def _named_graph(spec: str) -> np.ndarray:
     kind, num = spec[:1].upper(), spec[1:]
     if kind not in _NAMED_GRAPHS or not num.isdigit():
         raise ValueError(f"unknown graph spec {spec!r} (use K4, P10, C14, E5)")
@@ -151,6 +152,8 @@ def _parse_range(spec: str) -> range:
     lo, _, hi = spec.partition(":")
     lo = int(lo)
     hi = int(hi) if hi else lo
+    if hi < lo:
+        raise ValueError(f"range {spec!r} is reversed")
     return range(lo, hi + 1)
 
 
@@ -189,7 +192,7 @@ def cmd_bounds(args) -> int:
     elif args.sweep == "baigolub":
         for k in (4, 9, 16, 25):
             for lam in (0.5, 1.0, 3.0, 9.0):
-                a = spectra.signless_laplacian(graphs.cycle_graph(k).adjacency()) + lam * np.eye(k)
+                a = spectra.signless_laplacian(graphs.cycle_graph(k)) + lam * np.eye(k)
                 lower, upper = bounds.bai_golub_trace_bounds(a, lam, lam + 4.0)
                 observed = float(np.trace(np.linalg.inv(a)))
                 writer.writerow([k, f"{lam:.2f}", "trace_lower", lower, observed])

@@ -1,11 +1,18 @@
-"""Undirected graphs, composite instances and their codecs.
+"""Adjacency arrays, composite instances and their codecs.
 
-Vertices are 0..n-1 throughout.  A composite instance is a connected graph H
-together with a distinguished independent set S; the bipartite scaffold B
-collects the S-T edges and G is the subgraph induced on T = V(H) - S.
-Vertices of an instance are always ordered T first, so the matrices built
-downstream have the block layout [[Q(G)+D1, K], [K^T, D2]] without any
-permutation bookkeeping.
+A graph on vertices 0..n-1 is its (n, n) 0/1 int64 adjacency array, from
+the command line to the outputs: the named constructors build one, the
+graph6 codec and the edge-list parser read one, and every computation takes
+one.  A composite instance is a connected graph H together with a
+distinguished independent set S; the bipartite scaffold B collects the S-T
+edges and G is the subgraph induced on T = V(H) - S.  Vertices of an
+instance are always ordered T first, so the matrices built downstream have
+the block layout [[Q(G)+D1, K], [K^T, D2]] without any permutation
+bookkeeping.
+
+Graph, a frozenset of edge pairs, and parse_graph6, which builds one from a
+graph6 line, are kept for perfbench's check of its own graph6 encoder; the
+package reads graph6 with decode_graph6 and builds no Graph elsewhere.
 """
 
 from __future__ import annotations
@@ -42,54 +49,57 @@ class Graph:
     def from_edges(n: int, edges) -> "Graph":
         return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
 
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for (u, v) in self.edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
+
+def _check_adjacency(a) -> np.ndarray:
+    """a as int64; ValueError unless it is a square, 0/1, symmetric, loop-free adjacency matrix or a stack of them."""
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"an adjacency matrix must be square, got shape {a.shape}")
+    upper = np.triu(a, 1) != 0
+    if not np.array_equal(a, upper | np.swapaxes(upper, -1, -2)):
+        raise ValueError("an adjacency matrix must be 0/1, symmetric and loop-free")
+    return a.astype(np.int64, copy=False)
 
 
 # named constructors
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
+def empty_graph(n: int) -> np.ndarray:
+    return np.zeros((n, n), dtype=np.int64)
 
 
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, itertools.combinations(range(n), 2))
+def complete_graph(n: int) -> np.ndarray:
+    return 1 - np.eye(n, dtype=np.int64)
 
 
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
+def path_graph(n: int) -> np.ndarray:
+    return np.eye(n, k=1, dtype=np.int64) + np.eye(n, k=-1, dtype=np.int64)
 
 
-def cycle_graph(n: int) -> Graph:
+def cycle_graph(n: int) -> np.ndarray:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    a = path_graph(n)
+    a[0, -1] = a[-1, 0] = 1
+    return a
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, ((i, a + j) for i in range(a) for j in range(b)))
+def complete_bipartite(a: int, b: int) -> np.ndarray:
+    return join(empty_graph(a), empty_graph(b))
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = set(g.edges) | {(u + g.n, v + g.n) for (u, v) in h.edges}
-    return Graph.from_edges(g.n + h.n, edges)
+def join(g, h) -> np.ndarray:
+    """g and h side by side, g's vertices first, plus every edge between them."""
+    n = len(g)
+    m = np.ones((n + len(h), n + len(h)), dtype=np.int64)
+    m[:n, :n] = g
+    m[n:, n:] = h
+    return m
 
 
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus all cross edges."""
-    u = disjoint_union(g, h)
-    cross = {(i, g.n + j) for i in range(g.n) for j in range(h.n)}
-    return Graph.from_edges(u.n, set(u.edges) | cross)
-
-
-def complement(g: Graph) -> Graph:
-    """Edge {i,j} in the result iff i != j and {i,j} not in g."""
-    all_pairs = set(itertools.combinations(range(g.n), 2))
-    return Graph(g.n, frozenset(all_pairs - set(g.edges)))
+def complement(a) -> np.ndarray:
+    """Edge {i,j} in the result iff i != j and {i,j} is not an edge of a."""
+    return complete_graph(len(a)) - (np.asarray(a) != 0)
 
 
 def _reach(a) -> np.ndarray:
@@ -205,22 +215,19 @@ def decode_graph6(lines) -> np.ndarray:
     return a
 
 
-def emit_graph6(g: Graph) -> str:
-    """The graph6 line of one Graph: encode_graph6 of its adjacency."""
-    return encode_graph6(g.adjacency()[None])[0]
-
-
 def parse_graph6(text: str) -> Graph:
-    """The Graph of one graph6 line: decode_graph6's one-graph case."""
+    """The Graph of one graph6 line: decode_graph6's one-graph case, kept for perfbench's encoder check."""
     a = decode_graph6([text])[0]
     rows, cols = np.nonzero(np.triu(a))
     return Graph(len(a), frozenset(zip(rows.tolist(), cols.tolist())))
 
 
-# edge-list text format: one "u v" pair per line, 0-based, '#' starts a comment
+def parse_edge_list(text: str) -> np.ndarray:
+    """Adjacency (n, n), int64, of an edge list: one "u v" pair per line, 0-based, '#' starts a comment.
 
-
-def parse_edge_list(text: str) -> Graph:
+    n is one more than the largest vertex named.  A pair may come reversed or
+    more than once; it is one edge.
+    """
     edges = []
     top = -1
     for raw in text.splitlines():
@@ -237,11 +244,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"loop at vertex {u}")
         edges.append((u, v))
         top = max(top, u, v)
-    return Graph.from_edges(top + 1, edges)
-
-
-def emit_edge_list(g: Graph) -> str:
-    return "\n".join(f"{u} {v}" for (u, v) in sorted(g.edges)) + "\n"
+    a = np.zeros((top + 1, top + 1), dtype=np.int64)
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    a[u, v] = a[v, u] = 1
+    return a
 
 
 # composite instances
@@ -296,13 +302,14 @@ def _check_scaffold(k: np.ndarray) -> None:
 def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
     _check_scaffold(k)
     a, k = a.astype(np.int64), k.astype(np.int64)
-    if not is_connected(block_adjacency(a, k)):
+    # every S-vertex has a T-neighbour, so H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
+    if not is_connected(a + k @ k.T):
         raise ValueError("composite instance is disconnected")
     return CompositeInstance(A=a, K=k, labels=tuple(labels))
 
 
-def compose(s: int, G: Graph, scaffold=None) -> CompositeInstance:
-    """Attach an independent set of size s to G via a bipartite scaffold.
+def compose(s: int, a_g, scaffold=None) -> CompositeInstance:
+    """Attach an independent set of size s to G, of adjacency matrix a_g, via a bipartite scaffold.
 
     scaffold is the t x s biadjacency (rows = vertices of G); omitted means the
     complete scaffold K = all-ones, i.e. H is the join of an edgeless graph on
@@ -310,45 +317,36 @@ def compose(s: int, G: Graph, scaffold=None) -> CompositeInstance:
     """
     if s < 1:
         raise ValueError("need s >= 1")
-    t = G.n
+    a_g = _check_adjacency(a_g)
+    t = len(a_g)
     # _assemble checks the caller's values for 0/1 before it casts them
     K = np.ones((t, s), dtype=np.int64) if scaffold is None else np.asarray(scaffold)
     if K.shape != (t, s):
         raise ValueError(f"scaffold shape {K.shape} does not match (t={t}, s={s})")
-    return _assemble(G.adjacency(), K, labels=range(t + s))
+    return _assemble(a_g, K, labels=range(t + s))
 
 
-def instance_from_graph(H: Graph, S) -> CompositeInstance:
-    """Build a composite instance from an arbitrary graph and a chosen S.
+def instance_from_graph(a_h, S) -> CompositeInstance:
+    """Build a composite instance from the adjacency matrix of an arbitrary graph H and a chosen S.
 
     Vertices are relabelled T-first; labels records the original names.
     S must be nonempty and independent in H, and every S-vertex must have a
     neighbour.
     """
+    a = _check_adjacency(a_h)
     S = sorted(set(S))
     if not S:
         raise ValueError("S must contain at least one vertex")
-    if any(not (0 <= v < H.n) for v in S):
+    if any(not (0 <= v < len(a)) for v in S):
         raise ValueError("S contains a vertex outside the graph")
-    a = H.adjacency()
     inside = np.argwhere(np.triu(a[np.ix_(S, S)]))
     if len(inside):
         u, v = inside[0]
         raise ValueError(f"S is not independent: edge ({S[u]},{S[v]}) inside S")
-    T = sorted(set(range(H.n)) - set(S))
+    T = sorted(set(range(len(a))) - set(S))
     if not T:
         raise ValueError("S must leave at least one vertex in T")
     return _assemble(a[np.ix_(T, T)], a[np.ix_(T, S)], labels=T + S)
-
-
-def common_neighbors(inst: CompositeInstance, i: int, j: int) -> tuple:
-    """N_ij: the S-vertices adjacent in the scaffold to both T-vertices i and j."""
-    if i == j:
-        raise ValueError("need two distinct T-vertices")
-    if not (0 <= i < inst.t and 0 <= j < inst.t):
-        raise ValueError("common_neighbors takes T-vertices (0..t-1)")
-    mask = inst.K[i] & inst.K[j]
-    return tuple(inst.t + k for k in np.flatnonzero(mask))
 
 
 def instance_to_json(inst: CompositeInstance) -> dict:

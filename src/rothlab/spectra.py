@@ -1,4 +1,4 @@
-"""Signless and ordinary Laplacians, dense symmetric eigendecomposition, exact kernels.
+"""Signless Laplacians, dense symmetric eigendecomposition, exact kernels, bounds on mu.
 
 Tolerance conventions used package-wide:
 
@@ -37,12 +37,6 @@ def signless_laplacian(a) -> np.ndarray:
     i = np.arange(q.shape[-1])
     q[..., i, i] += q.sum(axis=-1)
     return q
-
-
-def laplacian(a) -> np.ndarray:
-    """L = D - A of a symmetric 0/1 adjacency matrix a, D its diagonal of degrees."""
-    a = np.asarray(a, dtype=float)
-    return np.diag(a.sum(axis=1)) - a
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,24 +182,15 @@ def exact_inverse(m: list) -> list | None:
     return None if pivots[-1][1] >= n else [[Fraction(v, d) for v in row[n:]] for row in a]
 
 
-def rayleigh_quotient_signless(a, x) -> float:
-    """Sum over the edges of adjacency matrix a of (x_i + x_j)^2, divided by x.x; always >= mu(Q)."""
-    x = np.asarray(x, dtype=float)
-    nrm2 = float(x @ x)
-    if nrm2 == 0.0:
-        raise ValueError("zero vector")
-    u, v = np.nonzero(np.triu(a))
-    return float(((x[u] + x[v]) ** 2).sum()) / nrm2
-
-
 def mu_upper_bound_cut(inst) -> float:
     """4e/(s+t) with e = |E(G)|: the Rayleigh quotient of the +-1 cut vector."""
     return 2.0 * int(inst.A.sum()) / (inst.s + inst.t)
 
 
 def mu_lower_bound_degrees(a) -> float:
-    """2*delta - lambda_max(L) of adjacency matrix a, a lower bound on mu(Q)."""
-    ell = laplacian(a)
+    """2*delta - lambda_max(L) of adjacency matrix a, L = D - A its Laplacian: a lower bound on mu(Q)."""
+    a = np.asarray(a, dtype=float)
+    ell = np.diag(a.sum(axis=1)) - a
     if len(ell) == 0:
         raise ValueError("empty graph")
     return 2.0 * float(ell.diagonal().min()) - float(np.linalg.eigvalsh(ell)[-1])

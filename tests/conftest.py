@@ -4,7 +4,7 @@ join example with the exact integer eigenvalue, and random-instance helpers."""
 import numpy as np
 import pytest
 
-from rothlab.graphs import Graph, block_adjacency, complete_bipartite, complete_graph, compose, is_connected
+from rothlab.graphs import block_adjacency, complete_bipartite, complete_graph, compose, is_connected
 
 # worked example 1: harmonic condition met with equality
 EX1_K = np.array([
@@ -118,14 +118,27 @@ def ex88():
     return compose(4, complete_bipartite(4, 2))
 
 
+def adjacency(n, edges=()):
+    """int64 adjacency matrix of the simple graph on 0..n-1 with the given (u, v) edges."""
+    a = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def edge_list_text(a):
+    """Edge-list text of adjacency matrix a: one "u v" line per edge, u < v, in sorted order."""
+    return "".join(f"{u} {v}\n" for u, v in np.argwhere(np.triu(a)).tolist())
+
+
 def random_connected_graph(rng, n, p=0.4):
     """Erdos-Renyi conditioned on connectivity (resampled), n >= 1."""
     while True:
         edges = frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         )
-        g = Graph(n, edges)
-        if is_connected(g.adjacency()):
+        g = adjacency(n, edges)
+        if is_connected(g):
             return g
 
 
@@ -147,4 +160,4 @@ def random_instance(rng, smin=3, smax=9, tmin=3, tmax=9, g_edge_p=0.5):
     edges = frozenset(
         (u, v) for u in range(t) for v in range(u + 1, t) if rng.random() < g_edge_p
     )
-    return compose(s, Graph(t, edges), k)
+    return compose(s, adjacency(t, edges), k)

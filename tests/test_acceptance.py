@@ -36,6 +36,7 @@ from conftest import (
     EX3_QMU_INV,
     EX4_MU,
     EX4_W,
+    adjacency,
     random_instance,
 )
 from exact_evidence import exact_q_mu, leading_minors, prove_census
@@ -58,13 +59,12 @@ from rothlab.bounds import (
 from rothlab.census import conjecture_sweep, run_census
 from rothlab.enumeration import all_trees
 from rothlab.graphs import (
-    Graph,
     block_adjacency,
     complete_graph,
     compose,
     connected_components,
     cycle_graph,
-    parse_graph6,
+    decode_graph6,
     path_graph,
 )
 from rothlab.spectra import (
@@ -229,9 +229,7 @@ S7_ZERO_PATTERN_Q_MU = [[5, -4, 0, 0], [-4, 5, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]
 
 def _census_q(graph6: str, t: int, s: int) -> np.ndarray:
     """Q(H) for the census scaffold B (graph6, T first) composed with K_t."""
-    k = np.zeros((t, s), dtype=np.int64)
-    for (u, v) in parse_graph6(graph6).edges:
-        k[u, v - t] = 1
+    k = decode_graph6([graph6])[0][:t, t:]
     inst = compose(s, complete_graph(t), k)
     return signless_laplacian(block_adjacency(inst.A, inst.K))
 
@@ -327,7 +325,7 @@ def s5_records():
 
     g = complete_graph(4)
     ks = load_scaffolds(4, 5, out_dir=tempfile.mkdtemp())
-    return [(compose(5, g, scaffold=k), d) for k, d in zip(ks, decide_stack(g.adjacency(), ks))]
+    return [(compose(5, g, scaffold=k), d) for k, d in zip(ks, decide_stack(g, ks))]
 
 
 def test_criterion_5_dual_route_equivalences(s5_records):
@@ -410,10 +408,9 @@ def test_criterion_7_spectral_and_trace_bounds():
             for w in range(u + 1, n):
                 if rng.random() < 0.45:
                     edges.add((u, w))
-        g = Graph(n, frozenset(edges))
-        if len(connected_components(g.adjacency())) != 1 or not edges:
+        a = adjacency(n, edges)
+        if len(connected_components(a)) != 1 or not edges:
             continue
-        a = g.adjacency()
         q = signless_laplacian(a)
         mu = float(np.linalg.eigvalsh(q)[0])
         if not (mu < a.sum(axis=1).min()):
@@ -422,11 +419,12 @@ def test_criterion_7_spectral_and_trace_bounds():
             degree_bad += 1
         # one random edge added: smallest eigenvalue may not decrease
         non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if (u, v) not in g.edges]
+                     if not a[u, v]]
         if non_edges:
             u, v = non_edges[int(rng.integers(len(non_edges)))]
-            g2 = Graph(n, frozenset(set(g.edges) | {(u, v)}))
-            mu2 = float(np.linalg.eigvalsh(signless_laplacian(g2.adjacency()))[0])
+            a2 = a.copy()
+            a2[u, v] = a2[v, u] = 1
+            mu2 = float(np.linalg.eigvalsh(signless_laplacian(a2))[0])
             if mu2 < mu - 1e-10:
                 span_bad += 1
 
@@ -530,10 +528,10 @@ def _confirmed_tree_counterexample(s: int, t: int, g6: str) -> bool:
     star the boundary characterization (delta(G) = 1 = t - s, G a join)
     decides it too.
     """
-    g = parse_graph6(g6)
+    g = decode_graph6([g6])[0]
     inst = compose(s, g)
     mu = float(np.linalg.eigvalsh(signless_laplacian(block_adjacency(inst.A, inst.K)))[0])
-    max_degree = g.adjacency().sum(axis=1).max()
+    max_degree = g.sum(axis=1).max()
     ok = max_degree == s and build_r_mu(inst, mu).s_roth is False
     if max_degree == t - 1:
         bc = boundary_characterization(inst)
@@ -559,7 +557,7 @@ def test_criterion_9_conjecture_sweeps():
     found_ok = found == TREE_COUNTEREXAMPLES and len(tree["counterexamples"]) == len(found)
     n_below_s = sum(1 for (s, t) in tree["pairs"] for a in all_trees(t)
                     if a.sum(axis=1).max() < s)
-    sharp_ok = not any(parse_graph6(g6).adjacency().sum(axis=1).max() < s for (s, _, g6, _) in found)
+    sharp_ok = not any(decode_graph6([g6])[0].sum(axis=1).max() < s for (s, _, g6, _) in found)
     confirmed_ok = all(_confirmed_tree_counterexample(s, t, g6) for (s, t, g6, _) in found)
 
     ok = maxdeg_ok and found_ok and sharp_ok and confirmed_ok

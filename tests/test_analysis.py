@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 import rothlab.analysis
 
@@ -22,6 +23,8 @@ from conftest import (
     EX4_MU,
     EX4_QMU,
     EX88_QMU,
+    adjacency,
+    edge_list_text,
     random_instance,
 )
 from rothlab.analysis import (
@@ -39,20 +42,16 @@ from rothlab.analysis import (
     decide_instance,
     decide_stack,
     deg2_predicate,
-    gavrilov_check,
     gdeg_check,
     is_complete_scaffold,
     s_roth_oracle,
 )
 from rothlab.graphs import (
-    Graph,
-    common_neighbors,
     complete_bipartite,
     complete_graph,
     compose,
     cycle_graph,
-    disjoint_union,
-    emit_edge_list,
+    empty_graph,
     instance_from_graph,
     path_graph,
 )
@@ -74,7 +73,7 @@ from rothlab.spectra import (
 
 def test_oracle_bipartite_instance_is_s_roth():
     # edgeless G: H = K_{s,t}, classic one-signed smallest eigenvector
-    inst = compose(3, Graph(5))
+    inst = compose(3, empty_graph(5))
     v = s_roth_oracle(inst)
     assert v.is_s_roth and v.reason == REASON_SIGNED
     assert v.multiplicity == 1
@@ -105,7 +104,7 @@ def test_oracle_multiple_eigenvalue():
     # two disjoint edges in G at the complete-scaffold boundary: the star
     # pattern K_{1,s} with s = t-1 pins mu = 1 with a kernel vector, while a
     # disconnected-complement boundary case keeps multiplicity honest
-    g = Graph(7, frozenset({(0, k) for k in range(1, 7)}))
+    g = adjacency(7, {(0, k) for k in range(1, 7)})
     inst = compose(6, g)
     v = s_roth_oracle(inst)
     assert not v.is_s_roth
@@ -172,12 +171,12 @@ def test_q_mu_complete_scaffold_closed_form():
             for w in range(u + 1, t):
                 if rng.random() < 0.5:
                     g_edges.add((u, w))
-        g = Graph(t, frozenset(g_edges))
+        g = adjacency(t, g_edges)
         inst = compose(s, g)
         mu = s_roth_oracle(inst).mu
         q = build_q_mu(inst, mu)
         alpha = s / (t - mu)
-        ref = signless_laplacian(g.adjacency()) + s * np.eye(t) - alpha * np.ones((t, t))
+        ref = signless_laplacian(g) + s * np.eye(t) - alpha * np.ones((t, t))
         assert np.abs(q - ref).max() < 1e-8
         assert alpha_of(inst, mu) == pytest.approx(alpha)
 
@@ -236,7 +235,7 @@ def test_classify_example4(ex4):
 
 
 def test_classify_singular_is_none():
-    d = decide_instance(compose(3, Graph(5)))  # bipartite H, mu = 0, Q_mu singular
+    d = decide_instance(compose(3, empty_graph(5)))  # bipartite H, mu = 0, Q_mu singular
     assert d.verdict.mu == 0.0
     assert d.classes is None
 
@@ -278,7 +277,7 @@ def test_harmcond_example2_witness(ex2):
 def test_harmcond_nonadjacent_needs_common_neighbor():
     # G with an isolated-from-each-other pair sharing no scaffold neighbor
     k = [[1, 0], [0, 1], [1, 1]]
-    inst = compose(2, Graph(3), scaffold=k)
+    inst = compose(2, empty_graph(3), scaffold=k)
     assert not decide_instance(inst).harmcond.holds
 
 
@@ -295,7 +294,7 @@ def test_harmcond_complete_bipartite_minus_edge():
                 for w in range(u + 1, t):
                     if rng.random() < 0.5:
                         edges.add((u, w))
-            g = Graph(t, frozenset(edges))
+            g = adjacency(t, edges)
             d = decide_instance(compose(s, g, scaffold=k.tolist()))
             assert d.harmcond.holds
             assert d.verdict.is_s_roth
@@ -306,7 +305,7 @@ def test_gc_yeast_shape():
     # T, 7 columns on {0,1}, 9 columns on {0,2}; G-edges (0,1), (0,2).
     cols = [[1, 1, 1, 1, 1]] + [[1, 1, 0, 0, 0]] * 7 + [[1, 0, 1, 0, 0]] * 9
     k = [list(row) for row in zip(*cols)]
-    g = Graph(5, frozenset({(0, 1), (0, 2)}))
+    g = adjacency(5, {(0, 1), (0, 2)})
     d = decide_instance(compose(17, g, scaffold=k))
     assert d.gc
     assert d.verdict.is_s_roth
@@ -345,7 +344,7 @@ def test_st_implies_s_roth():
             for w in range(u + 1, t):
                 if rng.random() < 0.5:
                     edges.add((u, w))
-        d = decide_instance(compose(s, Graph(t, frozenset(edges))))
+        d = decide_instance(compose(s, adjacency(t, edges)))
         assert d.st
         assert d.verdict.is_s_roth
 
@@ -358,13 +357,13 @@ def test_alpha_values(ex88):
     inst = compose(2, complete_graph(3))
     mu = s_roth_oracle(inst).mu
     assert alpha_of(inst, mu) > 1.0
-    k_inst = compose(3, Graph(5))
+    k_inst = compose(3, empty_graph(5))
     assert alpha_of(k_inst, 0.0) == pytest.approx(3 / 5)
     with pytest.raises(ValueError):
         alpha_of(ex88, 6.0)
     k = [[1, 0], [0, 1], [1, 1]]
     with pytest.raises(ValueError):
-        alpha_of(compose(2, Graph(3), scaffold=k), 0.5)
+        alpha_of(compose(2, empty_graph(3), scaffold=k), 0.5)
 
 
 def test_gdeg_variants(ex88):
@@ -378,7 +377,7 @@ def test_gdeg_variants(ex88):
     assert gdeg_check(inst) == "B"
     assert s_roth_oracle(inst).is_s_roth
     # boundary with disconnected complement gets no verdict from this route
-    star = Graph(7, frozenset({(0, k) for k in range(1, 7)}))
+    star = adjacency(7, {(0, k) for k in range(1, 7)})
     assert gdeg_check(compose(6, star)) == "none"
 
 
@@ -394,7 +393,7 @@ def test_gdeg_implies_s_roth():
             for w in range(u + 1, t):
                 if rng.random() < 0.8:
                     edges.add((u, w))
-        g = Graph(t, frozenset(edges))
+        g = adjacency(t, edges)
         inst = compose(s, g)
         route = gdeg_check(inst)
         if route in ("A", "B"):
@@ -410,7 +409,7 @@ def test_boundary_star_not_s_roth():
     # star K_{1,s} at t = s+1 sits exactly on the boundary; its sole joinee
     # of the complement has max degree s = t-1 > t-s at the hub only, and the
     # leaf-only joinee members kill the property
-    star = Graph(7, frozenset({(0, k) for k in range(1, 7)}))
+    star = adjacency(7, {(0, k) for k in range(1, 7)})
     inst = compose(6, star)
     bc = boundary_characterization(inst)
     assert bc.applicable
@@ -437,7 +436,7 @@ def test_boundary_agreement_random():
             for w in range(u + 1, t):
                 if rng.random() < 0.4:
                     edges.add((u, w))
-        g = Graph(t, frozenset(edges))
+        g = adjacency(t, edges)
         inst = compose(s, g)
         bc = boundary_characterization(inst)
         if not bc.applicable:
@@ -466,7 +465,7 @@ def test_r_mu_cycle_three_parts_singular():
 
 
 def test_r_mu_complete_bipartite_case():
-    inst = compose(4, Graph(6))
+    inst = compose(4, empty_graph(6))
     rm = build_r_mu(inst, 0.0)
     assert rm.positive_definite
     assert np.abs(rm.r_mu - 4 * np.eye(6)).max() < 1e-12
@@ -516,7 +515,7 @@ def test_rowsum_oracle_agreement_random():
             for w in range(u + 1, t):
                 if rng.random() < 0.5:
                     edges.add((u, w))
-        inst = compose(s, Graph(t, frozenset(edges)))
+        inst = compose(s, adjacency(t, edges))
         v = s_roth_oracle(inst)
         rm = build_r_mu(inst, v.mu)
         if not rm.positive_definite:
@@ -538,7 +537,7 @@ def test_w_reconstruction_from_rowsums():
             for w_ in range(u + 1, t):
                 if rng.random() < 0.5:
                     edges.add((u, w_))
-        inst = compose(s, Graph(t, frozenset(edges)))
+        inst = compose(s, adjacency(t, edges))
         v = s_roth_oracle(inst)
         rm = build_r_mu(inst, v.mu)
         if not rm.positive_definite or v.multiplicity != 1:
@@ -547,41 +546,6 @@ def test_w_reconstruction_from_rowsums():
         z0 = v.eigenvector[inst.t]
         ref = -inst.s * z0 * rm.rowsums  # T-rows give R_mu w = -s z0 1
         assert np.abs(w - ref).max() < 1e-8 * (1 + np.abs(w).max())
-
-
-# ----------------------------------------------------------------- gavrilov
-
-
-def test_gavrilov_order2_is_z():
-    rng = np.random.default_rng(21)
-    for _ in range(40):
-        inst = random_instance(rng)
-        mu = s_roth_oracle(inst).mu
-        q = build_q_mu(inst, mu)
-        vals = np.linalg.eigvalsh(q)
-        if vals[0] <= 1e-9:
-            continue
-        n = q.shape[0]
-        off = q[~np.eye(n, dtype=bool)]
-        assert gavrilov_check(q, 2) == bool(off.max(initial=0.0) <= 1e-10)
-
-
-def test_gavrilov_orders_on_m_matrix(ex2, ex3):
-    # principal submatrices of an M-matrix are M-matrices: all orders pass
-    q2 = build_q_mu(ex2, s_roth_oracle(ex2).mu)
-    assert gavrilov_check(q2, 2) and gavrilov_check(q2, 3)
-    # positive off-diagonal entries break order 2 and poison 3x3 blocks too
-    q3 = build_q_mu(ex3, s_roth_oracle(ex3).mu)
-    assert not gavrilov_check(q3, 2)
-    assert not gavrilov_check(q3, 3)
-
-
-def test_gavrilov_identity_and_errors():
-    assert gavrilov_check(np.eye(4), 2)
-    with pytest.raises(ValueError):
-        gavrilov_check(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)  # not PD
-    with pytest.raises(ValueError):
-        gavrilov_check(np.eye(3), 1)
 
 
 # --------------------------------------------------------------- deg2, misc
@@ -596,12 +560,12 @@ def test_deg2_cycle():
 
 
 def test_deg2_rejects_large_degree():
-    assert not deg2_predicate(compose(6, Graph(7, frozenset({(0, 1), (0, 2), (0, 3)}))))
+    assert not deg2_predicate(compose(6, adjacency(7, {(0, 1), (0, 2), (0, 3)})))
 
 
 def test_deg2_union_case():
     # G = triangle plus isolated vertices still has max degree 2
-    g = disjoint_union(cycle_graph(3), Graph(7))
+    g = block_diag(cycle_graph(3), empty_graph(7))
     inst = compose(6, g)
     assert deg2_predicate(inst)
     assert s_roth_oracle(inst).is_s_roth
@@ -621,9 +585,7 @@ def test_deg2_instances_are_s_roth():
                 else:
                     parts.append(path_graph(size))
                 left -= size
-            g = parts[0]
-            for p in parts[1:]:
-                g = disjoint_union(g, p)
+            g = block_diag(*parts)
             inst = compose(s, g)
             assert deg2_predicate(inst)
             assert s_roth_oracle(inst).is_s_roth
@@ -666,7 +628,7 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
 
     calls.clear()
     path = tmp_path / "g.edges"
-    path.write_text(emit_edge_list(g))
+    path.write_text(edge_list_text(g))
     main(["analyze", str(path), "--complete-scaffold", str(s)])
     rep = json.loads(capsys.readouterr().out)
     assert (rep["mu"], rep["multiplicity"]) == (mu, nullity)
@@ -674,7 +636,7 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
 
 
 def test_classification_record_singular():
-    d = decide_instance(compose(3, Graph(4)))
+    d = decide_instance(compose(3, empty_graph(4)))
     assert d.verdict.is_s_roth is True
     assert d.classes is None  # no z, m_matrix or minpositive flag
 
@@ -700,8 +662,8 @@ def _mixed_picks(out_dir) -> list:
     """(G, K) with s = 5, t = 4: one of every verdict kind, the exact path and a bipartite H."""
     ks = np.array(load_scaffolds(4, 5, out_dir))
     picks = {}
-    for g in (Graph.from_edges(4, [(0, 1), (2, 3)]), complete_graph(4), Graph(4)):
-        for k, d in zip(ks, decide_stack(g.adjacency(), ks)):
+    for g in (adjacency(4, [(0, 1), (2, 3)]), complete_graph(4), empty_graph(4)):
+        for k, d in zip(ks, decide_stack(g, ks)):
             v = d.verdict
             kinds = [v.reason, "exact" if v.kernel is not None and d.classes is not None else None,
                      "bipartite" if d.classes is None else None]
@@ -719,7 +681,7 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
     isolated = np.ones((4, 5), dtype=np.int64)
     isolated[:, 4] = 0
     chosen = _mixed_picks(str(tmp_path))
-    cases = [(g.adjacency(), k) for g, k in chosen] + [(complete_graph(4).adjacency(), isolated)]
+    cases = [(g, k) for g, k in chosen] + [(complete_graph(4), isolated)]
     stacked = decide_stack(np.array([a for a, _ in cases]), np.array([k for _, k in cases]))
     singles = [decide_stack(a, k)[0] for a, k in cases]
     assert all(_same_decision(x, y) for x, y in zip(stacked, singles))
@@ -758,15 +720,20 @@ def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
     assert kinds == {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE} and exact
 
 
+def _common(inst, i, j):
+    """N_ij as scaffold columns: the S-vertices adjacent to both T-vertices i and j."""
+    return np.flatnonzero(inst.K[i] & inst.K[j])
+
+
 def _harmcond_loop(inst):
     """Reference: the pairwise Fraction loop the array certificates replaced."""
     t, d2 = inst.t, inst.K.sum(axis=0)
     for (i, j) in np.argwhere(np.triu(inst.A)).tolist():
-        acc = sum((Fraction(1, int(d2[v - t])) for v in common_neighbors(inst, i, j)), Fraction(0))
+        acc = sum((Fraction(1, int(d2[k])) for k in _common(inst, i, j)), Fraction(0))
         if acc < 1:
             return False, (i, j), acc
     for i, j in itertools.combinations(range(t), 2):
-        if not inst.A[i, j] and not common_neighbors(inst, i, j):
+        if not inst.A[i, j] and not len(_common(inst, i, j)):
             return False, (i, j), Fraction(0)
     return True, None, None
 
@@ -774,8 +741,8 @@ def _harmcond_loop(inst):
 def _gc_loop(inst):
     cb = int(inst.K.sum(axis=0).max())
     pairs = itertools.combinations(range(inst.t), 2)
-    return all(len(common_neighbors(inst, i, j)) >= cb if inst.A[i, j]
-               else len(common_neighbors(inst, i, j)) > 0 for i, j in pairs)
+    return all(len(_common(inst, i, j)) >= cb if inst.A[i, j]
+               else len(_common(inst, i, j)) > 0 for i, j in pairs)
 
 
 def test_certificates_match_pairwise_fraction_loop():
@@ -800,7 +767,7 @@ def test_harmonic_condition_exact_beyond_int64():
     k = np.zeros((t, len(cols)), dtype=np.int64)
     for j, rows in enumerate(cols):
         k[list(rows), j] = 1
-    g = Graph.from_edges(t, [(0, 1)])
+    g = adjacency(t, [(0, 1)])
     lcm = int(np.lcm.reduce(np.unique(k.sum(axis=0)).astype(object)))
     assert lcm * k.shape[1] > np.iinfo(np.int64).max
     exact = decide_instance(compose(k.shape[1], g, k))
@@ -846,7 +813,7 @@ def _assert_exact_classes(a, k, c, basis, inverse_positive):
 
 @pytest.mark.parametrize("s", [5, 7])
 def test_exact_classes_match_fraction_reference_on_census(s):
-    a = complete_graph(4).adjacency()
+    a = complete_graph(4)
     ks = enumerate_connected_bipartite(4, s)
     exact = 0
     for k, d in zip(ks, decide_stack(a, ks)):
@@ -879,7 +846,7 @@ def test_exact_classes_beyond_int64():
     for j, p in enumerate(primes):
         k[:p + 1, j] = 1
     k[:, -1] = 1
-    a = cycle_graph(t).adjacency()
+    a = cycle_graph(t)
     mq = _exact_q_mu(a, k, c)
     assert mq.dtype == object and math.lcm(*primes, t - c) > np.iinfo(np.int64).max
     basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]

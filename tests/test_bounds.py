@@ -1,4 +1,4 @@
-"""Trace brackets, diagonal dominance, circulant and path block inverses."""
+"""Trace brackets, circulant and path block inverses."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from rothlab.bounds import (
     bai_golub_trace_bounds,
     cycle_block_bounds,
-    diag_dominance_inverse_bound,
     path_block_rowsums,
 )
 from rothlab.graphs import cycle_graph, path_graph
@@ -29,7 +28,7 @@ def test_bai_golub_two_point_spectrum():
 
 
 def test_bai_golub_circulant_exact_trace():
-    q = signless_laplacian(cycle_graph(6).adjacency()) + 3.0 * np.eye(6)
+    q = signless_laplacian(cycle_graph(6)) + 3.0 * np.eye(6)
     lo, hi = bai_golub_trace_bounds(q, 3.0, 7.0)
     truth = float(np.trace(np.linalg.inv(q)))
     assert lo <= truth + 1e-12
@@ -55,32 +54,6 @@ def test_bai_golub_random_pd():
         truth = float(np.trace(np.linalg.inv(a_mat)))
         assert lo <= truth + 1e-8 * abs(truth)
         assert truth <= hi + 1e-8 * abs(truth)
-
-
-def test_diag_dominance_bound():
-    q = signless_laplacian(cycle_graph(5).adjacency()) + 4.0 * np.eye(5)
-    r = diag_dominance_inverse_bound(q)
-    inv = np.linalg.inv(q)
-    for i in range(5):
-        col = np.abs(np.delete(inv[:, i], i))
-        assert col.max() <= r[i] * inv[i, i] + 1e-12
-    # row gap is diag - offsum = 2; adding back the coupling entry 1 gives 1/3
-    assert r.max() <= 1.0 / 3.0 + 1e-12
-
-
-def test_diag_dominance_diagonal_matrix():
-    r = diag_dominance_inverse_bound(np.diag([2.0, 3.0]))
-    assert np.abs(r).max() == pytest.approx(0.0)
-
-
-def test_diag_dominance_small_margin():
-    q = signless_laplacian(cycle_graph(8).adjacency()) + 2.1 * np.eye(8)
-    assert diag_dominance_inverse_bound(q).max() < 1.0
-
-
-def test_diag_dominance_rejects_weak_rows():
-    with pytest.raises(ValueError):
-        diag_dominance_inverse_bound(signless_laplacian(cycle_graph(4).adjacency()))
 
 
 def test_cycle_block_reference_values():
@@ -111,7 +84,7 @@ def test_cycle_block_invariants_grid():
 
 
 def test_cycle_block_inverse_is_circulant():
-    q = signless_laplacian(cycle_graph(11).adjacency()) + 2.3 * np.eye(11)
+    q = signless_laplacian(cycle_graph(11)) + 2.3 * np.eye(11)
     inv = np.linalg.inv(q)
     assert np.abs(np.diag(inv) - inv[0, 0]).max() < 1e-12
 
@@ -127,7 +100,7 @@ def test_path_rowsums_match_direct():
     for k in (3, 7, 20, 41, 60):
         for lam in (2.01, 3.0, 5.5, 10.0):
             rows = path_block_rowsums(k, 6, 6.0 - lam)
-            b = signless_laplacian(path_graph(k).adjacency()) + lam * np.eye(k)
+            b = signless_laplacian(path_graph(k)) + lam * np.eye(k)
             direct = np.linalg.solve(b, np.ones(k))
             assert np.abs(rows - direct).max() < 1e-10
 
@@ -145,7 +118,7 @@ def test_path_corner_entry_negative():
     # which is what drives the end-row sums up rather than down
     for k in range(3, 21):
         for lam in (2.1, 3.0, 5.0):
-            q = signless_laplacian(cycle_graph(k).adjacency()) + lam * np.eye(k)
+            q = signless_laplacian(cycle_graph(k)) + lam * np.eye(k)
             inv = np.linalg.inv(q)
             if k >= 4:
                 assert inv[0, k - 1] < inv[0, 0]

@@ -24,8 +24,8 @@ from rothlab.census import (
 from rothlab.analysis import decide_instance, s_roth_oracle
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
-from rothlab.graphs import (Graph, block_adjacency, complete_graph, compose, emit_graph6, encode_graph6, parse_graph6,
-                            path_graph)
+from conftest import adjacency
+from rothlab.graphs import block_adjacency, complete_graph, compose, decode_graph6, encode_graph6, path_graph
 
 
 def test_minimal_census(tmp_path):
@@ -98,7 +98,7 @@ def test_census_resume_refuses_another_g(tmp_path):
         fh.writelines(lines[:31])
     with open(os.path.join(out, "classify_t3_s4.json")) as fh:
         manifest = json.load(fh)
-    assert manifest == {"t": 3, "s": 4, "g": emit_graph6(path_graph(3)), "scaffolds": 34,
+    assert manifest == {"t": 3, "s": 4, "g": encode_graph6(path_graph(3)[None])[0], "scaffolds": 34,
                         "version": rothlab.__version__}
     with pytest.raises(ValueError, match="g="):
         run_census(3, 4, g=complete_graph(3), out_dir=out, resume=True)
@@ -189,7 +189,7 @@ def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
 def test_classify_relabeling_invariance(tmp_path):
     rng = np.random.default_rng(40)
     mats = load_scaffolds(3, 4, str(tmp_path))
-    g = Graph(3, frozenset({(0, 1)}))
+    g = adjacency(3, [(0, 1)])
     for k in (mats[0], mats[-1], mats[len(mats) // 2]):
         base = decide_instance(compose(4, g, k))
         # permute scaffold columns only: the instance is the same graph
@@ -238,8 +238,8 @@ def test_sweep_tree_finds_star():
     assert out["checked"] == 11
     assert len(out["counterexamples"]) == 1
     ce = out["counterexamples"][0]
-    g = parse_graph6(ce["g_graph6"])
-    degs = sorted(g.adjacency().sum(axis=1).tolist())
+    g = decode_graph6([ce["g_graph6"]])[0]
+    degs = sorted(g.sum(axis=1).tolist())
     assert degs == [1, 1, 1, 1, 1, 1, 6]
     assert abs(ce["mu"] - 1.0) < 1e-9
     # the boundary characterization reaches the same verdict independently
@@ -300,10 +300,10 @@ def test_ultra_probe_one_missing_edge():
 def test_ultra_probe_rejects_a_later_disconnected_composite():
     # K joins T-vertices 0,1 and 2,3; the first G bridges the halves, the second does not
     scaffold = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
-    bridged, split = Graph.from_edges(4, [(1, 2)]), Graph.from_edges(4, [(0, 1)])
-    assert set(ultra_roth_probe(scaffold, bridged.adjacency()[None])) == {"all_s_roth", "failures"}
+    bridged, split = adjacency(4, [(1, 2)]), adjacency(4, [(0, 1)])
+    assert set(ultra_roth_probe(scaffold, bridged[None])) == {"all_s_roth", "failures"}
     with pytest.raises(ValueError, match="disconnected"):
-        ultra_roth_probe(scaffold, np.array([bridged.adjacency(), split.adjacency()]))
+        ultra_roth_probe(scaffold, np.array([bridged, split]))
 
 
 def test_ultra_probe_validates_before_an_empty_family():
@@ -330,8 +330,8 @@ def test_ultra_probe_records_failures():
     assert not out["all_s_roth"]
     for rec in out["failures"]:
         assert set(rec) == {"g_graph6", "mu", "reason"}
-    # the same failures, one instance at a time through the Graph codec
+    # the same failures, one instance at a time through the graph6 codec
     failing = [g6 for g6 in encode_graph6(all_graphs(5))
-               if not s_roth_oracle(compose(2, parse_graph6(g6), scaffold)).is_s_roth]
+               if not s_roth_oracle(compose(2, decode_graph6([g6])[0], scaffold)).is_s_roth]
     assert [rec["g_graph6"] for rec in out["failures"]] == failing
     assert len(failing) == 33

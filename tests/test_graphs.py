@@ -1,4 +1,4 @@
-"""Graph type, codecs, composition and noise operations."""
+"""Adjacency constructors, codecs, composition and noise operations."""
 
 import re
 import tracemalloc
@@ -6,14 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import EX1_K, random_connected_graph, random_scaffold
+from conftest import EX1_K, adjacency, edge_list_text, random_connected_graph
+from rothlab.census import run_census, ultra_roth_probe
 from rothlab.graphs import (
     AddIntra,
     DeleteCross,
     Graph,
     apply_noise,
     block_adjacency,
-    common_neighbors,
     complement,
     complete_bipartite,
     complete_graph,
@@ -21,9 +21,7 @@ from rothlab.graphs import (
     connected_components,
     cycle_graph,
     decode_graph6,
-    disjoint_union,
-    emit_edge_list,
-    emit_graph6,
+    empty_graph,
     encode_graph6,
     instance_from_graph,
     is_connected,
@@ -47,41 +45,46 @@ def test_graph_validation():
 
 
 def test_constructors():
-    assert complete_graph(4).adjacency().sum(axis=1).tolist() == [3, 3, 3, 3]
-    assert path_graph(5).adjacency().sum(axis=1).tolist() == [1, 2, 2, 2, 1]
-    assert cycle_graph(5).adjacency().sum(axis=1).tolist() == [2, 2, 2, 2, 2]
+    assert complete_graph(4).sum(axis=1).tolist() == [3, 3, 3, 3]
+    assert path_graph(5).sum(axis=1).tolist() == [1, 2, 2, 2, 1]
+    assert cycle_graph(5).sum(axis=1).tolist() == [2, 2, 2, 2, 2]
     with pytest.raises(ValueError):
         cycle_graph(2)
-    kb = complete_bipartite(2, 3).adjacency()
+    kb = complete_bipartite(2, 3)
     assert kb.sum(axis=1).tolist() == [3, 3, 2, 2, 2]
     assert not kb[0, 1] and kb[0, 2]
+    # every constructor returns an int64 adjacency matrix
+    for a in (empty_graph(3), complete_graph(4), path_graph(5), cycle_graph(5), kb, join(path_graph(2), kb),
+              complement(cycle_graph(5)), empty_graph(0), path_graph(1)):
+        assert a.dtype == np.int64 and np.array_equal(a, adjacency(len(a), np.argwhere(np.triu(a)).tolist()))
 
 
 def test_union_join_complement():
-    g = disjoint_union(complete_graph(2), complete_graph(3))
-    assert len(connected_components(g.adjacency())) == 2
-    h = join(Graph(2), complete_graph(3))
-    assert is_connected(h.adjacency())
-    assert h.adjacency()[0].sum() == 3 and h.adjacency()[2].sum() == 4
+    # the complement of a join of complements is the disjoint union
+    g = complement(join(complement(complete_graph(2)), complement(complete_graph(3))))
+    assert len(connected_components(g)) == 2
+    h = join(empty_graph(2), complete_graph(3))
+    assert is_connected(h)
+    assert h[0].sum() == 3 and h[2].sum() == 4
     rng = np.random.default_rng(7)
     for _ in range(25):
         n = int(rng.integers(1, 12))
         edges = frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
         )
-        g = Graph(n, edges)
-        assert complement(complement(g)) == g
+        g = adjacency(n, edges)
+        assert np.array_equal(complement(complement(g)), g)
         # joinees are exactly the complement's components
-        assert join_decomposition(g.adjacency()) == connected_components(complement(g).adjacency())
+        assert join_decomposition(g) == connected_components(complement(g))
 
 
 def test_join_decomposition_of_join():
     # P3 is itself a join (center vs its two endpoints), so the maximal
     # decomposition of K2 v P3 has four joinees
     g = join(complete_graph(2), path_graph(3))
-    parts = join_decomposition(g.adjacency())
+    parts = join_decomposition(g)
     assert sorted(map(len, parts)) == [1, 1, 1, 2]
-    assert join_decomposition(cycle_graph(5).adjacency()) == [list(range(5))]  # indecomposable
+    assert join_decomposition(cycle_graph(5)) == [list(range(5))]  # indecomposable
 
 
 def test_graph6_round_trip_small():
@@ -91,8 +94,10 @@ def test_graph6_round_trip_small():
         edges = frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
         )
-        g = Graph(n, edges)
-        assert parse_graph6(emit_graph6(g)) == g
+        a = adjacency(n, edges)
+        line = encode_graph6(a[None])[0]
+        assert np.array_equal(decode_graph6([line])[0], a)
+        assert parse_graph6(line) == Graph(n, edges)
 
 
 def test_graph6_cross_check_networkx():
@@ -103,23 +108,24 @@ def test_graph6_cross_check_networkx():
         edges = frozenset(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
         )
-        g = Graph(n, edges)
+        line = encode_graph6(adjacency(n, edges)[None])[0]
         # networkx needs the isolated vertices hinted; build with explicit nodes
         gx = nx.Graph()
         gx.add_nodes_from(range(n))
-        gx.add_edges_from(g.edges)
+        gx.add_edges_from(edges)
         theirs = nx.to_graph6_bytes(gx, header=False).decode().strip()
-        assert emit_graph6(g) == theirs
-        back = nx.from_graph6_bytes(emit_graph6(g).encode())
-        assert set(map(frozenset, back.edges())) == set(map(frozenset, g.edges))
+        assert line == theirs
+        back = nx.from_graph6_bytes(line.encode())
+        assert set(map(frozenset, back.edges())) == set(map(frozenset, edges))
 
 
 def test_graph6_long_form():
     g = cycle_graph(80)
-    enc = emit_graph6(g)
+    enc = encode_graph6(g[None])[0]
     assert enc.startswith("~")
-    assert parse_graph6(enc) == g
-    assert parse_graph6(">>graph6<<" + enc) == g
+    assert np.array_equal(decode_graph6([enc])[0], g)
+    assert np.array_equal(decode_graph6([">>graph6<<" + enc])[0], g)
+    assert parse_graph6(enc) == Graph.from_edges(80, np.argwhere(np.triu(g)).tolist())
 
 
 def test_graph6_malformed():
@@ -259,25 +265,28 @@ def test_graph6_codec_refuses_an_oversize_order_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    with pytest.raises(ValueError, match="larger than 258"):
-        emit_graph6(Graph(259))
 
 
 def test_edge_list_round_trip():
     text = "# sample\n0 1\n1 2\n\n3 4  # trailing comment\n"
     g = parse_edge_list(text)
-    assert g.n == 5 and (3, 4) in g.edges
-    assert parse_edge_list(emit_edge_list(g)) == g
-    with pytest.raises(ValueError):
+    assert g.dtype == np.int64 and np.array_equal(g, adjacency(5, [(0, 1), (1, 2), (3, 4)]))
+    assert np.array_equal(parse_edge_list(edge_list_text(g)), g)
+    # reversed and repeated pairs name the same edges
+    assert np.array_equal(parse_edge_list("1 0\n2 1\n0 1\n4 3\n3 4\n3 4\n"), g)
+    assert parse_edge_list("# nothing\n").shape == (0, 0)
+    with pytest.raises(ValueError, match="bad edge-list line"):
         parse_edge_list("0 1 2\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="loop at vertex 0"):
         parse_edge_list("0 0\n")
+    with pytest.raises(ValueError, match="nonnegative"):
+        parse_edge_list("0 -1\n")
 
 
 def test_compose_shapes_and_blocks(ex1=None):
     inst = compose(7, complete_graph(4), EX1_K)
     assert inst.s == 7 and inst.t == 4
-    assert np.array_equal(inst.A, complete_graph(4).adjacency())
+    assert np.array_equal(inst.A, complete_graph(4))
     # column sums of K are the S-degrees
     assert list(inst.K.sum(axis=0)) == [4, 4, 4, 4, 1, 1, 1]
     assert list(inst.K.sum(axis=1)) == [4, 4, 4, 7]
@@ -293,7 +302,9 @@ def test_compose_errors():
         compose(2, complete_graph(3), np.zeros((3, 2), dtype=int))  # zero column
     k = np.array([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(ValueError):
-        compose(2, Graph(3), k)  # disconnected H
+        compose(2, empty_graph(3), k)  # disconnected H
+    # G-edges join what the scaffold leaves apart, and reach a T-vertex without S-neighbours
+    assert compose(2, adjacency(3, [(0, 2), (1, 2)]), k).t == 3
     with pytest.raises(ValueError):
         compose(2, complete_graph(3), np.array([[2, 1], [1, 1], [1, 1]]))
     # fractional entries are refused, not truncated to 0/1
@@ -310,7 +321,7 @@ def test_instance_from_graph_relabel():
     assert inst.labels == (1, 3, 0, 2, 4)
     # edge structure preserved under the relabeling
     labels = list(inst.labels)
-    assert np.array_equal(block_adjacency(inst.A, inst.K), h.adjacency()[np.ix_(labels, labels)])
+    assert np.array_equal(block_adjacency(inst.A, inst.K), h[np.ix_(labels, labels)])
     with pytest.raises(ValueError):
         instance_from_graph(h, [0, 1])  # not independent
     with pytest.raises(ValueError):
@@ -323,25 +334,33 @@ def test_instance_from_graph_refuses_empty_s():
         instance_from_graph(path_graph(5), [])
 
 
-def test_common_neighbors_matches_gram():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        t, s = int(rng.integers(2, 7)), int(rng.integers(2, 7))
-        k = random_scaffold(rng, t, s)
-        inst = compose(s, complete_graph(t), k)
-        gram = k @ k.T
-        for i in range(t):
-            for j in range(i + 1, t):
-                assert len(common_neighbors(inst, i, j)) == gram[i, j]
-    inst = compose(2, complete_graph(2))
-    with pytest.raises(ValueError):
-        common_neighbors(inst, 1, 1)
-    with pytest.raises(ValueError):
-        common_neighbors(inst, 0, 3)  # 3 is an S-vertex
+BAD_ADJACENCY = {
+    "non-square": (np.ones((3, 4), dtype=np.int64), "square"),
+    "a 2": (np.where(complete_graph(3) == 1, 2, 0), "0/1"),
+    "asymmetric": (np.triu(complete_graph(3)), "symmetric"),
+    "a loop": (np.ones((3, 3), dtype=np.int64), "loop-free"),
+}
+ADJACENCY_CALLERS = {
+    "compose": lambda a, out: compose(2, a),
+    "instance_from_graph": lambda a, out: instance_from_graph(a, [0]),
+    "run_census": lambda a, out: run_census(3, 2, g=a, out_dir=out),
+    "ultra_roth_probe": lambda a, out: ultra_roth_probe(np.ones((3, 2), dtype=np.int64), a[None]),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ADJACENCY)
+@pytest.mark.parametrize("caller", ADJACENCY_CALLERS)
+def test_adjacency_refused_by_every_caller(caller, case, tmp_path):
+    bad, match = BAD_ADJACENCY[case]
+    good = complete_graph(3)
+    ADJACENCY_CALLERS[caller](good, str(tmp_path / "good"))
+    with pytest.raises(ValueError, match=match):
+        ADJACENCY_CALLERS[caller](bad, str(tmp_path / "bad"))
+    assert not (tmp_path / "bad").exists()  # refused before the census writes anything
 
 
 def test_apply_noise_explicit_ops():
-    base = compose(4, Graph(3))  # K_{4,3} complete scaffold, empty G
+    base = compose(4, empty_graph(3))  # K_{4,3} complete scaffold, empty G
     out = apply_noise(base, [DeleteCross(0, 0), AddIntra(0, 1)])
     assert out.K[0, 0] == 0 and out.K.sum() == 11
     assert out.A[0, 1] == out.A[1, 0] == 1
@@ -371,7 +390,7 @@ def test_apply_noise_zero_column_rejected():
 
 
 def test_apply_noise_sampled_deterministic():
-    base = compose(5, Graph(4))
+    base = compose(5, empty_graph(4))
     a = apply_noise(base, [DeleteCross(), AddIntra()], seed=42)
     b = apply_noise(base, [DeleteCross(), AddIntra()], seed=42)
     assert np.array_equal(a.K, b.K) and np.array_equal(a.A, b.A)

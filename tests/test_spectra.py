@@ -1,14 +1,18 @@
-"""Laplacians, eigensolver contracts, exact kernel, spectral bounds."""
+"""Signless Laplacians, eigensolver contracts, exact kernel, spectral bounds."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import rothlab
 import rothlab.analysis
 import rothlab.bounds
+import rothlab.census
+import rothlab.cli
+import rothlab.enumeration
 import rothlab.spectra
-from conftest import random_connected_graph, random_instance
+from conftest import adjacency, random_connected_graph, random_instance
 from rothlab.graphs import (
     Graph,
     block_adjacency,
@@ -16,6 +20,7 @@ from rothlab.graphs import (
     complete_graph,
     compose,
     cycle_graph,
+    empty_graph,
     join,
     path_graph,
 )
@@ -24,10 +29,8 @@ from rothlab.spectra import (
     exact_kernel_dim,
     full_spectrum,
     integer_candidate,
-    laplacian,
     mu_lower_bound_degrees,
     mu_upper_bound_cut,
-    rayleigh_quotient_signless,
     sign_normalize,
     signless_laplacian,
     smallest_eigenpair,
@@ -35,35 +38,27 @@ from rothlab.spectra import (
 
 
 def test_spectral_layer_binds_no_graph():
-    # the spectral layer sees adjacency arrays only; Graph stays at the edges of the program
-    for module in (rothlab.spectra, rothlab.analysis, rothlab.bounds):
+    # the program sees adjacency arrays only; Graph is left in rothlab.graphs for parse_graph6
+    for module in (rothlab, rothlab.spectra, rothlab.analysis, rothlab.bounds, rothlab.census, rothlab.cli,
+                   rothlab.enumeration):
         assert not any(value is Graph for value in vars(module).values()), module.__name__
 
 
 def test_signless_laplacian_entries():
-    q = signless_laplacian(complete_graph(2).adjacency())
+    q = signless_laplacian(complete_graph(2))
     assert np.array_equal(q, [[1, 1], [1, 1]])
-    q3 = signless_laplacian(cycle_graph(3).adjacency())
+    q3 = signless_laplacian(cycle_graph(3))
     vals = np.linalg.eigvalsh(q3)
     assert np.allclose(vals, [1, 1, 4], atol=1e-12)
-
-
-def test_laplacian_entries():
-    ell = laplacian(complete_graph(2).adjacency())
-    assert np.array_equal(ell, [[1, -1], [-1, 1]])
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        g = random_connected_graph(rng, int(rng.integers(2, 10)))
-        assert np.abs(laplacian(g.adjacency()).sum(axis=1)).max() == 0
 
 
 def test_bipartite_kernel_counts_components():
     # kernel dimension of Q = number of bipartite components
     g = complete_bipartite(2, 3)
-    vals = np.linalg.eigvalsh(signless_laplacian(g.adjacency()))
+    vals = np.linalg.eigvalsh(signless_laplacian(g))
     assert (np.abs(vals) < 1e-9).sum() == 1
-    two = Graph(8, frozenset({(0, 1), (2, 3), (4, 5), (6, 7)}))
-    vals = np.linalg.eigvalsh(signless_laplacian(two.adjacency()))
+    two = adjacency(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    vals = np.linalg.eigvalsh(signless_laplacian(two))
     assert (np.abs(vals) < 1e-9).sum() == 4
 
 
@@ -82,7 +77,7 @@ def test_full_spectrum_contracts():
 
 
 def test_smallest_eigenpair_k2():
-    pair = smallest_eigenpair(signless_laplacian(complete_graph(2).adjacency()))
+    pair = smallest_eigenpair(signless_laplacian(complete_graph(2)))
     assert abs(pair.mu) < 1e-12
     assert pair.multiplicity == 1
     x = pair.vector
@@ -117,11 +112,11 @@ def test_integer_candidate():
 
 
 def test_exact_kernel_known_cases(ex88):
-    nullity, basis = exact_kernel_dim(signless_laplacian(complete_graph(2).adjacency()), 0)
+    nullity, basis = exact_kernel_dim(signless_laplacian(complete_graph(2)), 0)
     assert nullity == 1
     v = basis[0]
     assert v[0] == -v[1] != 0
-    nullity, _ = exact_kernel_dim(signless_laplacian(cycle_graph(3).adjacency()), 1)
+    nullity, _ = exact_kernel_dim(signless_laplacian(cycle_graph(3)), 1)
     assert nullity == 2
     nullity, basis = exact_kernel_dim(signless_laplacian(block_adjacency(ex88.A, ex88.K)), 2)
     assert nullity == 1
@@ -142,7 +137,7 @@ def test_exact_kernel_agrees_with_float_multiplicity():
     rng = np.random.default_rng(2)
     for _ in range(40):
         g = random_connected_graph(rng, int(rng.integers(2, 9)))
-        q = signless_laplacian(g.adjacency())
+        q = signless_laplacian(g)
         vals = np.linalg.eigvalsh(q)
         for c in range(0, int(np.ceil(vals[-1])) + 1):
             d = np.abs(vals - c)
@@ -154,36 +149,36 @@ def test_exact_kernel_agrees_with_float_multiplicity():
 
 def test_rayleigh_quotient():
     g = complete_graph(2)
-    assert rayleigh_quotient_signless(g.adjacency(), np.ones(2)) == pytest.approx(2.0)
+    x = np.ones(2)
+    assert x @ signless_laplacian(g) @ x / (x @ x) == pytest.approx(2.0)
     # signed-by-parts vector on a bipartite graph gives zero
     kb = complete_bipartite(2, 3)
     x = np.array([1.0, 1.0, -1.0, -1.0, -1.0])
-    assert rayleigh_quotient_signless(kb.adjacency(), x) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        rayleigh_quotient_signless(g.adjacency(), np.zeros(2))
+    assert x @ signless_laplacian(kb) @ x / (x @ x) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_rayleigh_never_below_mu():
     rng = np.random.default_rng(3)
     g = random_connected_graph(rng, 8)
-    mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
+    q = signless_laplacian(g)
+    mu = float(np.linalg.eigvalsh(q)[0])
     for _ in range(200):
         x = rng.normal(size=8)
-        assert rayleigh_quotient_signless(g.adjacency(), x) >= mu - 1e-10
+        assert x @ q @ x / (x @ x) >= mu - 1e-10
 
 
 def test_cut_bound_value(ex88):
     # the +-1 vector signed by (S, T) realizes 4e/(s+t)
     assert mu_upper_bound_cut(ex88) == pytest.approx(4 * 8 / 10)
     x = np.concatenate([np.ones(6), -np.ones(4)])
-    assert rayleigh_quotient_signless(block_adjacency(ex88.A, ex88.K), x) == pytest.approx(3.2)
-    inst0 = compose(3, Graph(4))  # edgeless G: bipartite H
+    assert x @ signless_laplacian(block_adjacency(ex88.A, ex88.K)) @ x / (x @ x) == pytest.approx(3.2)
+    inst0 = compose(3, empty_graph(4))  # edgeless G: bipartite H
     assert mu_upper_bound_cut(inst0) == 0.0
 
 
 def test_degree_bound_values():
-    assert mu_lower_bound_degrees(complete_graph(2).adjacency()) == pytest.approx(0.0)
-    assert mu_lower_bound_degrees(cycle_graph(3).adjacency()) == pytest.approx(1.0)
+    assert mu_lower_bound_degrees(complete_graph(2)) == pytest.approx(0.0)
+    assert mu_lower_bound_degrees(cycle_graph(3)) == pytest.approx(1.0)
 
 
 def test_mu_sandwich_on_random_instances():
@@ -200,21 +195,22 @@ def test_mu_strictly_below_min_degree():
     rng = np.random.default_rng(5)
     for _ in range(60):
         g = random_connected_graph(rng, int(rng.integers(2, 11)))
-        mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
-        assert mu < g.adjacency().sum(axis=1).min()
+        mu = float(np.linalg.eigvalsh(signless_laplacian(g))[0])
+        assert mu < g.sum(axis=1).min()
 
 
 def test_span_monotonicity_chains():
     rng = np.random.default_rng(6)
     for _ in range(15):
         n = int(rng.integers(3, 10))
-        g = Graph(n)
+        g = empty_graph(n)
         mu_prev = 0.0
         non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(non_edges)
         for (u, v) in non_edges:
-            g = Graph(n, frozenset(set(g.edges) | {(u, v)}))
-            mu = float(np.linalg.eigvalsh(signless_laplacian(g.adjacency()))[0])
+            g = g.copy()
+            g[u, v] = g[v, u] = 1
+            mu = float(np.linalg.eigvalsh(signless_laplacian(g))[0])
             assert mu >= mu_prev - 1e-10
             mu_prev = mu
 
@@ -225,8 +221,8 @@ def test_join_laplacian_top_eigenvalue():
         a = random_connected_graph(rng, int(rng.integers(1, 6)))
         b = random_connected_graph(rng, int(rng.integers(1, 6)))
         h = join(a, b)
-        vals = np.linalg.eigvalsh(laplacian(h.adjacency()))
-        assert vals[-1] == pytest.approx(h.n, abs=1e-9)
+        vals = np.linalg.eigvalsh(np.diag(h.sum(axis=1)) - h)
+        assert vals[-1] == pytest.approx(len(h), abs=1e-9)
 
 
 def test_bipartite_smallest_vector_constant_by_parts():
@@ -234,7 +230,7 @@ def test_bipartite_smallest_vector_constant_by_parts():
     for _ in range(20):
         a, b = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         k = complete_bipartite(a, b)
-        pair = smallest_eigenpair(signless_laplacian(k.adjacency()))
+        pair = smallest_eigenpair(signless_laplacian(k))
         x = sign_normalize(pair.vector, a)
         assert np.allclose(x[:a], x[0]) and x[0] < 0
         assert np.allclose(x[a:], x[a]) and x[a] > 0
