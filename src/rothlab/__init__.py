@@ -39,10 +39,7 @@ from .spectra import (
 )
 from .analysis import (
     BoundaryCharacterization,
-    HarmonicCondition,
-    InstanceDecision,
-    MatrixClassReport,
-    RothVerdict,
+    Decisions,
     ReducedMatrix,
     alpha_of,
     boundary_characterization,
@@ -52,6 +49,7 @@ from .analysis import (
     decide_stack,
     deg2_predicate,
     gdeg_check,
+    harmonic_witness,
     is_complete_scaffold,
     oracle_stack,
     s_roth_oracle,

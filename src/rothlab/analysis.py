@@ -9,18 +9,21 @@ decomposition criteria at the mu = t-s boundary, and the reduced matrix R_mu
 whose inverse row sums characterize S-Rothness for complete scaffolds.
 
 The oracle, the Q_mu classes and the scaffold certificates run on stacks of
-same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack.
-s_roth_oracle and decide_instance are their one-instance case, and an
-InstanceDecision is the one record of every fact decided about an instance.
+same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack
+return one Decisions record with an (N,) array per fact.  s_roth_oracle and
+decide_instance are their one-instance case, row [0] of the same record.
 
-Verdicts at eigenvalues sitting on an integer are re-derived in exact rational
-arithmetic; floating point alone never decides a boundary case.
+Exact and floating-point decisions: when mu lies within INTEGER_TOL of an
+integer c and Q(H) - cI is singular, the verdict and the Q_mu classes at it
+are re-derived in exact rational arithmetic.  Every other verdict is a
+floating-point decision: a ZeroEntry or MultipleEigenvalue at an irrational
+mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -47,13 +50,53 @@ REASON_MULTIPLE = "MultipleEigenvalue"
 
 
 @dataclass(eq=False)
-class RothVerdict:
-    is_s_roth: bool
-    reason: str
-    mu: float
-    multiplicity: int
-    eigenvector: np.ndarray
-    kernel: list | None  # rational basis of ker(Q(H) - mu I) on the exact path, else None
+class Decisions:
+    """Everything decided about a stack of N instances, one (N,) array per fact; row [i] is instance i.
+
+    A row is the same record with Python scalars (bool, int, float, str), a
+    1-D eigenvector and a kernel that is a list or None; an index array
+    selects a smaller stack.  oracle_stack fills the verdict; the Q_mu
+    classes and the scaffold certificates are decide_stack's, and None
+    otherwise.  N_ij is the set of S-vertices adjacent to both T-vertices i
+    and j, and d_B(k) the scaffold degree of the S-vertex k.  Each
+    certificate, when it holds, implies that H is S-Roth.
+    """
+
+    mu: np.ndarray  # float; the integer c where a rational kernel settled the verdict
+    multiplicity: np.ndarray  # int
+    reason: np.ndarray  # str: one of the REASON_* codes
+    is_s_roth: np.ndarray  # bool: reason == REASON_SIGNED
+    eigenvector: np.ndarray  # (N, n); unit norm, signed so its S-sum is nonnegative unless mu is multiple
+    kernel: np.ndarray  # object: rational basis of ker(Q(H) - mu I) on the exact path, else None
+    # the Q_mu classes at mu, all False where classes is False
+    classes: np.ndarray | None = None  # bool: Q_mu is formed (mu < min(D2)) and regular
+    z_matrix: np.ndarray | None = None
+    m_matrix: np.ndarray | None = None
+    inverse_positive: np.ndarray | None = None
+    minpositive: np.ndarray | None = None
+    # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
+    # non-adjacent pair of T-vertices has N_ij nonempty
+    harmcond: np.ndarray | None = None
+    # int: the first failing G-edge in sorted order, else the first failing non-adjacent pair,
+    # as an index of np.triu_indices(t, 1); -1 where harmcond holds (see harmonic_witness)
+    witness: np.ndarray | None = None
+    gc: np.ndarray | None = None  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
+    bdeg: np.ndarray | None = None  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
+    st: np.ndarray | None = None  # complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, i) -> Decisions:
+        return Decisions(**{f.name: _row(getattr(self, f.name), i) for f in fields(self)})
+
+
+def _row(column, i):
+    """column[i], with a numpy scalar as a Python one; None for an absent column."""
+    if column is None:
+        return None
+    v = column[i]
+    return v.item() if isinstance(v, np.generic) else v
 
 
 @dataclass(eq=False)
@@ -69,23 +112,15 @@ class ReducedMatrix:
     mu: float
 
 
-@dataclass
-class MatrixClassReport:
-    z_matrix: bool
-    m_matrix: bool
-    inverse_positive: bool
-    minpositive: bool
-
-
-def _exact_sign_verdict(vec, t: int):
-    """Classify an exact kernel vector: (is_s_roth, reason), after exact sign flip."""
+def _exact_sign_reason(vec, t: int) -> str:
+    """The reason code of an exact kernel vector, after an exact sign flip."""
     if sum(vec[t:]) < 0:
         vec = [-v for v in vec]
     if any(v == 0 for v in vec):
-        return False, REASON_ZERO
+        return REASON_ZERO
     if all(v > 0 for v in vec[t:]) and all(v < 0 for v in vec[:t]):
-        return True, REASON_SIGNED
-    return False, REASON_MIXED
+        return REASON_SIGNED
+    return REASON_MIXED
 
 
 def _stacks(a_g, ks) -> tuple:
@@ -97,20 +132,42 @@ def _stacks(a_g, ks) -> tuple:
             np.broadcast_to(ks, lead + (t, s)).reshape(-1, t, s), lead)
 
 
-def _exact_verdict(q: np.ndarray, c: int, t: int, vector: np.ndarray) -> RothVerdict | None:
-    """The verdict from the rational kernel of Q(H) - cI; None when that kernel is trivial."""
-    nullity, basis = exact_kernel_dim(q, c)
-    if nullity > 1:
-        return RothVerdict(False, REASON_MULTIPLE, float(c), nullity, vector, basis)
-    if nullity == 0:
-        return None
-    ok, reason = _exact_sign_verdict(basis[0], t)
-    x = np.array([float(v) for v in basis[0]])
-    return RothVerdict(ok, reason, float(c), 1, sign_normalize(x / np.linalg.norm(x), t), basis)
+def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> Decisions:
+    """The verdicts of the stacks (N, t, t), (N, t, s); Q(H) keeps the leading shape lead in its eigensolve."""
+    t = k.shape[-2]
+    q = signless_laplacian(block_adjacency(a, k))
+    n = q.shape[-1]
+    pair = smallest_eigenpair(q.reshape(lead + (n, n)))
+    mu = np.reshape(pair.mu, -1).astype(float)
+    multiplicity = np.reshape(pair.multiplicity, -1).astype(np.int64)
+    raw = pair.vector.reshape(-1, n)
+    x = sign_normalize(raw, t)
+    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)[:, None]
+    multiple = multiplicity > 1
+    zero = np.any(np.abs(x) <= tol, axis=1)
+    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
+    reason = np.where(multiple, REASON_MULTIPLE, np.where(
+        zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
+    eigenvector = np.where(multiple[:, None], raw, x)
+    kernel = np.full(len(mu), None, dtype=object)
+    c = integer_candidate(mu)
+    for i in np.flatnonzero(np.isfinite(c)):
+        ci = int(c[i])  # an int, so that a mu rounded up from below 0 is 0.0, not -0.0
+        nullity, basis = exact_kernel_dim(q[i], ci)
+        if nullity == 0:
+            continue
+        kernel[i], mu[i], multiplicity[i] = basis, ci, nullity
+        if nullity > 1:
+            reason[i], eigenvector[i] = REASON_MULTIPLE, raw[i]
+        else:
+            reason[i] = _exact_sign_reason(basis[0], t)
+            v = np.array([float(e) for e in basis[0]])
+            eigenvector[i] = sign_normalize(v / np.linalg.norm(v), t)
+    return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel)
 
 
-def oracle_stack(a_g, ks) -> list:
-    """The S-Roth oracle for every (A_G, K) pair of a stack, in order.
+def oracle_stack(a_g, ks) -> Decisions:
+    """The S-Roth oracle for every (A_G, K) pair of a stack: a Decisions record of the verdicts, in order.
 
     a_g is the t x t adjacency matrix of G or a stack (N, t, t) of them; ks is
     one t x s scaffold or a stack (N, t, s); each broadcasts against the
@@ -123,40 +180,14 @@ def oracle_stack(a_g, ks) -> list:
     T-entry falls below -SIGN_TOL (both sides are checked; the failing side is
     recorded in the reason).  Eigenvalues within INTEGER_TOL of an integer c
     where Q(H) - cI is singular are settled by its rational kernel instead of
-    float sign tests, one instance at a time; the verdict then has mu = c and
-    keeps that kernel for the Q_mu classes.  On the float path kernel is None.
+    float sign tests; only those rows are solved one at a time.  Their mu is
+    then c and their kernel is kept for the Q_mu classes; elsewhere kernel is None.
     """
-    a, k, lead = _stacks(a_g, ks)
-    t = k.shape[-2]
-    q = signless_laplacian(block_adjacency(a, k))
-    n = q.shape[-1]
-    pair = smallest_eigenpair(q.reshape(lead + (n, n)))
-    mu = np.reshape(pair.mu, -1).tolist()
-    multiplicity = np.reshape(pair.multiplicity, -1).tolist()
-    raw = pair.vector.reshape(-1, n)
-    x = sign_normalize(raw, t)
-    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)[:, None]
-    zero = np.any(np.abs(x) <= tol, axis=1).tolist()
-    signed = (np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)).tolist()
-    verdicts = []
-    for i, m in enumerate(mu):
-        c = integer_candidate(m)
-        v = None if c is None else _exact_verdict(q[i], c, t, raw[i])
-        if v is None:
-            if multiplicity[i] > 1:
-                v = RothVerdict(False, REASON_MULTIPLE, m, multiplicity[i], raw[i], None)
-            elif zero[i]:
-                v = RothVerdict(False, REASON_ZERO, m, 1, x[i], None)
-            elif signed[i]:
-                v = RothVerdict(True, REASON_SIGNED, m, 1, x[i], None)
-            else:
-                v = RothVerdict(False, REASON_MIXED, m, 1, x[i], None)
-        verdicts.append(v)
-    return verdicts
+    return _oracle(*_stacks(a_g, ks))
 
 
-def s_roth_oracle(inst: CompositeInstance) -> RothVerdict:
-    """Decide S-Rothness from the smallest eigenpair of Q(H): oracle_stack for one instance."""
+def s_roth_oracle(inst: CompositeInstance) -> Decisions:
+    """Decide S-Rothness from the smallest eigenpair of Q(H): row [0] of oracle_stack for one instance."""
     return oracle_stack(inst.A, inst.K)[0]
 
 
@@ -180,8 +211,8 @@ def build_q_mu(inst: CompositeInstance, mu: float) -> np.ndarray:
 
     Requires mu < min(D2) so the middle factor is negative definite; the
     off-diagonal (i,j) entry works out to [i ~G j] - sum over N_ij of
-    1/(d_B(k) - mu).  Its classes at the verdict's mu are
-    decide_instance(inst).classes.
+    1/(d_B(k) - mu).  Its classes at the verdict's mu are the class fields
+    of decide_instance(inst).
     """
     d2_min = inst.K.sum(axis=0).min()
     if mu >= d2_min:
@@ -202,8 +233,8 @@ def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
     return lcm * qg - (k * (lcm // gaps)) @ k.T
 
 
-def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_positive: bool) -> MatrixClassReport:
-    """Q_mu classes at mu = c from the integer L*Q_mu and the verdict's kernel.
+def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_positive: bool) -> tuple:
+    """(z_matrix, m_matrix, inverse_positive, minpositive) of Q_mu at mu = c, from the integer L*Q_mu and the kernel.
 
     L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
     """
@@ -221,59 +252,43 @@ def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_po
             w = [-v for v in w]
         minpositive = all(v > 0 for v in w)
     # an M-matrix exactly when Z: Q_mu is PD since lambda_1(Q_mu) = c > 0
-    return MatrixClassReport(z_matrix=z_matrix, m_matrix=z_matrix,
-                             inverse_positive=inverse_positive, minpositive=minpositive)
+    return z_matrix, z_matrix, inverse_positive, minpositive
 
 
-def _classify(q_mu: np.ndarray, a: np.ndarray, k: np.ndarray, verdicts: list) -> list:
-    """Classes of a stack of Q_mu, each built at its verdict's mu; None where Q_mu is singular.
+def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
+    """(regular, z_matrix, m_matrix, inverse_positive, minpositive) of a stack of Q_mu, each at its verdict's mu.
 
-    No eigensolve: for mu < min(D2), Haynsworth inertia makes mu the smallest
-    eigenvalue of Q_mu, with the verdict's multiplicity and eigenvectors the
-    T-parts of those of Q(H).  One stacked inverse serves the whole stack.  A
-    verdict decided from a rational kernel (mu on an integer c: the t-s
-    boundary of complete scaffolds and its relatives) has its flags computed
-    from the integer L*Q_mu and that kernel, so borderline zero entries are
-    decided exactly.
+    A (5, N) bool array, all False where Q_mu is singular.  No eigensolve:
+    for mu < min(D2), Haynsworth inertia makes mu the smallest eigenvalue of
+    Q_mu, with the verdict's multiplicity and eigenvectors the T-parts of
+    those of Q(H).  One stacked inverse serves the whole stack.  A verdict
+    decided from a rational kernel (mu on an integer c: the t-s boundary of
+    complete scaffolds and its relatives) has its flags computed from the
+    integer L*Q_mu and that kernel, so borderline zero entries are decided
+    exactly; only those rows are classified one at a time.
     """
+    q_mu = _q_mu(a, k, d.mu)
     t = q_mu.shape[-1]
-    mu = np.array([v.mu for v in verdicts])
     scale = 1.0 + np.abs(q_mu).max(axis=(1, 2), initial=0.0)
-    regular = np.abs(mu) > 1e-12 * scale
-    z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
-    m_matrix = z_matrix & (mu > 0.0)
+    regular = np.abs(d.mu) > 1e-12 * scale
+    z_matrix = regular & (q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z)
     inv = np.linalg.inv(q_mu[regular])
     inverse_positive = np.zeros(len(q_mu), dtype=bool)
     inverse_positive[regular] = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
-    simple = np.array([v.multiplicity == 1 for v in verdicts])
-    x = sign_normalize(np.array([v.eigenvector[:t] for v in verdicts]), 0)
-    minpositive = simple & np.all(x > SIGN_TOL * np.abs(x).max(axis=1)[:, None], axis=1)
-    reports = []
-    for i, (verdict, reg, z, m, ip, mp) in enumerate(zip(
-            verdicts, regular.tolist(), z_matrix.tolist(), m_matrix.tolist(),
-            inverse_positive.tolist(), minpositive.tolist())):
-        c = int(verdict.mu)  # the exact path sets mu to the integer c
-        if not reg:
-            reports.append(None)
-        elif verdict.kernel is not None and 0 < c < k[i].sum(axis=0).min():
-            reports.append(_exact_classes(a[i], k[i], c, verdict.kernel, ip))
-        else:
-            reports.append(MatrixClassReport(z_matrix=z, m_matrix=m, inverse_positive=ip, minpositive=mp))
-    return reports
+    x = sign_normalize(d.eigenvector[:, :t], 0)
+    minpositive = regular & (d.multiplicity == 1) & np.all(x > SIGN_TOL * np.abs(x).max(axis=1)[:, None], axis=1)
+    flags = np.array([regular, z_matrix, z_matrix & (d.mu > 0.0), inverse_positive, minpositive])
+    # the exact path sets mu to the integer c
+    for i in np.flatnonzero(regular & (d.mu > 0.0) & np.not_equal(d.kernel, None)):
+        flags[1:, i] = _exact_classes(a[i], k[i], int(d.mu[i]), d.kernel[i], inverse_positive[i])
+    return flags
 
 
 # harmonic-sum certificates on the scaffold
 
 
-@dataclass
-class HarmonicCondition:
-    holds: bool
-    witness: tuple | None  # failing pair of T-vertices, when holds is False
-    witness_sum: Fraction | None  # harmonic sum at the witness (0 for an empty N_ij)
-
-
 def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
-    """Harmonic condition and gc for a stack (N, t, t), (N, t, s): (HarmonicConditions, gc flags).
+    """Harmonic condition, its witness pair index (-1 where it holds) and gc for a stack (N, t, t), (N, t, s).
 
     Harmonic sums are exact integers: each S-vertex weighs L / d_B(k), with L
     the lcm of the S-degrees present (a divisor of lcm(1..t)), so a sum is at
@@ -298,17 +313,23 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     low = edge & (harm < lcm)  # G-edges with harmonic sum below 1
     empty = ~edge & (common == 0)  # non-adjacent pairs without a common S-neighbour
     gc = ~np.any((edge & (common < d2.max(axis=1)[:, None])) | empty, axis=1)
-    conditions = []
-    for i, (any_low, first_low, any_empty, first_empty) in enumerate(zip(
-            low.any(axis=1).tolist(), low.argmax(axis=1).tolist(),
-            empty.any(axis=1).tolist(), empty.argmax(axis=1).tolist())):
-        if not (any_low or any_empty):
-            conditions.append(HarmonicCondition(True, None, None))
-            continue
-        j = first_low if any_low else first_empty
-        total = Fraction(int(harm[i, j]), lcm) if any_low else Fraction(0)
-        conditions.append(HarmonicCondition(False, (int(iu[j]), int(ju[j])), total))
-    return conditions, gc
+    witness = np.where(low.any(axis=1), low.argmax(axis=1),
+                       np.where(empty.any(axis=1), empty.argmax(axis=1), -1))
+    return witness < 0, witness, gc
+
+
+def harmonic_witness(k, witness: int) -> tuple | None:
+    """The T-vertex pair (i, j) of a Decisions witness index for the t x s scaffold k, and its exact harmonic sum.
+
+    The sum over N_ij of 1/d_B(k) is a Fraction (0 for an empty N_ij).  None
+    for the index -1: the harmonic condition holds.
+    """
+    if witness < 0:
+        return None
+    iu, ju = np.triu_indices(k.shape[0], 1)
+    i, j = int(iu[witness]), int(ju[witness])
+    degrees = k.sum(axis=0)[(k[i] != 0) & (k[j] != 0)]
+    return (i, j), sum((Fraction(1, int(d)) for d in degrees), Fraction(0))
 
 
 def alpha_of(inst: CompositeInstance, mu: float) -> float:
@@ -407,56 +428,29 @@ def deg2_predicate(inst: CompositeInstance) -> bool:
     return bool(inst.A.sum(axis=1).max() <= 2)
 
 
-@dataclass(eq=False)
-class InstanceDecision:
-    """The verdict, the Q_mu classes at its mu and the scaffold certificates of one instance.
+def decide_stack(a_g, ks) -> Decisions:
+    """The oracle, the Q_mu classes at each verdict's mu and the scaffold certificates: one Decisions record.
 
-    Each certificate, when it holds, implies that H is S-Roth.  N_ij is the
-    set of S-vertices adjacent to both T-vertices i and j, and d_B(k) the
-    scaffold degree of the S-vertex k.
+    Takes A_G and K as oracle_stack does.  These are the steps the census and
+    the CLI report share; each runs once per stack: one stacked eigensolve
+    for the verdicts, one stacked Q_mu and inverse for the classes, integer
+    array operations for the certificates, and the Q_mu classes reuse each
+    verdict's exact kernel.
     """
-
-    verdict: RothVerdict
-    classes: MatrixClassReport | None  # None when Q_mu is singular or cannot be formed
-    # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
-    # non-adjacent pair of T-vertices has N_ij nonempty; the witness is the first failing
-    # G-edge in sorted order, else the first failing non-adjacent pair
-    harmcond: HarmonicCondition
-    gc: bool  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
-    bdeg: bool  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
-    st: bool  # complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1
-
-
-def decide_stack(a_g, ks) -> list:
-    """The oracle, the Q_mu classes at each verdict's mu and the scaffold certificates.
-
-    Takes A_G and K as oracle_stack does and returns one InstanceDecision per
-    instance, in order.  These are the steps the census and the CLI report
-    share; each runs once per stack: one stacked eigensolve for the verdicts,
-    one stacked Q_mu and inverse for the classes, integer array operations
-    for the certificates, and the Q_mu classes reuse each verdict's exact
-    kernel.
-    """
-    verdicts = oracle_stack(a_g, ks)
-    a, k, _ = _stacks(a_g, ks)
-    mu = np.array([v.mu for v in verdicts])
+    a, k, lead = _stacks(a_g, ks)
+    d = _oracle(a, k, lead)
     # Q_mu exists for mu < min(D2); it is singular when H is bipartite
-    formed = np.flatnonzero(mu < k.sum(axis=1).min(axis=1))
-    classes = [None] * len(verdicts)
-    if formed.size:
-        sub = _classify(_q_mu(a[formed], k[formed], mu[formed]), a[formed], k[formed],
-                        [verdicts[i] for i in formed])
-        for i, report in zip(formed.tolist(), sub):
-            classes[i] = report
-    harm, gc = _certificates(a, k)
+    formed = np.flatnonzero(d.mu < k.sum(axis=1).min(axis=1))
+    flags = np.zeros((5, len(d)), dtype=bool)
+    flags[:, formed] = _classify(a[formed], k[formed], d[formed])
+    d.classes, d.z_matrix, d.m_matrix, d.inverse_positive, d.minpositive = flags
+    d.harmcond, d.witness, d.gc = _certificates(a, k)
     t, s = k.shape[-2:]
-    bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1).tolist()
-    st = (np.all(k == 1, axis=(-2, -1)) & (s >= t)).tolist()
-    return [InstanceDecision(v, c, h, g, b, x)
-            for v, c, h, g, b, x in zip(verdicts, classes, harm, gc.tolist(), bdeg, st)]
+    d.bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
+    d.st = np.all(k == 1, axis=(-2, -1)) & (s >= t)
+    return d
 
 
-def decide_instance(inst: CompositeInstance) -> InstanceDecision:
-    """decide_stack for one instance."""
+def decide_instance(inst: CompositeInstance) -> Decisions:
+    """decide_stack for one instance: row [0] of its record."""
     return decide_stack(inst.A, inst.K)[0]
-

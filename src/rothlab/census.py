@@ -47,19 +47,17 @@ class CensusRow:
     n_inv_positive: int
 
 
-def _flag(v) -> str:
-    return "" if v is None else str(int(bool(v)))
-
-
 def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
-    """Detail-row fields after graph6 for a block of scaffolds composed with one G."""
-    rows = []
-    for d in decide_stack(a_g, ks):
-        v, c = d.verdict, d.classes
-        rows.append([f"{v.mu:.17g}", str(v.multiplicity), _flag(v.is_s_roth), _flag(d.harmcond.holds),
-                     _flag(None if c is None else c.m_matrix),
-                     _flag(None if c is None else c.inverse_positive)])
-    return rows
+    """The detail-CSV columns after graph6, as lists of str, for a block of scaffolds composed with one G.
+
+    A class flag is empty where Q_mu is not formed or singular.
+    """
+    d = decide_stack(a_g, ks)
+    s_roth, harmcond, m_matrix, inv_positive = (
+        np.where(f, "1", "0") for f in (d.is_s_roth, d.harmcond, d.m_matrix, d.inverse_positive))
+    columns = (np.char.mod("%.17g", d.mu), d.multiplicity.astype(str), s_roth, harmcond,
+               np.where(d.classes, m_matrix, ""), np.where(d.classes, inv_positive, ""))
+    return [c.tolist() for c in columns]
 
 
 def _write_atomic(path: str, write) -> None:
@@ -74,12 +72,16 @@ def _write_atomic(path: str, write) -> None:
         raise
 
 
+def _cache_path(t: int, s: int, out_dir: str) -> str:
+    return os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
+
+
 def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
     """(scaffold stack (N, t, s), their graph6 texts), from the graph6 cache if present, else enumerated and cached.
 
     Every cache line must encode a scaffold [[0, K], [K^T, 0]] on t + s vertices.
     """
-    path = os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
+    path = _cache_path(t, s, out_dir)
     if os.path.exists(path):
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
@@ -142,12 +144,17 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     resume whose manifest is missing or differs raises ValueError naming the
     field.  Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK,
     mapped over jobs worker processes; rows are written in enumeration order
-    regardless of jobs.
+    regardless of jobs.  jobs < 1 and an empty scaffold cache (every (t, s)
+    has a connected scaffold) raise ValueError before anything is written.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     g = complete_graph(t) if g is None else _check_adjacency(g)
     if g.shape != (t, t):
         raise ValueError(f"G has shape {g.shape}, expected ({t}, {t})")
     scaffolds, texts = _scaffold_stream(t, s, out_dir, allow_long)
+    if not len(scaffolds):
+        raise ValueError(f"scaffold cache {_cache_path(t, s, out_dir)} is empty")
     detail_path = os.path.join(out_dir, f"classify_t{t}_s{s}.csv")
     manifest_path = os.path.join(out_dir, f"classify_t{t}_s{s}.json")
     manifest = {"t": t, "s": s, "g": encode_graph6(g[None])[0], "scaffolds": len(scaffolds),
@@ -168,12 +175,12 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
         if not done:
             writer.writerow(DETAIL_COLUMNS)
         work = partial(_census_rows, g)
-        text = iter(texts[done:])
         gc.freeze()  # while the blocks are decided, a forked worker's full collection skips these objects: no copy
         try:
             with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
-                for rows in (pool.imap(work, blocks) if pool else map(work, blocks)):
-                    writer.writerows([next(text)] + row for row in rows)
+                columns = pool.imap(work, blocks) if pool else map(work, blocks)
+                for lo, cols in zip(range(done, len(scaffolds), CENSUS_BLOCK), columns):
+                    writer.writerows(zip(texts[lo:lo + CENSUS_BLOCK], *cols))
         finally:
             gc.unfreeze()
 
@@ -294,16 +301,17 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
         complete = np.ones((t, s), dtype=np.int64)
         for lo in range(0, len(family), CENSUS_BLOCK):
             block = family[lo:lo + CENSUS_BLOCK]
-            verdicts = oracle_stack(block, complete)
+            d = oracle_stack(block, complete)
             checked += len(block)
-            for a, text, verdict in zip(block, encode_graph6(block), verdicts):
-                if not verdict.is_s_roth:
-                    counterexamples.append({
-                        "kind": kind, "s": s, "t": t,
-                        "g_graph6": text,
-                        "mu": verdict.mu, "reason": verdict.reason,
-                        "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s)))),
-                    })
+            bad = np.flatnonzero(~d.is_s_roth)
+            for a, text, mu, reason in zip(block[bad], encode_graph6(block[bad]),
+                                           d.mu[bad].tolist(), d.reason[bad].tolist()):
+                counterexamples.append({
+                    "kind": kind, "s": s, "t": t,
+                    "g_graph6": text,
+                    "mu": mu, "reason": reason,
+                    "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s)))),
+                })
     return {"kind": kind, "pairs": pairs, "checked": checked,
             "counterexamples": counterexamples}
 
@@ -327,8 +335,8 @@ def ultra_roth_probe(scaffold: np.ndarray, a_g) -> dict:
     # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
     if not is_connected(a_g + scaffold @ scaffold.T):
         raise ValueError("composite instance is disconnected")
-    failures = []
-    for text, verdict in zip(encode_graph6(a_g), oracle_stack(a_g, scaffold)):
-        if not verdict.is_s_roth:
-            failures.append({"g_graph6": text, "mu": verdict.mu, "reason": verdict.reason})
+    d = oracle_stack(a_g, scaffold)
+    bad = np.flatnonzero(~d.is_s_roth)
+    failures = [{"g_graph6": text, "mu": mu, "reason": reason}
+                for text, mu, reason in zip(encode_graph6(a_g[bad]), d.mu[bad].tolist(), d.reason[bad].tolist())]
     return {"all_s_roth": not failures, "failures": failures}

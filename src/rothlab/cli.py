@@ -61,25 +61,24 @@ def cmd_analyze(args) -> int:
         inst = graphs.instance_from_graph(g, _parse_vertex_list(args.s_vertices))
 
     d = analysis.decide_instance(inst)
-    verdict, classes, harm = d.verdict, d.classes, d.harmcond
-    matrix_classes = None if classes is None else {
-        "z": classes.z_matrix, "m_matrix": classes.m_matrix,
-        "inv_positive": classes.inverse_positive, "minpositive": classes.minpositive}
+    matrix_classes = {"z": d.z_matrix, "m_matrix": d.m_matrix, "inv_positive": d.inverse_positive,
+                      "minpositive": d.minpositive} if d.classes else None
+    witness = analysis.harmonic_witness(inst.K, d.witness)
     complete = analysis.is_complete_scaffold(inst)
     alpha = None
-    if complete and verdict.mu < inst.t:
-        alpha = analysis.alpha_of(inst, verdict.mu)
+    if complete and d.mu < inst.t:
+        alpha = analysis.alpha_of(inst, d.mu)
     bc = analysis.boundary_characterization(inst)
     report = {
         "instance": dict(graphs.instance_to_json(inst), labels=list(inst.labels)),
-        "mu": verdict.mu,
-        "multiplicity": verdict.multiplicity,
-        "eigenvector": list(verdict.eigenvector),
-        "s_roth": verdict.is_s_roth,
-        "reason": verdict.reason,
+        "mu": d.mu,
+        "multiplicity": d.multiplicity,
+        "eigenvector": list(d.eigenvector),
+        "s_roth": d.is_s_roth,
+        "reason": d.reason,
         "certificates": {
-            "harmcond": harm.holds,
-            "harmcond_witness": harm.witness,
+            "harmcond": d.harmcond,
+            "harmcond_witness": None if witness is None else witness[0],
             "gc": d.gc,
             "bdeg": d.bdeg,
             "st": d.st,
@@ -96,7 +95,7 @@ def cmd_analyze(args) -> int:
         },
     }
     print(json.dumps(report, default=_json_default))
-    return 0 if verdict.is_s_roth else 3
+    return 0 if d.is_s_roth else 3
 
 
 _NAMED_GRAPHS = {"K": graphs.complete_graph, "P": graphs.path_graph,

@@ -105,10 +105,10 @@ def sign_normalize(x: np.ndarray, t_split: int) -> np.ndarray:
     return np.where((x[..., t_split:].sum(axis=-1) < 0)[..., None], -x, x)
 
 
-def integer_candidate(mu: float) -> int | None:
-    """Nearest integer when mu sits within INTEGER_TOL of one, else None."""
-    c = round(mu)
-    return c if abs(mu - c) <= INTEGER_TOL else None
+def integer_candidate(mu) -> np.ndarray:
+    """The nearest integer of each mu that sits within INTEGER_TOL of one, as a float; NaN elsewhere."""
+    c = np.rint(mu)
+    return np.where(np.abs(mu - c) <= INTEGER_TOL, c, np.nan)
 
 
 def _gauss_jordan(a: list) -> tuple:

@@ -48,6 +48,7 @@ from rothlab.analysis import (
     decide_stack,
     deg2_predicate,
     gdeg_check,
+    harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
 )
@@ -139,12 +140,12 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
     )
 
     d2 = decide_instance(ex2)
-    rep2, hc2 = d2.classes, d2.harmcond
+    witness2 = harmonic_witness(ex2.K, d2.witness)
     ex2_ok = (
-        rep2.m_matrix
-        and not hc2.holds
-        and hc2.witness == (0, 1)
-        and hc2.witness_sum == Fraction(5, 6)
+        d2.m_matrix
+        and not d2.harmcond
+        and witness2[0] == (0, 1)
+        and witness2[1] == Fraction(5, 6)
     )
 
     inv3 = np.linalg.inv(build_q_mu(ex3, v3.mu))
@@ -325,7 +326,8 @@ def s5_records():
 
     g = complete_graph(4)
     ks = load_scaffolds(4, 5, out_dir=tempfile.mkdtemp())
-    return [(compose(5, g, scaffold=k), d) for k, d in zip(ks, decide_stack(g, ks))]
+    d = decide_stack(g, ks)
+    return [(compose(5, g, scaffold=k), d[i]) for i, k in enumerate(ks)]
 
 
 def test_criterion_5_dual_route_equivalences(s5_records):
@@ -333,15 +335,14 @@ def test_criterion_5_dual_route_equivalences(s5_records):
     rowsum_cases = 0
     rowsum_bad = 0
     for inst, d in s5_records:
-        v = d.verdict
-        if d.classes is not None and d.classes.minpositive != v.is_s_roth:
+        if d.classes and d.minpositive != d.is_s_roth:
             mismatches += 1
         if not is_complete_scaffold(inst):
             continue
-        rm = build_r_mu(inst, v.mu)
+        rm = build_r_mu(inst, d.mu)
         if rm.positive_definite:
             rowsum_cases += 1
-            if rm.s_roth != v.is_s_roth:
+            if rm.s_roth != d.is_s_roth:
                 rowsum_bad += 1
     ok = mismatches == 0 and rowsum_bad == 0 and rowsum_cases >= 1
     _verdict(
@@ -360,8 +361,8 @@ def test_criterion_6_certificates_never_lie(s5_records):
     bad = []
 
     def check(inst, d, label):
-        verdict_is_s_roth = d.verdict.is_s_roth
-        if d.harmcond.holds and not verdict_is_s_roth:
+        verdict_is_s_roth = d.is_s_roth
+        if d.harmcond and not verdict_is_s_roth:
             bad.append((label, "harmcond"))
         if d.gc and not verdict_is_s_roth:
             bad.append((label, "gc"))

@@ -32,7 +32,6 @@ from rothlab.analysis import (
     REASON_MULTIPLE,
     REASON_SIGNED,
     REASON_ZERO,
-    MatrixClassReport,
     _exact_classes,
     _exact_q_mu,
     alpha_of,
@@ -43,6 +42,7 @@ from rothlab.analysis import (
     decide_stack,
     deg2_predicate,
     gdeg_check,
+    harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
 )
@@ -216,19 +216,22 @@ def test_q_mu_inverse_printed(ex3):
 
 
 def test_classify_example2(ex2):
-    rep = decide_instance(ex2).classes
+    rep = decide_instance(ex2)
+    assert rep.classes
     assert rep.z_matrix and rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example3(ex3):
-    rep = decide_instance(ex3).classes
+    rep = decide_instance(ex3)
+    assert rep.classes
     assert not rep.z_matrix and not rep.m_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example4(ex4):
-    rep = decide_instance(ex4).classes
+    rep = decide_instance(ex4)
+    assert rep.classes
     assert not rep.z_matrix
     assert not rep.inverse_positive
     assert rep.minpositive
@@ -236,8 +239,9 @@ def test_classify_example4(ex4):
 
 def test_classify_singular_is_none():
     d = decide_instance(compose(3, empty_graph(5)))  # bipartite H, mu = 0, Q_mu singular
-    assert d.verdict.mu == 0.0
-    assert d.classes is None
+    assert d.mu == 0.0
+    assert not d.classes
+    assert not (d.z_matrix or d.m_matrix or d.inverse_positive or d.minpositive)
 
 
 def test_class_hierarchy_random():
@@ -246,16 +250,15 @@ def test_class_hierarchy_random():
     rng = np.random.default_rng(14)
     checked = 0
     for _ in range(120):
-        d = decide_instance(random_instance(rng))
-        v, rep = d.verdict, d.classes
-        if rep is None:
+        rep = decide_instance(random_instance(rng))
+        if not rep.classes:
             continue
         checked += 1
         if rep.m_matrix:
             assert rep.inverse_positive
         if rep.inverse_positive:
             assert rep.minpositive
-        assert rep.minpositive == v.is_s_roth
+        assert rep.minpositive == rep.is_s_roth
     assert checked > 80
 
 
@@ -263,22 +266,22 @@ def test_class_hierarchy_random():
 
 
 def test_harmcond_example1(ex1):
-    hc = decide_instance(ex1).harmcond
-    assert hc.holds
+    d = decide_instance(ex1)
+    assert d.harmcond and d.witness == -1
+    assert harmonic_witness(ex1.K, d.witness) is None
 
 
 def test_harmcond_example2_witness(ex2):
-    hc = decide_instance(ex2).harmcond
-    assert not hc.holds
-    assert hc.witness == (0, 1)
-    assert hc.witness_sum == Fraction(5, 6)
+    d = decide_instance(ex2)
+    assert not d.harmcond
+    assert harmonic_witness(ex2.K, d.witness) == ((0, 1), Fraction(5, 6))
 
 
 def test_harmcond_nonadjacent_needs_common_neighbor():
     # G with an isolated-from-each-other pair sharing no scaffold neighbor
     k = [[1, 0], [0, 1], [1, 1]]
     inst = compose(2, empty_graph(3), scaffold=k)
-    assert not decide_instance(inst).harmcond.holds
+    assert not decide_instance(inst).harmcond
 
 
 def test_harmcond_complete_bipartite_minus_edge():
@@ -296,8 +299,8 @@ def test_harmcond_complete_bipartite_minus_edge():
                         edges.add((u, w))
             g = adjacency(t, edges)
             d = decide_instance(compose(s, g, scaffold=k.tolist()))
-            assert d.harmcond.holds
-            assert d.verdict.is_s_roth
+            assert d.harmcond
+            assert d.is_s_roth
 
 
 def test_gc_yeast_shape():
@@ -308,7 +311,7 @@ def test_gc_yeast_shape():
     g = adjacency(5, {(0, 1), (0, 2)})
     d = decide_instance(compose(17, g, scaffold=k))
     assert d.gc
-    assert d.verdict.is_s_roth
+    assert d.is_s_roth
 
 
 def test_gc_fails_on_sparse_overlap(ex4):
@@ -320,7 +323,7 @@ def test_bdeg_threshold():
     # all scaffold degrees >= (t+s)/2
     d = decide_instance(compose(4, complete_graph(4)))  # complete scaffold: d_B = 4 = (4+4)/2
     assert d.bdeg
-    assert d.verdict.is_s_roth
+    assert d.is_s_roth
     k = [[1, 0], [1, 0], [0, 1], [1, 1]]
     sparse = compose(2, path_graph(4), scaffold=k)
     assert not decide_instance(sparse).bdeg
@@ -346,7 +349,7 @@ def test_st_implies_s_roth():
                     edges.add((u, w))
         d = decide_instance(compose(s, adjacency(t, edges)))
         assert d.st
-        assert d.verdict.is_s_roth
+        assert d.is_s_roth
 
 
 # ------------------------------------------------------------- alpha, gdeg
@@ -599,12 +602,20 @@ def test_is_complete_scaffold(ex1, ex88):
 
 
 def test_classification_record_schema(ex2):
-    # the instance's one record: its verdict, Q_mu classes and certificates
+    # the instance's one record, row [0] of decide_stack's: its verdict, Q_mu classes and certificates
     d = decide_instance(ex2)
-    assert {f.name for f in dataclasses.fields(d)} == {"verdict", "classes", "harmcond", "gc", "bdeg", "st"}
+    assert [f.name for f in dataclasses.fields(d)] == [
+        "mu", "multiplicity", "reason", "is_s_roth", "eigenvector", "kernel",
+        "classes", "z_matrix", "m_matrix", "inverse_positive", "minpositive",
+        "harmcond", "witness", "gc", "bdeg", "st"]
     assert ex2.s == 7 and ex2.t == 4
-    assert d.verdict.is_s_roth is True
-    assert d.classes.m_matrix is True and d.harmcond.holds is False
+    assert d.is_s_roth is True
+    assert d.m_matrix is True and d.harmcond is False
+    assert (type(d.mu), type(d.multiplicity), type(d.reason), type(d.witness)) == (float, int, str, int)
+    assert d.eigenvector.shape == (11,) and d.kernel is None
+    # the oracle alone fills the verdict fields of the same record type
+    v = s_roth_oracle(ex2)
+    assert type(v) is type(d) and v.reason == d.reason and v.classes is None and v.harmcond is None
 
 
 @pytest.mark.parametrize(
@@ -622,7 +633,7 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
         return exact_kernel_dim(m, c)
 
     monkeypatch.setattr(rothlab.analysis, "exact_kernel_dim", counting_kernel)
-    v = decide_instance(compose(s, g)).verdict
+    v = decide_instance(compose(s, g))
     assert (v.mu, v.multiplicity) == (mu, nullity)
     assert calls == [mu]
 
@@ -637,8 +648,9 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
 
 def test_classification_record_singular():
     d = decide_instance(compose(3, empty_graph(4)))
-    assert d.verdict.is_s_roth is True
-    assert d.classes is None  # no z, m_matrix or minpositive flag
+    assert d.is_s_roth is True
+    assert d.classes is False  # no z, m_matrix or minpositive flag
+    assert not (d.z_matrix or d.m_matrix or d.inverse_positive or d.minpositive)
 
 
 def test_instance_from_graph_path():
@@ -650,12 +662,18 @@ def test_instance_from_graph_path():
 
 
 def _same_decision(a, b) -> bool:
-    va, vb = a.verdict, b.verdict
-    return (va.is_s_roth == vb.is_s_roth and va.reason == vb.reason
-            and va.mu.hex() == vb.mu.hex() and va.multiplicity == vb.multiplicity
-            and np.array_equal(va.eigenvector, vb.eigenvector) and va.kernel == vb.kernel
-            and a.classes == b.classes and a.harmcond == b.harmcond
-            and (a.gc, a.bdeg, a.st) == (b.gc, b.bdeg, b.st))
+    """Rows a and b agree in every field: mu to the last bit, the eigenvector and the kernel exactly."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "eigenvector":
+            same = np.array_equal(x, y)
+        elif f.name == "mu":
+            same = x.hex() == y.hex()
+        else:
+            same = type(x) is type(y) and x == y
+        if not same:
+            return False
+    return True
 
 
 def _mixed_picks(out_dir) -> list:
@@ -663,10 +681,11 @@ def _mixed_picks(out_dir) -> list:
     ks = np.array(load_scaffolds(4, 5, out_dir))
     picks = {}
     for g in (adjacency(4, [(0, 1), (2, 3)]), complete_graph(4), empty_graph(4)):
-        for k, d in zip(ks, decide_stack(g, ks)):
-            v = d.verdict
-            kinds = [v.reason, "exact" if v.kernel is not None and d.classes is not None else None,
-                     "bipartite" if d.classes is None else None]
+        d = decide_stack(g, ks)
+        for i, k in enumerate(ks):
+            v = d[i]
+            kinds = [v.reason, "exact" if v.kernel is not None and v.classes else None,
+                     "bipartite" if not v.classes else None]
             for kind in kinds:
                 picks.setdefault(kind, (g, k))
     assert {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE, "exact", "bipartite"} <= set(picks)
@@ -682,11 +701,16 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
     isolated[:, 4] = 0
     chosen = _mixed_picks(str(tmp_path))
     cases = [(g, k) for g, k in chosen] + [(complete_graph(4), isolated)]
-    stacked = decide_stack(np.array([a for a, _ in cases]), np.array([k for _, k in cases]))
+    record = decide_stack(np.array([a for a, _ in cases]), np.array([k for _, k in cases]))
+    n = len(cases)
+    for f in dataclasses.fields(record):
+        column = getattr(record, f.name)
+        assert column.shape == ((n, 9) if f.name == "eigenvector" else (n,)), f.name
+    stacked = [record[i] for i in range(n)]
     singles = [decide_stack(a, k)[0] for a, k in cases]
     assert all(_same_decision(x, y) for x, y in zip(stacked, singles))
-    assert stacked[-1].verdict.mu >= 0 and stacked[-1].classes is None
-    assert sum(d.verdict.kernel is not None and d.classes is not None for d in stacked) >= 1
+    assert stacked[-1].mu >= 0 and not stacked[-1].classes
+    assert sum(d.kernel is not None and d.classes for d in stacked) >= 1
     for (g, k), d in zip(chosen, stacked):
         assert _same_decision(d, decide_instance(compose(5, g, k)))
 
@@ -710,11 +734,11 @@ def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
         if v.multiplicity == 1:
             w = v.eigenvector[:inst.t]
             assert abs(y @ w) == pytest.approx(np.linalg.norm(w), rel=1e-8)
-        classes = decide_instance(inst).classes
-        if classes is not None and v.kernel is None:
+        d = decide_instance(inst)
+        if d.classes and v.kernel is None:
             # the flag as it was computed from this eigensolve
             reference = v.multiplicity == 1 and bool(np.all(y > SIGN_TOL * np.abs(y).max()))
-            assert classes.minpositive == reference
+            assert d.minpositive == reference
         kinds.add(v.reason)
         exact += v.kernel is not None
     assert kinds == {REASON_SIGNED, REASON_ZERO, REASON_MIXED, REASON_MULTIPLE} and exact
@@ -726,16 +750,16 @@ def _common(inst, i, j):
 
 
 def _harmcond_loop(inst):
-    """Reference: the pairwise Fraction loop the array certificates replaced."""
+    """Reference: the pairwise Fraction loop the array certificates replaced; (holds, (pair, sum) or None)."""
     t, d2 = inst.t, inst.K.sum(axis=0)
     for (i, j) in np.argwhere(np.triu(inst.A)).tolist():
         acc = sum((Fraction(1, int(d2[k])) for k in _common(inst, i, j)), Fraction(0))
         if acc < 1:
-            return False, (i, j), acc
+            return False, ((i, j), acc)
     for i, j in itertools.combinations(range(t), 2):
         if not inst.A[i, j] and not len(_common(inst, i, j)):
-            return False, (i, j), Fraction(0)
-    return True, None, None
+            return False, ((i, j), Fraction(0))
+    return True, None
 
 
 def _gc_loop(inst):
@@ -751,10 +775,9 @@ def test_certificates_match_pairwise_fraction_loop():
     for n in range(400):
         inst = random_instance(rng, smax=12, g_edge_p=[0.1, 0.5, 0.9][n % 3])
         d = decide_instance(inst)
-        hc = d.harmcond
-        assert (hc.holds, hc.witness, hc.witness_sum) == _harmcond_loop(inst)
+        assert (d.harmcond, harmonic_witness(inst.K, d.witness)) == _harmcond_loop(inst)
         assert d.gc == _gc_loop(inst)
-        holds += hc.holds
+        holds += d.harmcond
     assert 0 < holds < 400
 
 
@@ -771,10 +794,11 @@ def test_harmonic_condition_exact_beyond_int64():
     lcm = int(np.lcm.reduce(np.unique(k.sum(axis=0)).astype(object)))
     assert lcm * k.shape[1] > np.iinfo(np.int64).max
     exact = decide_instance(compose(k.shape[1], g, k))
-    assert exact.harmcond.holds and not exact.gc
+    assert exact.harmcond and not exact.gc
     # one all-T vertex fewer: the sum drops to 1 - 1/84
-    short = decide_instance(compose(k.shape[1] - 1, g, np.delete(k, 4, axis=1))).harmcond
-    assert (short.holds, short.witness, short.witness_sum) == (False, (0, 1), Fraction(83, 84))
+    k = np.delete(k, 4, axis=1)
+    short = decide_instance(compose(k.shape[1], g, k))
+    assert (short.harmcond, harmonic_witness(k, short.witness)) == (False, ((0, 1), Fraction(83, 84)))
 
 
 def _fraction_q_mu(a, k, c):
@@ -799,7 +823,11 @@ def _fraction_classes(a, k, c, basis, inverse_positive):
     if w is not None and sum(w) < 0:
         w = [-v for v in w]
     minpositive = w is not None and all(v > 0 for v in w)
-    return MatrixClassReport(z_matrix, z_matrix, inverse_positive, minpositive), mq
+    return (z_matrix, z_matrix, inverse_positive, minpositive), mq
+
+
+def _classes(d) -> tuple:
+    return d.z_matrix, d.m_matrix, d.inverse_positive, d.minpositive
 
 
 def _assert_exact_classes(a, k, c, basis, inverse_positive):
@@ -812,16 +840,21 @@ def _assert_exact_classes(a, k, c, basis, inverse_positive):
 
 
 @pytest.mark.parametrize("s", [5, 7])
-def test_exact_classes_match_fraction_reference_on_census(s):
+def test_exact_classes_match_fraction_reference_on_census(s, monkeypatch):
+    # the float flags agree here, so count that decide_stack takes the exact rows through _exact_classes
+    calls = []
+    monkeypatch.setattr(rothlab.analysis, "_exact_classes", lambda *args: calls.append(args[2]) or _exact_classes(*args))
     a = complete_graph(4)
     ks = enumerate_connected_bipartite(4, s)
     exact = 0
-    for k, d in zip(ks, decide_stack(a, ks)):
-        v = d.verdict
+    d = decide_stack(a, ks)
+    monkeypatch.undo()
+    for i, k in enumerate(ks):
+        v = d[i]
         if v.kernel is not None and 0 < v.mu < k.sum(axis=0).min():
-            assert d.classes == _assert_exact_classes(a, k, int(v.mu), v.kernel, None)
+            assert _classes(v) == _assert_exact_classes(a, k, int(v.mu), v.kernel, None)
             exact += 1
-    assert exact > 0
+    assert len(calls) == exact > 0
 
 
 @pytest.mark.parametrize("s, g", [(3, cycle_graph(k)) for k in (5, 12, 14, 16, 40)]
@@ -831,9 +864,8 @@ def test_exact_classes_match_fraction_reference_on_families(s, g):
     # past t = 16 the float inverse_positive is kept, as in the reference
     inst = compose(s, g)
     d = decide_instance(inst)
-    v = d.verdict
-    assert v.kernel is not None and d.classes is not None
-    assert d.classes == _assert_exact_classes(inst.A, inst.K, int(v.mu), v.kernel, d.classes.inverse_positive)
+    assert d.kernel is not None and d.classes
+    assert _classes(d) == _assert_exact_classes(inst.A, inst.K, int(d.mu), d.kernel, d.inverse_positive)
 
 
 def test_exact_classes_beyond_int64():
@@ -850,5 +882,5 @@ def test_exact_classes_beyond_int64():
     mq = _exact_q_mu(a, k, c)
     assert mq.dtype == object and math.lcm(*primes, t - c) > np.iinfo(np.int64).max
     basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]
-    report = _assert_exact_classes(a, k, c, basis, True)
-    assert report.minpositive and not report.z_matrix
+    z_matrix, _, _, minpositive = _assert_exact_classes(a, k, c, basis, True)
+    assert minpositive and not z_matrix

@@ -25,7 +25,10 @@ from rothlab.analysis import decide_instance, s_roth_oracle
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from conftest import adjacency
-from rothlab.graphs import block_adjacency, complete_graph, compose, decode_graph6, encode_graph6, path_graph
+from rothlab.graphs import (block_adjacency, complete_graph, compose, decode_graph6, empty_graph, encode_graph6,
+                            path_graph)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_minimal_census(tmp_path):
@@ -170,6 +173,36 @@ def test_scaffold_cache_round_trip(tmp_path):
     assert load_scaffolds(3, 4, str(tmp_path / "empty")).shape == (0, 3, 4)
 
 
+def test_census_refuses_an_empty_cache(tmp_path, capsys):
+    # every (t, s) has a connected scaffold, so an empty cache is damaged: refused before anything is written
+    cache = tmp_path / "bipartite_t4_s5.g6"
+    cache.write_text("")
+    assert main(["census", "--t", "4", "--s", "5", "--jobs", "1", "--out-dir", str(tmp_path)]) == 1
+    assert f"error: scaffold cache {cache} is empty" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == [cache.name]
+    with pytest.raises(ValueError, match="is empty"):
+        run_census(4, 5, out_dir=str(tmp_path), resume=True)
+    assert os.listdir(tmp_path) == [cache.name]
+
+
+def test_census_t4_s7_matches_the_benchmark_reference(tmp_path):
+    # the serial (4, 7) detail CSV, row for row and in order, against the benchmark's stored reference:
+    # every verdict column exactly and mu within 1e-9
+    run_census(4, 7, out_dir=str(tmp_path), jobs=1)
+    reference = os.path.join(ROOT, "perfbench", "expected", "classify_t4_s7.csv")
+    rows = []
+    for path in (tmp_path / "classify_t4_s7.csv", reference):
+        with open(path, newline="") as fh:
+            rows.append(list(csv.DictReader(fh)))
+    got, want = rows
+    assert len(got) == len(want) == 5375
+    verdict_columns = [c for c in DETAIL_COLUMNS if c != "mu"]
+    differ = [i for i, (g, w) in enumerate(zip(got, want))
+              if [g[c] for c in verdict_columns] != [w[c] for c in verdict_columns]
+              or abs(float(g["mu"]) - float(w["mu"])) > 1e-9]
+    assert differ == []
+
+
 def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
     class Torn(list):
         """Lines that break off after the ninth, as an interrupt would."""
@@ -197,20 +230,19 @@ def test_classify_relabeling_invariance(tmp_path):
             perm = rng.permutation(4)
             d = decide_instance(compose(4, g, k[:, perm]))
             assert _census_flags(d) == _census_flags(base)
-            assert d.verdict.mu == pytest.approx(base.verdict.mu, abs=1e-9)
+            assert d.mu == pytest.approx(base.mu, abs=1e-9)
 
 
 def _census_flags(d) -> tuple:
     """(s_roth, harmcond, m_matrix, inv_positive) of a decision; None where Q_mu has no classes."""
-    c = d.classes
-    return (d.verdict.is_s_roth, d.harmcond.holds,
-            None if c is None else c.m_matrix, None if c is None else c.inverse_positive)
+    return (d.is_s_roth, d.harmcond,
+            d.m_matrix if d.classes else None, d.inverse_positive if d.classes else None)
 
 
 def test_classification_record_of_composed_scaffold():
     inst = compose(4, complete_graph(3), np.ones((3, 4), dtype=int))
     assert inst.s == 4 and inst.t == 3
-    assert decide_instance(inst).verdict.is_s_roth in (True, False)
+    assert decide_instance(inst).is_s_roth in (True, False)
 
 
 def test_census_with_fixed_g(tmp_path):
@@ -219,6 +251,11 @@ def test_census_with_fixed_g(tmp_path):
     assert row.total == len(load_scaffolds(3, 3, str(tmp_path / "p3")))
     with pytest.raises(ValueError):
         run_census(3, 3, g=path_graph(4), out_dir=str(tmp_path))
+    # with G empty, H is bipartite: mu = 0 makes Q_mu singular, so its class flags stay empty
+    run_census(3, 3, g=empty_graph(3), out_dir=str(tmp_path / "e3"))
+    with open(tmp_path / "e3" / "classify_t3_s3.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all((r["mu"], r["s_roth"], r["m_matrix"], r["inv_positive"]) == ("0", "1", "", "") for r in rows)
 
 
 # ------------------------------------------------------------------ sweeps

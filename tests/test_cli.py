@@ -126,6 +126,12 @@ def test_census_command(tmp_path, capsys):
     with open(rep["csv"]) as fh:
         header = next(csv.reader(fh))
     assert header[:2] == ["s", "total"]
+    # a pool of no workers is refused, not run serially, and nothing is written
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "census", "--t", "2", "--s", "1", "--jobs", jobs,
+                                 "--out-dir", str(tmp_path / "none"))
+        assert (code, out) == (1, "") and f"jobs must be at least 1, got {jobs}" in err
+    assert not os.path.exists(tmp_path / "none")
 
 
 def test_census_named_graph(tmp_path, capsys):

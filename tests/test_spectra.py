@@ -105,10 +105,9 @@ def test_sign_normalize():
 
 
 def test_integer_candidate():
-    assert integer_candidate(2.0) == 2
-    assert integer_candidate(2.0 + 5e-8) == 2
-    assert integer_candidate(2.001) is None
-    assert integer_candidate(0.63226) is None
+    c = integer_candidate(np.array([2.0, 2.0 + 5e-8, 2.001, 0.63226]))
+    assert c[:2].tolist() == [2, 2]
+    assert np.isnan(c[2:]).all()
 
 
 def test_exact_kernel_known_cases(ex88):
