@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _reach
+from .graphs import _component
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000  # candidate tuples tested at once
@@ -60,7 +60,7 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
     k = _canonical_codes(m, cols)[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
     # column codes are nonzero, so B is connected iff its rows are, through shared columns
-    k = k[_reach(k @ np.swapaxes(k, -1, -2)).all(axis=(-2, -1))]
+    k = k[_component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)]
     return np.swapaxes(k, -1, -2) if transpose else k
 
 

@@ -2,13 +2,14 @@
 
 A graph on vertices 0..n-1 is its (n, n) 0/1 int64 adjacency array, from
 the command line to the outputs: the named constructors build one, the
-graph6 codec and the edge-list parser read one, and every computation takes
-one.  A composite instance is a connected graph H together with a
-distinguished independent set S; the bipartite scaffold B collects the S-T
-edges and G is the subgraph induced on T = V(H) - S.  Vertices of an
-instance are always ordered T first, so the matrices built downstream have
-the block layout [[Q(G)+D1, K], [K^T, D2]] without any permutation
-bookkeeping.
+graph6 codec and the edge-list parser read one, every computation takes
+one, and outputs write it as graph6 (instance_to_json above GRAPH6_MAX_N
+vertices, where the codec stops, as an edge list).  A composite instance is
+a connected graph H together with a distinguished independent set S; the
+bipartite scaffold B collects the S-T edges and G is the subgraph induced on
+T = V(H) - S.  Vertices of an instance are always ordered T first, so the
+matrices built downstream have the block layout [[Q(G)+D1, K], [K^T, D2]]
+without any permutation bookkeeping.
 
 Graph, a frozenset of edge pairs, and parse_graph6, which builds one from a
 graph6 line, are kept for perfbench's check of its own graph6 encoder; the
@@ -18,6 +19,7 @@ package reads graph6 with decode_graph6 and builds no Graph elsewhere.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,17 +104,19 @@ def complement(a) -> np.ndarray:
     return complete_graph(len(a)) - (np.asarray(a) != 0)
 
 
-def _reach(a) -> np.ndarray:
-    """Reachability of an adjacency matrix, or of each in a stack: (u, v) is True iff v is reachable from u.
+def _component(a, v: int = 0) -> np.ndarray:
+    """Vertices reachable from v in an adjacency matrix, or in each of a stack: bool (..., n).
 
-    The one connectivity routine.  Repeated squaring of the float 0/1 matrix I + A: after k products it
-    covers every walk of length up to 2^k, and its entries stay exact.
+    The one connectivity routine.  Breadth-first: each step is one boolean matrix-vector product
+    that moves the frontier to its unseen neighbours, until no frontier is left.
     """
-    n = a.shape[-1]
-    r = ((np.asarray(a) != 0) | np.eye(n, dtype=bool)).astype(float)
-    for _ in range((n - 1).bit_length()):
-        r = np.minimum(r @ r, 1.0)
-    return r > 0
+    a = np.asarray(a) != 0
+    seen = np.broadcast_to(np.arange(a.shape[-1]) == v, a.shape[:-1]).copy()
+    frontier = seen
+    while frontier.any():
+        frontier = (a @ frontier[..., None])[..., 0] & ~seen
+        seen |= frontier
+    return seen
 
 
 def connected_components(a) -> list:
@@ -120,18 +124,18 @@ def connected_components(a) -> list:
 
     Each set is sorted, and the sets are ordered by least element.
     """
-    r = _reach(a)
-    comps, seen = [], np.zeros(len(r), dtype=bool)
-    for v in range(len(r)):
+    comps, seen = [], np.zeros(len(a), dtype=bool)
+    for v in range(len(a)):
         if not seen[v]:
-            seen |= r[v]
-            comps.append(np.flatnonzero(r[v]).tolist())
+            comp = _component(a, v)
+            seen |= comp
+            comps.append(np.flatnonzero(comp).tolist())
     return comps
 
 
 def is_connected(a) -> bool:
     """Whether the graph of adjacency matrix a is connected; for a stack, whether every one is."""
-    return bool(_reach(a).all())
+    return bool(_component(a).all())
 
 
 def join_decomposition(a) -> list:
@@ -139,8 +143,7 @@ def join_decomposition(a) -> list:
 
     A single returned set means the graph is join-indecomposable.
     """
-    n = len(a)
-    return connected_components((np.asarray(a) == 0) & ~np.eye(n, dtype=bool))
+    return connected_components((np.asarray(a) == 0) & ~np.eye(len(a), dtype=bool))
 
 
 # graph6 codec (McKay's format: 6-bit groups, +63 offset, upper triangle column-major)
@@ -226,28 +229,38 @@ def parse_edge_list(text: str) -> np.ndarray:
     """Adjacency (n, n), int64, of an edge list: one "u v" pair per line, 0-based, '#' starts a comment.
 
     n is one more than the largest vertex named.  A pair may come reversed or
-    more than once; it is one edge.
+    more than once; it is one edge.  Plain lines of two decimals are read as
+    one array.  Any other text, and one with a loop, is read line by line,
+    which raises at the first bad line.
     """
-    edges = []
-    top = -1
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge-list line: {raw!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 0 or v < 0:
-            raise ValueError("edge-list vertices must be nonnegative")
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        edges.append((u, v))
-        top = max(top, u, v)
-    a = np.zeros((top + 1, top + 1), dtype=np.int64)
+    edges = np.fromstring(text, dtype=np.int64, sep=" ").reshape(-1, 2) if _PLAIN_EDGES.fullmatch(text) else None
+    if edges is not None and not (edges[:, 0] == edges[:, 1]).any():
+        n = int(edges.max(initial=-1)) + 1
+    else:
+        edges, n = [], 0  # n a Python int, so that an oversize one fails in np.zeros
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad edge-list line: {raw!r}")
+            u, v = int(parts[0]), int(parts[1])
+            if u < 0 or v < 0:
+                raise ValueError("edge-list vertices must be nonnegative")
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            edges.append((u, v))
+            n = max(n, u + 1, v + 1)
+    a = np.zeros((n, n), dtype=np.int64)
     u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
     a[u, v] = a[v, u] = 1
     return a
+
+
+# lines of two decimals of up to ten digits (so each fits an int64), spaces and tabs around them; last newline optional
+_PLAIN_EDGES = re.compile(r"(?:[ \t]*[0-9]{1,10}[ \t]+[0-9]{1,10}[ \t]*\n)*"
+                          r"(?:[ \t]*[0-9]{1,10}[ \t]+[0-9]{1,10}[ \t]*)?")
 
 
 # composite instances
@@ -350,16 +363,15 @@ def instance_from_graph(a_h, S) -> CompositeInstance:
 
 
 def instance_to_json(inst: CompositeInstance) -> dict:
-    """JSON-ready summary of an instance (embed directly or json.dump it)."""
-    n = inst.t + inst.s
-    return {
-        "n": n,
-        "s": inst.s,
-        "t": inst.t,
-        "S": list(range(inst.t, n)),
-        "T": list(range(inst.t)),
-        "edges": np.argwhere(np.triu(block_adjacency(inst.A, inst.K))).tolist(),
-    }
+    """JSON-ready summary of an instance (embed directly or json.dump it).
+
+    H is given in its T-first labelling, T = 0..t-1 and S = t..n-1: as one graph6
+    line, or above GRAPH6_MAX_N vertices as its edge list [[u, v], ...], u < v.
+    """
+    n, h = inst.t + inst.s, block_adjacency(inst.A, inst.K)
+    if n > GRAPH6_MAX_N:
+        return {"n": n, "s": inst.s, "t": inst.t, "edges": np.argwhere(np.triu(h)).tolist()}
+    return {"n": n, "s": inst.s, "t": inst.t, "graph6": encode_graph6(h[None])[0]}
 
 
 # noise operations: delete a scaffold edge / add an edge inside T

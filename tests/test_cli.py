@@ -5,11 +5,13 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
 from rothlab.cli import build_parser, main
 from conftest import edge_list_text
-from rothlab.graphs import block_adjacency, complete_bipartite, encode_graph6
+from rothlab.graphs import (block_adjacency, complete_bipartite, cycle_graph, decode_graph6, empty_graph,
+                            encode_graph6, join, path_graph)
 
 
 def run_cli(capsys, *args):
@@ -270,6 +272,48 @@ def test_format_autodetect_graph6_vs_edges(tmp_path, capsys):
     assert code2 == 0
     # both formats load the same adjacency, so the reports are byte-identical
     assert out == out2 and json.loads(out)["s_roth"]
+
+
+def _both_formats(tmp_path, capsys, a, *flags):
+    """The report on adjacency a, read once as graph6 and once as an edge list: both must be byte-identical."""
+    (tmp_path / "in.g6").write_text(encode_graph6(a[None])[0] + "\n")
+    (tmp_path / "in.edges").write_text(edge_list_text(a))
+    runs = [run_cli(capsys, "analyze", str(tmp_path / name), *flags) for name in ("in.g6", "in.edges")]
+    assert runs[0] == runs[1]
+    code, out, _ = runs[0]
+    return code, json.loads(out)
+
+
+def test_report_graph6_maps_back_to_the_input(tmp_path, capsys, ex2):
+    # H of ex2, relabelled so that S is scattered through the input's names
+    perm = np.random.default_rng(3).permutation(11)
+    h = np.zeros((11, 11), dtype=np.int64)
+    h[np.ix_(perm, perm)] = block_adjacency(ex2.A, ex2.K)
+    svert = ",".join(map(str, perm[4:]))
+    cases = [(h, ("--s-vertices", svert), h),
+             (cycle_graph(5), ("--complete-scaffold", "3"), join(cycle_graph(5), empty_graph(3)))]
+    for a, flags, want in cases:
+        code, rep = _both_formats(tmp_path, capsys, a, *flags)
+        assert code == 0
+        inst = rep["instance"]
+        assert set(inst) == {"n", "s", "t", "graph6", "labels"}
+        labels = inst["labels"]
+        got = np.zeros_like(want)
+        got[np.ix_(labels, labels)] = decode_graph6([inst["graph6"]])[0]
+        assert np.array_equal(got, want)
+
+
+def test_report_above_graph6_orders_lists_edges(tmp_path, capsys):
+    # H = P_250 joined to 10 isolated vertices has 260 > 258 vertices, past the graph6 codec
+    path = tmp_path / "p250.edges"
+    path.write_text(edge_list_text(path_graph(250)))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--complete-scaffold", "10")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["reason"] == "SignedEigenvector" and rep["mu"] == pytest.approx(3.824, abs=1e-3)
+    inst = rep["instance"]
+    assert set(inst) == {"n", "s", "t", "edges", "labels"} and (inst["n"], inst["t"]) == (260, 250)
+    assert inst["edges"] == np.argwhere(np.triu(join(path_graph(250), empty_graph(10)))).tolist()
 
 
 def test_explicit_format_override(tmp_path, capsys):

@@ -14,7 +14,7 @@ from rothlab.enumeration import (
     all_trees,
     enumerate_connected_bipartite,
 )
-from rothlab.graphs import Graph, _reach, encode_graph6
+from rothlab.graphs import Graph, _component, encode_graph6
 
 
 def test_known_counts():
@@ -128,7 +128,7 @@ def _ref_enumerate(t: int, s: int) -> np.ndarray:
     out = []
     for codes in _ref_canonical_codes(m, cols):
         k = codes[:, None, :] >> np.arange(m)[:, None] & 1
-        out.append(k[_reach(k @ np.swapaxes(k, -1, -2)).all(axis=(-2, -1))])
+        out.append(k[_component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)])
     k = np.concatenate(out)
     return np.swapaxes(k, -1, -2) if transpose else k
 
@@ -170,7 +170,7 @@ def test_every_prefix_of_an_emitted_tuple_is_canonical():
         for tup in {tuple(row[:j]) for row in codes.tolist() for j in range(1, len(row) + 1)}:
             assert _ref_is_canonical(m, tup), (t, s, tup)
             rows = np.array(tup)[:, None] >> np.arange(m) & 1
-            disconnected += not _reach(rows.T @ rows).all()  # the columns are nonempty, so rows decide
+            disconnected += not _component(rows.T @ rows).all()  # the columns are nonempty, so rows decide
         assert disconnected > 0, (t, s)
 
 

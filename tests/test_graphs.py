@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EX1_K, adjacency, edge_list_text, random_connected_graph
 from rothlab.census import run_census, ultra_roth_probe
@@ -12,6 +14,7 @@ from rothlab.graphs import (
     AddIntra,
     DeleteCross,
     Graph,
+    _component,
     apply_noise,
     block_adjacency,
     complement,
@@ -281,6 +284,95 @@ def test_edge_list_round_trip():
         parse_edge_list("0 0\n")
     with pytest.raises(ValueError, match="nonnegative"):
         parse_edge_list("0 -1\n")
+
+
+def _reference_edge_list(text):
+    """parse_edge_list's contract, read line by line: the adjacency, or the ValueError of the first bad line."""
+    edges = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad edge-list line: {raw!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u < 0 or v < 0:
+            raise ValueError("edge-list vertices must be nonnegative")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        edges.append((u, v))
+    return adjacency(max(map(max, edges), default=-1) + 1, edges)
+
+
+_BLANKS = st.text(" \t", max_size=3)
+_EDGE = st.tuples(st.integers(0, 15), st.integers(0, 15)).filter(lambda e: e[0] != e[1])
+
+
+@st.composite
+def _edge_list_texts(draw):
+    """Edge-list text: plain "u v" lines, or lines with random spacing, blank lines, comments and CRLF."""
+    pairs = draw(st.lists(_EDGE, max_size=25))
+    pairs += [p[::-1] for p in draw(st.lists(st.sampled_from(pairs), max_size=5))] if pairs else []  # reversed repeats
+    pairs = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        lines = [f"{u} {v}" for u, v in pairs]
+    else:
+        lines = []
+        for u, v in pairs:
+            lines += draw(st.lists(st.sampled_from(["", "# comment", " \t", "#"]), max_size=1))
+            comment = draw(st.sampled_from(["", "#", " # 1 2 3"]))
+            lines.append(f"{draw(_BLANKS)}{u}{draw(_BLANKS.map(lambda b: b or ' '))}{v}{draw(_BLANKS)}{comment}")
+    ends = draw(st.one_of(st.just(["\n"] * len(lines)), st.just(["\r\n"] * len(lines)),
+                          st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines))))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if lines and draw(st.booleans()) else text  # maybe no final newline
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_edge_list_texts())
+def test_edge_list_matches_per_line_reference(text):
+    got = parse_edge_list(text)
+    assert got.dtype == np.int64 and np.array_equal(got, _reference_edge_list(text))
+
+
+@pytest.mark.parametrize("bad", ["0 1 2", "+1 -1", "4\t4"])
+@pytest.mark.parametrize("plain", [True, False])
+def test_edge_list_error_on_first_middle_and_last_line(bad, plain):
+    good = ["0 1", "1 2", "3 1"] if plain else ["0 1", "\t1  2 # c", "", "3\t1"]
+    for at in (0, len(good) // 2, len(good)):
+        text = "\n".join(good[:at] + [bad] + good[at:]) + "\n"
+        with pytest.raises(ValueError) as ref:
+            _reference_edge_list(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(ref.value))}$"):
+            parse_edge_list(text)
+
+
+def test_connectivity_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(5)
+    cases = [empty_graph(0), empty_graph(1), empty_graph(4), path_graph(40),  # a path: the longest frontier
+             np.pad(complete_graph(4), (0, 1)),  # an isolated last vertex
+             complement(join(complement(path_graph(3)), complement(cycle_graph(4)))),  # two components
+             join(empty_graph(2), empty_graph(3))]
+    cases += [adjacency(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+              for n in range(2, 14) for p in (0.1, 0.25, 0.5)]
+    for a in cases:
+        gx = nx.from_numpy_array(a)
+        comps = sorted(sorted(c) for c in nx.connected_components(gx))
+        assert connected_components(a) == comps  # each sorted, ordered by least element
+        assert is_connected(a) == (len(comps) <= 1)
+        assert join_decomposition(a) == sorted(sorted(c) for c in nx.connected_components(nx.complement(gx)))
+        for v in range(len(a)):
+            assert _component(a, v).tolist() == [u in nx.node_connected_component(gx, v) for u in range(len(a))]
+    # a stack: one frontier per graph, from vertex 0, however many steps each needs
+    for n in (1, 5, 9):
+        stack = np.array([adjacency(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+                          for _ in range(60)] + [path_graph(n)])
+        want = [[u in nx.node_connected_component(nx.from_numpy_array(a), 0) for u in range(n)] for a in stack]
+        assert _component(stack).tolist() == want
+        assert is_connected(stack) == all(map(all, want))
+    assert _component(np.zeros((0, 4, 4), dtype=np.int64)).shape == (0, 4) and is_connected(np.zeros((0, 4, 4)))
 
 
 def test_compose_shapes_and_blocks(ex1=None):
