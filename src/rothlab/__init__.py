@@ -38,17 +38,13 @@ from .spectra import (
     smallest_eigenpair,
 )
 from .analysis import (
-    BoundaryCharacterization,
     Decisions,
     ReducedMatrix,
     alpha_of,
-    boundary_characterization,
     build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    deg2_predicate,
-    gdeg_check,
     harmonic_witness,
     is_complete_scaffold,
     oracle_stack,

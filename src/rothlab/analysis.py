@@ -15,9 +15,11 @@ decide_instance are their one-instance case, row [0] of the same record.
 
 Exact and floating-point decisions: when mu lies within INTEGER_TOL of an
 integer c and Q(H) - cI is singular, the verdict and the Q_mu classes at it
-are re-derived in exact rational arithmetic.  Every other verdict is a
+are re-derived in exact rational arithmetic, except inverse_positive for
+t > 16, which keeps its floating-point flag.  Every other verdict is a
 floating-point decision: a ZeroEntry or MultipleEigenvalue at an irrational
-mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.
+mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  The certificates are
+integer arithmetic on A_G and K, so exact.
 """
 
 from __future__ import annotations
@@ -54,12 +56,13 @@ class Decisions:
     """Everything decided about a stack of N instances, one (N,) array per fact; row [i] is instance i.
 
     A row is the same record with Python scalars (bool, int, float, str), a
-    1-D eigenvector and a kernel that is a list or None; an index array
-    selects a smaller stack.  oracle_stack fills the verdict; the Q_mu
-    classes and the scaffold certificates are decide_stack's, and None
-    otherwise.  N_ij is the set of S-vertices adjacent to both T-vertices i
-    and j, and d_B(k) the scaffold degree of the S-vertex k.  Each
-    certificate, when it holds, implies that H is S-Roth.
+    1-D eigenvector, a kernel that is a list or None and a boundary that is
+    a tuple or None; an index array selects a smaller stack.  oracle_stack
+    fills the verdict; the Q_mu classes and the scaffold certificates are
+    decide_stack's, and None otherwise.  N_ij is the set of S-vertices
+    adjacent to both T-vertices i and j, and d_B(k) the scaffold degree of
+    the S-vertex k.  Each certificate reads A_G and K only, never the
+    verdict, and when it holds implies that H is S-Roth.
     """
 
     mu: np.ndarray  # float; the integer c where a rational kernel settled the verdict
@@ -83,6 +86,11 @@ class Decisions:
     gc: np.ndarray | None = None  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
     bdeg: np.ndarray | None = None  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
     st: np.ndarray | None = None  # complete scaffold with s >= t; N_ij is then all of S and the sums are s/t >= 1
+    # the degree theorems, for complete scaffolds with t > s only ('none', False and None elsewhere)
+    gdeg: np.ndarray | None = None  # str: 'A' if delta(G) > t-s, 'B' if delta(G) = t-s and complement(G) is connected
+    deg2: np.ndarray | None = None  # bool: s >= 6 and Delta(G) <= 2
+    # object: at delta(G) = t-s with G a join, the first joinee whose G-degrees are all t-s, as a tuple, else ()
+    boundary: np.ndarray | None = None  # H is S-Roth exactly where it is ()
 
     def __len__(self) -> int:
         return len(self.mu)
@@ -107,9 +115,6 @@ class ReducedMatrix:
     s_roth: bool | None  # every row sum positive, when PD
     gamma: float | None  # sum of rowsums: all entries of r_mu^{-1}, when PD
     gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
-    s: int
-    t: int
-    mu: float
 
 
 def _exact_sign_reason(vec, t: int) -> str:
@@ -227,7 +232,7 @@ def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
     """
     qg = np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))
     gaps = k.sum(axis=0).astype(np.int64) - c
-    lcm = math.lcm(*np.unique(gaps).tolist())
+    lcm = math.lcm(*set(gaps.tolist()))  # not np.unique, as in _certificates
     big = lcm * (int(qg.max()) + k.shape[1]) > np.iinfo(np.int64).max
     qg, k, gaps = (x.astype(object if big else np.int64) for x in (qg, k, gaps))
     return lcm * qg - (k * (lcm // gaps)) @ k.T
@@ -265,7 +270,8 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     decided from a rational kernel (mu on an integer c: the t-s boundary of
     complete scaffolds and its relatives) has its flags computed from the
     integer L*Q_mu and that kernel, so borderline zero entries are decided
-    exactly; only those rows are classified one at a time.
+    exactly, inverse_positive only for t <= 16 (above, the float flag stays);
+    only those rows are classified one at a time.
     """
     q_mu = _q_mu(a, k, d.mu)
     t = q_mu.shape[-1]
@@ -296,13 +302,15 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     too large for int64; the sums are then formed on G-edge pairs only.
     """
     t, s = k.shape[-2:]
+    if t == 1:  # no pair of T-vertices, so every pair condition holds
+        return np.ones(len(k), dtype=bool), np.full(len(k), -1), np.ones(len(k), dtype=bool)
     k = k.astype(np.int64)
     kt = np.swapaxes(k, -1, -2)
     d2 = k.sum(axis=1)
     iu, ju = np.triu_indices(t, 1)  # vertex pairs in sorted order
     edge = a[:, iu, ju] != 0
     common = (k @ kt)[:, iu, ju]  # |N_ij|
-    lcm = math.lcm(*np.unique(d2[d2 > 0]).tolist())
+    lcm = math.lcm(*set(d2[d2 > 0].tolist()))  # not np.unique, whose first call imports numpy.ma (10-15 ms)
     if lcm * s <= np.iinfo(np.int64).max:
         harm = ((k * (lcm // np.maximum(d2, 1))[:, None, :]) @ kt)[:, iu, ju]
     else:
@@ -341,50 +349,6 @@ def alpha_of(inst: CompositeInstance, mu: float) -> float:
     return inst.s / (inst.t - mu)
 
 
-def gdeg_check(inst: CompositeInstance) -> str:
-    """Degree criteria for complete scaffolds with t > s: 'A', 'B' or 'none'.
-
-    A: delta(G) > t-s.  B: delta(G) = t-s and the complement of G is connected.
-    Either case implies S-Roth.
-    """
-    if not is_complete_scaffold(inst) or inst.t <= inst.s:
-        return "none"
-    delta = inst.A.sum(axis=1).min()
-    gap = inst.t - inst.s
-    if delta > gap:
-        return "A"
-    if delta == gap and len(join_decomposition(inst.A)) == 1:
-        return "B"
-    return "none"
-
-
-@dataclass
-class BoundaryCharacterization:
-    applicable: bool
-    s_roth: bool | None  # exact (necessary and sufficient) when applicable
-    witness: tuple | None  # a joinee whose G-degrees are all t-s
-
-
-def boundary_characterization(inst: CompositeInstance) -> BoundaryCharacterization:
-    """Exact S-Rothness test at the boundary delta(G) = t-s with G a join.
-
-    Applies to complete scaffolds with t > s, delta(G) = t-s and disconnected
-    complement(G).  H is then S-Roth iff every joinee of the maximal join
-    decomposition of G contains a vertex of G-degree strictly above t-s.
-    """
-    gap = inst.t - inst.s
-    deg = inst.A.sum(axis=1)
-    if not is_complete_scaffold(inst) or inst.t <= inst.s or deg.min() != gap:
-        return BoundaryCharacterization(False, None, None)
-    joinees = join_decomposition(inst.A)
-    if len(joinees) == 1:
-        return BoundaryCharacterization(False, None, None)
-    for part in joinees:
-        if all(deg[v] <= gap for v in part):
-            return BoundaryCharacterization(True, False, tuple(part))
-    return BoundaryCharacterization(True, True, None)
-
-
 # the reduced matrix R_mu (complete scaffolds)
 
 
@@ -408,24 +372,8 @@ def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
         # a row sum at floating-point zero means a zero eigenvector entry
         s_roth = bool(rowsums.min() > INV_POS_TOL * max(1.0, float(np.abs(rowsums).max())))
         gamma = float(rowsums.sum())
-    return ReducedMatrix(
-        r_mu=r,
-        positive_definite=pd,
-        rowsums=rowsums,
-        s_roth=s_roth,
-        gamma=gamma,
-        gamma_expected=(inst.t - mu) / inst.s,
-        s=inst.s,
-        t=inst.t,
-        mu=float(mu),
-    )
-
-
-def deg2_predicate(inst: CompositeInstance) -> bool:
-    """Hypothesis of the max-degree-2 theorem: complete scaffold, t > s >= 6, Delta(G) <= 2."""
-    if not is_complete_scaffold(inst) or not (inst.t > inst.s >= 6):
-        return False
-    return bool(inst.A.sum(axis=1).max() <= 2)
+    return ReducedMatrix(r_mu=r, positive_definite=pd, rowsums=rowsums, s_roth=s_roth, gamma=gamma,
+                         gamma_expected=(inst.t - mu) / inst.s)
 
 
 def decide_stack(a_g, ks) -> Decisions:
@@ -435,7 +383,8 @@ def decide_stack(a_g, ks) -> Decisions:
     the CLI report share; each runs once per stack: one stacked eigensolve
     for the verdicts, one stacked Q_mu and inverse for the classes, integer
     array operations for the certificates, and the Q_mu classes reuse each
-    verdict's exact kernel.
+    verdict's exact kernel.  join_decomposition runs only on rows at the
+    boundary delta(G) = t-s of a complete scaffold with t > s.
     """
     a, k, lead = _stacks(a_g, ks)
     d = _oracle(a, k, lead)
@@ -447,7 +396,19 @@ def decide_stack(a_g, ks) -> Decisions:
     d.harmcond, d.witness, d.gc = _certificates(a, k)
     t, s = k.shape[-2:]
     d.bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
-    d.st = np.all(k == 1, axis=(-2, -1)) & (s >= t)
+    complete = np.all(k == 1, axis=(-2, -1))
+    d.st = complete & (s >= t)
+    deg = a.sum(axis=-1)
+    margin = deg.min(axis=-1) - (t - s)
+    beyond = complete & (t > s)
+    d.deg2 = beyond & (s >= 6) & (deg.max(axis=-1) <= 2)
+    d.boundary = np.full(len(d), None, dtype=object)
+    for i in np.flatnonzero(beyond & (margin == 0)):
+        joinees = join_decomposition(a[i])
+        if len(joinees) > 1:
+            d.boundary[i] = next((tuple(p) for p in joinees if np.all(deg[i, p] == t - s)), ())
+    d.gdeg = np.where(beyond & (margin > 0), "A",
+                      np.where(beyond & (margin == 0) & np.equal(d.boundary, None), "B", "none"))
     return d
 
 

@@ -55,9 +55,9 @@ def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
     d = decide_stack(a_g, ks)
     s_roth, harmcond, m_matrix, inv_positive = (
         np.where(f, "1", "0") for f in (d.is_s_roth, d.harmcond, d.m_matrix, d.inverse_positive))
-    columns = (np.char.mod("%.17g", d.mu), d.multiplicity.astype(str), s_roth, harmcond,
+    columns = (d.multiplicity.astype(str), s_roth, harmcond,
                np.where(d.classes, m_matrix, ""), np.where(d.classes, inv_positive, ""))
-    return [c.tolist() for c in columns]
+    return [["%.17g" % mu for mu in d.mu.tolist()]] + [c.tolist() for c in columns]  # np.char would import numpy.char
 
 
 def _write_atomic(path: str, write) -> None:

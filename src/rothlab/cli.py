@@ -64,11 +64,9 @@ def cmd_analyze(args) -> int:
     matrix_classes = {"z": d.z_matrix, "m_matrix": d.m_matrix, "inv_positive": d.inverse_positive,
                       "minpositive": d.minpositive} if d.classes else None
     witness = analysis.harmonic_witness(inst.K, d.witness)
-    complete = analysis.is_complete_scaffold(inst)
     alpha = None
-    if complete and d.mu < inst.t:
+    if analysis.is_complete_scaffold(inst) and d.mu < inst.t:
         alpha = analysis.alpha_of(inst, d.mu)
-    bc = analysis.boundary_characterization(inst)
     report = {
         "instance": dict(graphs.instance_to_json(inst), labels=list(inst.labels)),
         "mu": d.mu,
@@ -82,10 +80,11 @@ def cmd_analyze(args) -> int:
             "gc": d.gc,
             "bdeg": d.bdeg,
             "st": d.st,
-            "gdeg": analysis.gdeg_check(inst),
-            "deg2": analysis.deg2_predicate(inst),
-            "boundary": {"applicable": bc.applicable, "s_roth": bc.s_roth,
-                         "witness": bc.witness},
+            "gdeg": d.gdeg,
+            "deg2": d.deg2,
+            "boundary": {"applicable": d.boundary is not None,
+                         "s_roth": None if d.boundary is None else d.boundary == (),
+                         "witness": d.boundary or None},
         },
         "matrix_classes": matrix_classes,
         "alpha": alpha,
@@ -122,6 +121,8 @@ def cmd_census(args) -> int:
 def cmd_noise(args) -> int:
     if args.s < 1 or args.t < 1:
         raise ValueError("need s, t >= 1")
+    if min(args.trials, args.deletions, args.additions) < 0:
+        raise ValueError("need --trials, --deletions and --additions >= 0")
     base = graphs.compose(args.s, graphs.empty_graph(args.t))
     ops = ([graphs.DeleteCross() for _ in range(args.deletions)]
            + [graphs.AddIntra() for _ in range(args.additions)])

@@ -18,6 +18,7 @@ package reads graph6 with decode_graph6 and builds no Graph elsewhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -159,12 +160,19 @@ def _g6_header(n: int) -> str:
     raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
 
 
+@functools.lru_cache(maxsize=8)
+def _g6_layout(n: int) -> tuple:
+    """(v, u, nchars) of order n: body bit v(v-1)/2 + u holds the pair u < v, read-only; nchars 6-bit groups."""
+    v, u = np.tril_indices(n, -1)
+    v.flags.writeable = u.flags.writeable = False
+    return v, u, -(-len(u) // 6)
+
+
 def encode_graph6(a) -> list:
     """graph6 lines of an adjacency stack (N, n, n), an edge wherever its upper triangle is nonzero."""
     a = np.asarray(a)
     head = np.frombuffer(_g6_header(a.shape[-1]).encode(), dtype=np.uint8)  # refuses an oversize n first
-    v, u = np.tril_indices(a.shape[-1], -1)  # bit v(v-1)/2 + u holds the pair u < v
-    nchars = -(-len(u) // 6)
+    v, u, nchars = _g6_layout(a.shape[-1])
     bits = np.zeros((len(a), 6 * nchars), dtype=np.uint8)  # zero padding to a multiple of 6
     bits[:, :len(u)] = a[:, u, v] != 0
     # each 6-bit group, most significant first, packs into the top of a byte
@@ -203,8 +211,8 @@ def decode_graph6(lines) -> np.ndarray:
     if np.any(n != n[0]):
         raise ValueError(f"graph6 lines of different orders {n[0]} and {n[n != n[0]][0]}")
     n = int(n[0])
-    nbits = n * (n - 1) // 2
-    nchars = -(-nbits // 6)
+    v, u, nchars = _g6_layout(n)
+    nbits = len(u)
     head = np.where(long, 4, 1)
     if np.any(size - head != nchars):
         raise ValueError("malformed graph6 header: body length does not match vertex count")
@@ -213,7 +221,6 @@ def decode_graph6(lines) -> np.ndarray:
     if bits[:, nbits:].any():
         raise ValueError("nonzero trailing bits in graph6 input")
     a = np.zeros((len(lines), n, n), dtype=bool)
-    v, u = np.tril_indices(n, -1)
     a[:, u, v] = a[:, v, u] = bits[:, :nbits]
     return a
 

@@ -23,6 +23,7 @@ import os
 import tempfile
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,13 +42,10 @@ from conftest import (
 )
 from exact_evidence import exact_q_mu, leading_minors, prove_census
 from rothlab.analysis import (
-    boundary_characterization,
     build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    deg2_predicate,
-    gdeg_check,
     harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
@@ -93,6 +91,12 @@ def _verdict(num: int, tag: str, ok: bool, detail: str) -> None:
     with open(REPORT_PATH, "a") as fh:
         fh.write(line + "\n")
     assert ok, line
+
+
+def _boundary(d) -> SimpleNamespace:
+    """A decision's boundary column as the (applicable, s_roth) pair the criteria read."""
+    return SimpleNamespace(applicable=d.boundary is not None,
+                           s_roth=None if d.boundary is None else d.boundary == ())
 
 
 def _jobs() -> int:
@@ -370,11 +374,11 @@ def test_criterion_6_certificates_never_lie(s5_records):
             bad.append((label, "bdeg"))
         if d.st and not verdict_is_s_roth:
             bad.append((label, "st"))
-        if gdeg_check(inst) in ("A", "B") and not verdict_is_s_roth:
+        if d.gdeg in ("A", "B") and not verdict_is_s_roth:
             bad.append((label, "gdeg"))
-        if deg2_predicate(inst) and not verdict_is_s_roth:
+        if d.deg2 and not verdict_is_s_roth:
             bad.append((label, "deg2"))
-        bc = boundary_characterization(inst)
+        bc = _boundary(d)
         if bc.applicable and bc.s_roth != verdict_is_s_roth:
             bad.append((label, "boundary"))
 
@@ -535,7 +539,7 @@ def _confirmed_tree_counterexample(s: int, t: int, g6: str) -> bool:
     max_degree = g.sum(axis=1).max()
     ok = max_degree == s and build_r_mu(inst, mu).s_roth is False
     if max_degree == t - 1:
-        bc = boundary_characterization(inst)
+        bc = _boundary(decide_instance(inst))
         ok = ok and bc.applicable and bc.s_roth is False
     return ok
 

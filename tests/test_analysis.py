@@ -35,13 +35,10 @@ from rothlab.analysis import (
     _exact_classes,
     _exact_q_mu,
     alpha_of,
-    boundary_characterization,
     build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    deg2_predicate,
-    gdeg_check,
     harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
@@ -57,7 +54,7 @@ from rothlab.graphs import (
 )
 from rothlab.census import load_scaffolds
 from rothlab.cli import main
-from rothlab.enumeration import enumerate_connected_bipartite
+from rothlab.enumeration import all_graphs, all_trees, enumerate_connected_bipartite
 from rothlab.spectra import (
     CLUSTER_TOL,
     SIGN_TOL,
@@ -371,17 +368,18 @@ def test_alpha_values(ex88):
 
 def test_gdeg_variants(ex88):
     # strict minimum-degree margin picks route A
-    assert gdeg_check(compose(2, complete_graph(3))) == "A"
-    # K_{4,2} scaffold is not complete: no verdict
-    assert gdeg_check(ex88) == "none"
+    assert decide_instance(compose(2, complete_graph(3))).gdeg == "A"
+    # ex88's scaffold is complete, but delta(G) = t - s and the complement
+    # of K_{4,2} is disconnected: no verdict from this route
+    assert decide_instance(ex88).gdeg == "none"
     # delta = t - s with connected complement picks route B
     g = cycle_graph(5)
     inst = compose(3, g)  # delta = 2 = 5 - 3, complement of C_5 is C_5
-    assert gdeg_check(inst) == "B"
+    assert decide_instance(inst).gdeg == "B"
     assert s_roth_oracle(inst).is_s_roth
     # boundary with disconnected complement gets no verdict from this route
     star = adjacency(7, {(0, k) for k in range(1, 7)})
-    assert gdeg_check(compose(6, star)) == "none"
+    assert decide_instance(compose(6, star)).gdeg == "none"
 
 
 def test_gdeg_implies_s_roth():
@@ -398,7 +396,7 @@ def test_gdeg_implies_s_roth():
                     edges.add((u, w))
         g = adjacency(t, edges)
         inst = compose(s, g)
-        route = gdeg_check(inst)
+        route = decide_instance(inst).gdeg
         if route in ("A", "B"):
             hits += 1
             assert s_roth_oracle(inst).is_s_roth
@@ -414,17 +412,16 @@ def test_boundary_star_not_s_roth():
     # leaf-only joinee members kill the property
     star = adjacency(7, {(0, k) for k in range(1, 7)})
     inst = compose(6, star)
-    bc = boundary_characterization(inst)
-    assert bc.applicable
-    assert not bc.s_roth
-    assert bc.witness is not None
+    boundary = decide_instance(inst).boundary
+    assert boundary is not None  # applicable
+    assert boundary != ()  # not S-Roth, with this joinee as witness
     assert not s_roth_oracle(inst).is_s_roth
 
 
 def test_boundary_example88(ex88):
-    bc = boundary_characterization(ex88)
-    assert bc.applicable
-    assert not bc.s_roth
+    boundary = decide_instance(ex88).boundary
+    assert boundary is not None
+    assert boundary != ()
     assert not s_roth_oracle(ex88).is_s_roth
 
 
@@ -441,17 +438,17 @@ def test_boundary_agreement_random():
                     edges.add((u, w))
         g = adjacency(t, edges)
         inst = compose(s, g)
-        bc = boundary_characterization(inst)
-        if not bc.applicable:
+        boundary = decide_instance(inst).boundary
+        if boundary is None:
             continue
         seen += 1
-        assert bc.s_roth == s_roth_oracle(inst).is_s_roth
+        assert (boundary == ()) == s_roth_oracle(inst).is_s_roth
     assert seen > 20
 
 
 def test_boundary_inapplicable_when_margin_strict():
     inst = compose(2, complete_graph(3))  # delta = 2 > t - s = 1
-    assert not boundary_characterization(inst).applicable
+    assert decide_instance(inst).boundary is None
 
 
 # ----------------------------------------------------------- reduced matrix
@@ -556,21 +553,22 @@ def test_w_reconstruction_from_rowsums():
 
 def test_deg2_cycle():
     inst = compose(7, cycle_graph(6))  # t=6 < s... swap: need t > s >= 6
-    assert not deg2_predicate(inst)
+    assert not decide_instance(inst).deg2
+    assert not decide_instance(compose(5, cycle_graph(7))).deg2  # s < 6
     inst2 = compose(6, cycle_graph(7))
-    assert deg2_predicate(inst2)
+    assert decide_instance(inst2).deg2
     assert s_roth_oracle(inst2).is_s_roth
 
 
 def test_deg2_rejects_large_degree():
-    assert not deg2_predicate(compose(6, adjacency(7, {(0, 1), (0, 2), (0, 3)})))
+    assert not decide_instance(compose(6, adjacency(7, {(0, 1), (0, 2), (0, 3)}))).deg2
 
 
 def test_deg2_union_case():
     # G = triangle plus isolated vertices still has max degree 2
     g = block_diag(cycle_graph(3), empty_graph(7))
     inst = compose(6, g)
-    assert deg2_predicate(inst)
+    assert decide_instance(inst).deg2
     assert s_roth_oracle(inst).is_s_roth
 
 
@@ -590,7 +588,7 @@ def test_deg2_instances_are_s_roth():
                 left -= size
             g = block_diag(*parts)
             inst = compose(s, g)
-            assert deg2_predicate(inst)
+            assert decide_instance(inst).deg2
             assert s_roth_oracle(inst).is_s_roth
 
 
@@ -607,11 +605,12 @@ def test_classification_record_schema(ex2):
     assert [f.name for f in dataclasses.fields(d)] == [
         "mu", "multiplicity", "reason", "is_s_roth", "eigenvector", "kernel",
         "classes", "z_matrix", "m_matrix", "inverse_positive", "minpositive",
-        "harmcond", "witness", "gc", "bdeg", "st"]
+        "harmcond", "witness", "gc", "bdeg", "st", "gdeg", "deg2", "boundary"]
     assert ex2.s == 7 and ex2.t == 4
     assert d.is_s_roth is True
     assert d.m_matrix is True and d.harmcond is False
     assert (type(d.mu), type(d.multiplicity), type(d.reason), type(d.witness)) == (float, int, str, int)
+    assert (d.gdeg, d.deg2, d.boundary) == ("none", False, None)  # t < s
     assert d.eigenvector.shape == (11,) and d.kernel is None
     # the oracle alone fills the verdict fields of the same record type
     v = s_roth_oracle(ex2)
@@ -715,6 +714,27 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
         assert _same_decision(d, decide_instance(compose(5, g, k)))
 
 
+def test_degree_theorem_columns_stack_like_single():
+    # complete scaffolds with t > s, each G decided in a stack with every
+    # graph (or tree) of its order: every row equals its one-instance row
+    paw = adjacency(4, {(0, 2), (0, 3), (2, 3), (1, 3)})  # vertex 3 joined to the edge 02 and the vertex 1
+    star = adjacency(7, {(0, k) for k in range(1, 7)})
+    cases = [(complete_graph(3), 2, "A", None),  # delta = 2 > t - s
+             (cycle_graph(5), 3, "B", None),  # delta = t - s, complement C_5 connected
+             (paw, 3, "none", ()),  # both joinees have a vertex above t - s: S-Roth
+             (star, 6, "none", (1, 2, 3, 4, 5, 6))]  # the leaves have degree t - s
+    for g, s, gdeg, boundary in cases:
+        t = len(g)
+        stack = np.concatenate([all_graphs(t) if t < 7 else all_trees(t), g[None]])
+        record = decide_stack(stack, np.ones((t, s), dtype=np.int64))
+        for i, a in enumerate(stack):
+            assert _same_decision(record[i], decide_instance(compose(s, a)))
+        row = record[len(stack) - 1]
+        assert (row.gdeg, row.deg2, row.boundary) == (gdeg, False, boundary)
+        assert row.is_s_roth == (boundary in (None, ()))
+    assert record.deg2.any()  # the paths among the trees on 7 vertices, s = 6
+
+
 def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
     # Haynsworth inertia: for mu < min(D2) the smallest eigenvalue of Q_mu is
     # mu, with the verdict's multiplicity and eigenvector x[:t], so the class
@@ -779,6 +799,16 @@ def test_certificates_match_pairwise_fraction_loop():
         assert d.gc == _gc_loop(inst)
         holds += d.harmcond
     assert 0 < holds < 400
+
+
+def test_certificates_with_one_t_vertex():
+    # H = K_{1,s} with T its centre has no pair of T-vertices: the pair conditions hold vacuously
+    for s in (1, 3):
+        inst = compose(s, complete_graph(1))
+        d = decide_instance(inst)
+        assert (d.harmcond, d.witness, d.gc) == (True, -1, True) and d.gc == _gc_loop(inst)
+        assert (d.harmcond, harmonic_witness(inst.K, d.witness)) == _harmcond_loop(inst)
+        assert d.is_s_roth and (d.gdeg, d.deg2, d.boundary) == ("none", False, None)
 
 
 def test_harmonic_condition_exact_beyond_int64():

@@ -280,10 +280,8 @@ def test_sweep_tree_finds_star():
     assert degs == [1, 1, 1, 1, 1, 1, 6]
     assert abs(ce["mu"] - 1.0) < 1e-9
     # the boundary characterization reaches the same verdict independently
-    from rothlab.analysis import boundary_characterization
-
-    bc = boundary_characterization(compose(6, g))
-    assert bc.applicable and not bc.s_roth
+    boundary = decide_instance(compose(6, g)).boundary
+    assert boundary is not None and boundary != ()  # applicable, and not S-Roth
 
 
 def test_sweep_maxdeg_clean_small():

@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rothlab
 from rothlab.cli import build_parser, main
 from conftest import edge_list_text
 from rothlab.graphs import (block_adjacency, complete_bipartite, cycle_graph, decode_graph6, empty_graph,
@@ -18,6 +21,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_scipy():
+    # every CLI call pays for the imports: the package needs numpy alone
+    src = os.path.dirname(os.path.dirname(rothlab.__file__))
+    code = "import sys, rothlab, rothlab.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_analyze_graph6_instance(tmp_path, capsys, ex1):
@@ -173,6 +185,13 @@ def test_noise_deterministic(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--deletions", "--additions"])
+def test_noise_refuses_negative_counts(capsys, flag):
+    code, out, err = run_cli(capsys, "noise", "--s", "5", "--t", "3", flag, "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_conjecture_command_with_artifact(tmp_path, capsys):
