@@ -15,8 +15,8 @@ decide_instance are their one-instance case, row [0] of the same record.
 
 Exact and floating-point decisions: when mu lies within INTEGER_TOL of an
 integer c and Q(H) - cI is singular, the verdict and the Q_mu classes at it
-are re-derived in exact rational arithmetic, except inverse_positive for
-t > 16, which keeps its floating-point flag.  Every other verdict is a
+are re-derived exactly, at every t, from the rational kernel and the integer
+L*Q_mu (see _exact_classes).  Every other verdict is a
 floating-point decision: a ZeroEntry or MultipleEigenvalue at an irrational
 mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  The certificates are
 integer arithmetic on A_G and K, so exact.
@@ -30,12 +30,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import CompositeInstance, block_adjacency, join_decomposition
+from .graphs import CompositeInstance, block_adjacency, is_connected, join_decomposition
 from .spectra import (
     SIGN_TOL,
-    exact_inverse,
     exact_kernel_dim,
     full_spectrum,
+    has_positive_inverse,
     integer_candidate,
     sign_normalize,
     signless_laplacian,
@@ -70,7 +70,7 @@ class Decisions:
     reason: np.ndarray  # str: one of the REASON_* codes
     is_s_roth: np.ndarray  # bool: reason == REASON_SIGNED
     eigenvector: np.ndarray  # (N, n); unit norm, signed so its S-sum is nonnegative unless mu is multiple
-    kernel: np.ndarray  # object: rational basis of ker(Q(H) - mu I) on the exact path, else None
+    kernel: np.ndarray  # object: rational basis of ker(Q(H) - mu I) on the exact path (all classes exact), else None
     # the Q_mu classes at mu, all False where classes is False
     classes: np.ndarray | None = None  # bool: Q_mu is formed (mu < min(D2)) and regular
     z_matrix: np.ndarray | None = None
@@ -238,17 +238,18 @@ def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
     return lcm * qg - (k * (lcm // gaps)) @ k.T
 
 
-def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list, inverse_positive: bool) -> tuple:
+def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list) -> tuple:
     """(z_matrix, m_matrix, inverse_positive, minpositive) of Q_mu at mu = c, from the integer L*Q_mu and the kernel.
 
     L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
+    All four are exact at every t: minpositive reads the kernel, the others the integer L*Q_mu.
     """
     t = k.shape[0]
     mq = _exact_q_mu(a, k, c)
-    z_matrix = bool(np.all(mq[~np.eye(t, dtype=bool)] <= 0))
-    if t <= 16:
-        minv = exact_inverse(mq.tolist())
-        inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
+    off = (mq != 0) & ~np.eye(t, dtype=bool)
+    z_matrix = bool(np.all(mq[off] < 0))
+    # a disconnected off-diagonal pattern makes L*Q_mu block diagonal, and so its inverse, with exact zeros
+    inverse_positive = is_connected(off) and has_positive_inverse(mq)
     # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
     minpositive = False
     if len(basis) == 1:
@@ -269,9 +270,9 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     those of Q(H).  One stacked inverse serves the whole stack.  A verdict
     decided from a rational kernel (mu on an integer c: the t-s boundary of
     complete scaffolds and its relatives) has its flags computed from the
-    integer L*Q_mu and that kernel, so borderline zero entries are decided
-    exactly, inverse_positive only for t <= 16 (above, the float flag stays);
-    only those rows are classified one at a time.
+    integer L*Q_mu and that kernel, so borderline zero entries and signs are
+    decided exactly at every t (see _exact_classes); only those rows are
+    classified one at a time.
     """
     q_mu = _q_mu(a, k, d.mu)
     t = q_mu.shape[-1]
@@ -286,7 +287,7 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     flags = np.array([regular, z_matrix, z_matrix & (d.mu > 0.0), inverse_positive, minpositive])
     # the exact path sets mu to the integer c
     for i in np.flatnonzero(regular & (d.mu > 0.0) & np.not_equal(d.kernel, None)):
-        flags[1:, i] = _exact_classes(a[i], k[i], int(d.mu[i]), d.kernel[i], inverse_positive[i])
+        flags[1:, i] = _exact_classes(a[i], k[i], int(d.mu[i]), d.kernel[i])
     return flags
 
 

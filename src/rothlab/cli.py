@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -63,7 +64,8 @@ def cmd_analyze(args) -> int:
     d = analysis.decide_instance(inst)
     matrix_classes = {"z": d.z_matrix, "m_matrix": d.m_matrix, "inv_positive": d.inverse_positive,
                       "minpositive": d.minpositive} if d.classes else None
-    witness = analysis.harmonic_witness(inst.K, d.witness)
+    t, w = inst.t, d.witness  # w indexes np.triu_indices(t, 1), -1 where harmcond holds; its pair in closed form
+    i = t - 2 - (math.isqrt(8 * (t * (t - 1) // 2 - 1 - w) + 1) - 1) // 2
     alpha = None
     if analysis.is_complete_scaffold(inst) and d.mu < inst.t:
         alpha = analysis.alpha_of(inst, d.mu)
@@ -76,7 +78,7 @@ def cmd_analyze(args) -> int:
         "reason": d.reason,
         "certificates": {
             "harmcond": d.harmcond,
-            "harmcond_witness": None if witness is None else witness[0],
+            "harmcond_witness": None if w < 0 else [i, w + i + 1 - i * (2 * t - i - 1) // 2],
             "gc": d.gc,
             "bdeg": d.bdeg,
             "st": d.st,

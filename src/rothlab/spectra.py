@@ -9,8 +9,10 @@ Tolerance conventions used package-wide:
                  a candidate for exact rational confirmation
 
 Borderline integer eigenvalues (the mu = t-s cases) are never decided in
-floating point alone: exact_kernel_dim settles them over the rationals, by
-fraction-free elimination on Python ints.
+floating point alone: exact_kernel_dim settles them over the rationals.  Its
+engine, _rational_kernel, eliminates modulo 31-bit primes, lifts by rational
+reconstruction and checks the result over the integers; has_positive_inverse
+proves inverse signs by a residual bound and leaves the rest to that engine.
 """
 
 from __future__ import annotations
@@ -111,75 +113,110 @@ def integer_candidate(mu) -> np.ndarray:
     return np.where(np.abs(mu - c) <= INTEGER_TOL, c, np.nan)
 
 
-def _gauss_jordan(a: list) -> tuple:
-    """Fraction-free Gauss-Jordan (Bareiss 1968) on rows of ints or Fractions, in place.
+def _primes():
+    """The primes between 2^30 and 2^31, descending, by Miller-Rabin to the bases 2, 3, 5 and 7 (exact below 3.2e9)."""
+    for p in range(2**31 - 1, 2**30, -2):
+        r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^r with d odd
+        if all(x == 1 or p - 1 in (pow(x, 1 << i, p) for i in range(r))
+               for x in (pow(b, (p - 1) >> r, p) for b in (2, 3, 5, 7))):
+            yield p
 
-    Each row is first scaled to integers; scaling a row leaves the reduced row
-    echelon form unchanged.  Every update (p*x - f*y) // prev divides exactly
-    (Sylvester's identity), so the entries stay integers: minors of the
-    scaled input.  On return every pivot entry equals d, and a / d is the
-    reduced row echelon form.  Returns (pivot positions [(row, col)] in column
-    order, d).
-    """
-    for r, row in enumerate(a):
-        den = math.lcm(*(v.denominator for v in row))
-        a[r] = [int(v * den) for v in row]
-    n = len(a)
+
+def _rref_mod(a: np.ndarray, p: int) -> tuple:
+    """(pivot columns, reduced row echelon form) of an integer matrix modulo a prime p < 2^31, in int64."""
+    a = (a % p).astype(np.int64)
     pivots = []
-    prev = 1
-    row = 0
-    for col in range(len(a[0]) if a else 0):
-        piv = next((r for r in range(row, n) if a[r][col]), None)
-        if piv is None:
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        nz = a[r:, col].nonzero()[0]
+        if not len(nz):
             continue
-        a[row], a[piv] = a[piv], a[row]
-        top = a[row]
-        p = top[col]
-        for r in range(n):
-            f = a[r][col]
-            if r != row and (f or p != prev):
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], top)]
-        prev = p
-        pivots.append((row, col))
-        row += 1
-        if row == n:
-            break
-    return pivots, prev
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        row = a[r, col:] * pow(int(a[r, col]), -1, p) % p  # a product of two residues stays below 2^62
+        a[:, col:] = (a[:, col:] - a[:, col, None] * row) % p  # clears row r too, which then takes the scaled row
+        a[r, col:] = row
+        pivots.append(col)
+    return pivots, a
+
+
+def _lift(x: int, m: int) -> Fraction:
+    """Wang's (1981) rational reconstruction: u/v = x mod m with |u|, v <= sqrt(m/2) if it exists, else a wrong u/v."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1)
+
+
+def _rational_kernel(a: np.ndarray) -> tuple:
+    """(free columns, kernel basis) of an integer matrix a, from its reduced row echelon form over Q.
+
+    The vector of the free column f has 1 at f, 0 at the other free columns and minus column f of the
+    reduced form at the pivots, as Fractions.  Gauss-Jordan runs modulo 31-bit primes; a prime whose pivots
+    trail another's is unlucky and dropped, and while aW != 0 for the lifted basis W scaled to integers,
+    more primes join by CRT.  Exact: the rank over Q is at least the rank mod p, so the checked,
+    independent vectors span the kernel; each ends at its free column, which is then free over Q.  The
+    Hadamard bound on the minors caps the primes needed.
+    """
+    best = None
+    for p in _primes():
+        pivots, red = _rref_mod(a, p)
+        free = sorted(set(range(a.shape[1])) - set(pivots))
+        if not free:
+            return [], []
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, modulus, image, count = key, 1, 0, 0
+        elif key > best:
+            continue
+        image = image + modulus * ((red[:len(pivots)][:, free].astype(object) - image) * pow(modulus, -1, p) % p)
+        modulus, count = modulus * p, count + 1
+        if count & (count - 1):  # lift and check at 1, 2, 4, ... primes: linear, not quadratic, in their number
+            continue
+        lifted = [[_lift(-x % modulus, modulus) for x in col] for col in image.T]
+        basis = np.full((len(free), a.shape[1]), Fraction(0), dtype=object)
+        basis[range(len(free)), free] = Fraction(1)
+        basis[:, pivots] = np.array(lifted, dtype=object).reshape(len(free), len(pivots))
+        dens = [math.lcm(*(e.denominator for e in col)) for col in lifted]
+        w = np.array([[e.numerator * (d // e.denominator) for e in v] for v, d in zip(basis, dens)], dtype=object)
+        dtype = object if int(np.abs(a).max(initial=0)) * int(np.abs(w).max()) * a.shape[1] >= 2**63 else np.int64
+        if not np.any(a.astype(dtype) @ w.T.astype(dtype)):
+            return free, basis.tolist()
 
 
 def exact_kernel_dim(m: np.ndarray, c: int) -> tuple:
-    """Nullity and a rational kernel basis of (m - c*I), for integer matrices.
-
-    Fraction-free elimination over the integers: no floating point is
-    involved, so the answer is exact.  Returns (nullity, basis) where basis is
-    a list of kernel vectors with Fraction entries (free variable set to 1,
-    the rest solved).
-    """
+    """(nullity, basis) of ker(m - c*I) for an integer matrix m, exactly: the Fraction vectors of _rational_kernel."""
     m = np.asarray(m)
     if not np.all(m == np.round(m)):
         raise ValueError("exact_kernel_dim needs an integer matrix")
-    n = m.shape[0]
-    a = (np.rint(m).astype(np.int64) - int(c) * np.eye(n, dtype=np.int64)).tolist()
-    pivots, d = _gauss_jordan(a)
-    pivot_cols = {c_ for (_, c_) in pivots}
-    free_cols = [j for j in range(n) if j not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for (r, pc) in pivots:
-            v[pc] = Fraction(-a[r][fc], d)
-        basis.append(v)
-    return len(free_cols), basis
+    free, basis = _rational_kernel(np.rint(m).astype(np.int64) - int(c) * np.eye(m.shape[0], dtype=np.int64))
+    return len(free), basis
 
 
-def exact_inverse(m: list) -> list | None:
-    """Inverse of a square matrix given as rows of ints or Fractions; None when singular."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    # [m | I] has rank n, so m is invertible iff no pivot lands in the I block
-    pivots, d = _gauss_jordan(a)
-    return None if pivots[-1][1] >= n else [[Fraction(v, d) for v in row[n:]] for row in a]
+def has_positive_inverse(m: np.ndarray) -> bool:
+    """Whether the square integer matrix m is invertible with every entry of its inverse positive, exactly.
+
+    A sign of the float inverse X counts once a rigorous bound separates it from zero (Higham 2002, ch. 3
+    and 14): rho bounds ||I - mX||_inf by the computed residual plus 2(t+3)u|m||X| >= gamma_{t+3}|m||X|, u = 2^-53,
+    for the rounding of m, of the product and of the difference, doubled for the rounding of rho.  If rho < 1,
+    no entry of m^{-1} is further than ||X||_inf rho/(1 - rho) from X's.  The kernel of [m | I] settles a
+    sign left open: m is invertible iff no pivot lands in I, and column t + j gives (-m^{-1} e_j, e_j).
+    """
+    t = len(m)
+    mf = m.astype(float)
+    try:
+        x = np.linalg.inv(mf)
+    except np.linalg.LinAlgError:  # singular in floating point: rho below is NaN
+        x = np.full((t, t), np.nan)
+    with np.errstate(all="ignore"):  # an infinite or NaN rho decides nothing
+        rho = 2 * (np.abs(np.eye(t) - mf @ x) + (t + 3) * 2.0**-52 * (np.abs(mf) @ np.abs(x))).sum(axis=1).max()
+        delta = 2 * np.abs(x).sum(axis=1).max() * rho / (1 - rho)
+    if rho < 1 and (np.any(x < -delta) or np.all(x > delta)):
+        return bool(np.all(x > delta))
+    free, basis = _rational_kernel(np.hstack([m, np.eye(t, dtype=np.int64)]))
+    return free == list(range(t, 2 * t)) and all(v < 0 for vec in basis for v in vec[:t])
 
 
 def mu_upper_bound_cut(inst) -> float:

@@ -124,7 +124,7 @@ def fraction_gauss_jordan(a: list) -> list:
     """Reference Gauss-Jordan over Fraction: a becomes its reduced row echelon form, in place.
 
     Returns the pivot positions [(row, col)] in column order.  The package's
-    fraction-free kernel (spectra._gauss_jordan) is checked against this.
+    modular engine (spectra._rational_kernel) is checked against this.
     """
     a[:] = [[Fraction(v) for v in row] for row in a]
     n = len(a)

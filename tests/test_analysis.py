@@ -27,6 +27,7 @@ from conftest import (
     edge_list_text,
     random_instance,
 )
+from exact_evidence import _fraction_inverse
 from rothlab.analysis import (
     REASON_MIXED,
     REASON_MULTIPLE,
@@ -58,7 +59,6 @@ from rothlab.enumeration import all_graphs, all_trees, enumerate_connected_bipar
 from rothlab.spectra import (
     CLUSTER_TOL,
     SIGN_TOL,
-    exact_inverse,
     exact_kernel_dim,
     full_spectrum,
     signless_laplacian,
@@ -841,14 +841,13 @@ def _fraction_q_mu(a, k, c):
              for j in range(t)] for i in range(t)]
 
 
-def _fraction_classes(a, k, c, basis, inverse_positive):
+def _fraction_classes(a, k, c, basis):
     """Reference: the Q_mu classes at mu = c from the Fraction Q_mu."""
     t = k.shape[0]
     mq = _fraction_q_mu(a, k, c)
     z_matrix = all(mq[i][j] <= 0 for i in range(t) for j in range(t) if i != j)
-    if t <= 16:
-        minv = exact_inverse(mq)
-        inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
+    minv = _fraction_inverse(mq)
+    inverse_positive = minv is not None and all(v > 0 for row in minv for v in row)
     w = basis[0][:t] if len(basis) == 1 else None
     if w is not None and sum(w) < 0:
         w = [-v for v in w]
@@ -860,12 +859,12 @@ def _classes(d) -> tuple:
     return d.z_matrix, d.m_matrix, d.inverse_positive, d.minpositive
 
 
-def _assert_exact_classes(a, k, c, basis, inverse_positive):
+def _assert_exact_classes(a, k, c, basis):
     """_exact_q_mu is L times the Fraction Q_mu, and _exact_classes gives the reference flags."""
-    ref, mq = _fraction_classes(a, k, c, basis, inverse_positive)
+    ref, mq = _fraction_classes(a, k, c, basis)
     lcm = math.lcm(*(int(d) - c for d in k.sum(axis=0)))
     assert _exact_q_mu(a, k, c).tolist() == [[lcm * v for v in row] for row in mq]
-    assert _exact_classes(a, k, c, basis, inverse_positive) == ref
+    assert _exact_classes(a, k, c, basis) == ref
     return ref
 
 
@@ -882,20 +881,21 @@ def test_exact_classes_match_fraction_reference_on_census(s, monkeypatch):
     for i, k in enumerate(ks):
         v = d[i]
         if v.kernel is not None and 0 < v.mu < k.sum(axis=0).min():
-            assert _classes(v) == _assert_exact_classes(a, k, int(v.mu), v.kernel, None)
+            assert _classes(v) == _assert_exact_classes(a, k, int(v.mu), v.kernel)
             exact += 1
     assert len(calls) == exact > 0
 
 
 @pytest.mark.parametrize("s, g", [(3, cycle_graph(k)) for k in (5, 12, 14, 16, 40)]
-                         + [(s, complete_bipartite(1, s)) for s in (1, 2, 6, 15, 29)])
+                         + [(s, complete_bipartite(1, s)) for s in (1, 2, 6, 15, 29)]
+                         + [(3, cycle_graph(20)), (3, cycle_graph(36)), (16, complete_bipartite(1, 16))])
 def test_exact_classes_match_fraction_reference_on_families(s, g):
-    # 3 + C_k sits at mu = 3 (mu = 2 for C_5) and the star K_{1,s} at mu = 1;
-    # past t = 16 the float inverse_positive is kept, as in the reference
+    # 3 + C_k sits at mu = 3 (mu = 2 for C_5) and the star K_{1,s} at mu = 1; the last three pin
+    # the exact inverse_positive above t = 16 on analyze's exact slots
     inst = compose(s, g)
     d = decide_instance(inst)
     assert d.kernel is not None and d.classes
-    assert _classes(d) == _assert_exact_classes(inst.A, inst.K, int(d.mu), d.kernel, d.inverse_positive)
+    assert _classes(d) == _assert_exact_classes(inst.A, inst.K, int(d.mu), d.kernel)
 
 
 def test_exact_classes_beyond_int64():
@@ -912,5 +912,5 @@ def test_exact_classes_beyond_int64():
     mq = _exact_q_mu(a, k, c)
     assert mq.dtype == object and math.lcm(*primes, t - c) > np.iinfo(np.int64).max
     basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]
-    z_matrix, _, _, minpositive = _assert_exact_classes(a, k, c, basis, True)
+    z_matrix, _, _, minpositive = _assert_exact_classes(a, k, c, basis)
     assert minpositive and not z_matrix

@@ -75,6 +75,18 @@ def test_analyze_prints_one_line_report(tmp_path, capsys, ex2):
                                      "minpositive": True}
 
 
+@pytest.mark.parametrize("t", [2, 5, 9])
+def test_analyze_witness_pair_of_every_index(tmp_path, capsys, t):
+    # G is the one edge ij and one S-vertex sees all of T, so the harmonic sum on ij is 1/t and ij is
+    # the witness: the report's pair, made from the witness index in closed form, must be ij
+    path = tmp_path / "h.edges"
+    for i, j in zip(*np.triu_indices(t, 1)):
+        path.write_text(f"{i} {j}\n" + "".join(f"{v} {t}\n" for v in range(t)))
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--s-vertices", str(t))
+        assert code in (0, 3)
+        assert json.loads(out)["certificates"]["harmcond_witness"] == [i, j]
+
+
 def test_analyze_failure_exit_code(tmp_path, capsys, ex88):
     path = tmp_path / "h88.g6"
     path.write_text(encode_graph6(block_adjacency(ex88.A, ex88.K[None]))[0] + "\n")
