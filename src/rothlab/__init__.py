@@ -4,9 +4,6 @@ __version__ = "0.1.0"
 
 from .graphs import (
     CompositeInstance,
-    DeleteCross,
-    AddIntra,
-    apply_noise,
     complement,
     complete_bipartite,
     complete_graph,

@@ -267,7 +267,7 @@ def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> np.ndarr
             a = all_graphs(t)
             return a[a.sum(-1).max(-1) < s]
         rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
-        fam = [path_graph(t), cycle_graph(t)]
+        fam = [path_graph(t), cycle_graph(t)] if s >= 3 else []  # both have max degree 2
         while len(fam) < sample_limit:
             fam.append(_random_capped_graph(t, s - 1, rng))
         return np.array(fam)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze (single-instance JSON report on one line), census
-(Table-style CSV), noise (seeded sign-pattern recovery trials), conjecture
-(family sweeps), bounds (inverse-bound sweeps as CSV).  Exit codes for
-analyze: 0 when the instance is S-Roth, 3 when it is not, 1 on any error.
+(Table-style CSV), conjecture (family sweeps), bounds (inverse-bound sweeps
+as CSV).  Exit codes for analyze: 0 when the instance is S-Roth, 3 when it
+is not, 1 on any error.
 """
 
 from __future__ import annotations
@@ -120,36 +120,6 @@ def cmd_census(args) -> int:
     return 0
 
 
-def cmd_noise(args) -> int:
-    if args.s < 1 or args.t < 1:
-        raise ValueError("need s, t >= 1")
-    if min(args.trials, args.deletions, args.additions) < 0:
-        raise ValueError("need --trials, --deletions and --additions >= 0")
-    base = graphs.compose(args.s, graphs.empty_graph(args.t))
-    ops = ([graphs.DeleteCross() for _ in range(args.deletions)]
-           + [graphs.AddIntra() for _ in range(args.additions)])
-    children = np.random.SeedSequence(args.seed).spawn(args.trials)
-    recovered = 0
-    for child in children:
-        inst = None
-        for attempt_seed in child.generate_state(50):
-            try:
-                inst = graphs.apply_noise(base, ops, seed=int(attempt_seed))
-                break
-            except ValueError:
-                continue  # sampled ops disconnected H; retry with a fresh draw
-        if inst is None:
-            raise ValueError("noise parameters infeasible: no valid perturbation found")
-        if analysis.s_roth_oracle(inst).is_s_roth:
-            recovered += 1
-    report = {"s": args.s, "t": args.t, "deletions": args.deletions,
-              "additions": args.additions, "trials": args.trials,
-              "seed": args.seed, "recovered": recovered,
-              "rate": recovered / args.trials if args.trials else None}
-    print(json.dumps(report))
-    return 0
-
-
 def _parse_range(spec: str) -> range:
     lo, _, hi = spec.partition(":")
     lo = int(lo)
@@ -163,7 +133,7 @@ def cmd_conjecture(args) -> int:
     report = census.conjecture_sweep(args.kind, _parse_range(args.s_range),
                                      _parse_range(args.t_range), relax=args.relax,
                                      sample_limit=args.sample_limit, seed=args.seed)
-    if report["counterexamples"] and args.out:
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report["counterexamples"], indent=2, default=_json_default))
     print(json.dumps({k: report[k] for k in ("kind", "pairs", "checked")}
@@ -229,15 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out-dir", default=".")
     c.set_defaults(func=cmd_census)
 
-    n = sub.add_parser("noise", help="sign-pattern recovery rate under random perturbations")
-    n.add_argument("--s", type=int, required=True)
-    n.add_argument("--t", type=int, required=True)
-    n.add_argument("--deletions", type=int, default=0)
-    n.add_argument("--additions", type=int, default=0)
-    n.add_argument("--trials", type=int, default=100)
-    n.add_argument("--seed", type=int, default=0)
-    n.set_defaults(func=cmd_noise)
-
     j = sub.add_parser("conjecture", help="oracle sweep over tree / bounded-degree families")
     j.add_argument("--kind", choices=("tree", "maxdeg"), required=True)
     j.add_argument("--s-range", required=True, help="e.g. 6 or 6:8")
@@ -245,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--relax", action="store_true", help="drop the s >= 6 hypothesis")
     j.add_argument("--sample-limit", type=int, default=200)
     j.add_argument("--seed", type=int, default=0)
-    j.add_argument("--out", help="write counterexamples to this JSON file")
+    j.add_argument("--out", help="write the counterexample list, [] when clean, to this JSON file")
     j.set_defaults(func=cmd_conjecture)
 
     b = sub.add_parser("bounds", help="inverse-entry bound sweeps, CSV to stdout")

@@ -19,17 +19,12 @@ package reads graph6 with decode_graph6 and builds no Graph elsewhere.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 GRAPH6_MAX_N = 258  # long-form header supported up to here, larger inputs rejected
-
-
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -50,7 +45,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        return Graph(n, frozenset(_norm_edge(u, v) for u, v in edges))
+        return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
 
 def _check_adjacency(a) -> np.ndarray:
@@ -379,75 +374,3 @@ def instance_to_json(inst: CompositeInstance) -> dict:
     if n > GRAPH6_MAX_N:
         return {"n": n, "s": inst.s, "t": inst.t, "edges": np.argwhere(np.triu(h)).tolist()}
     return {"n": n, "s": inst.s, "t": inst.t, "graph6": encode_graph6(h[None])[0]}
-
-
-# noise operations: delete a scaffold edge / add an edge inside T
-
-
-@dataclass(frozen=True)
-class DeleteCross:
-    """Remove scaffold edge (i in T, k in S); None endpoints are sampled."""
-
-    i: int | None = None
-    k: int | None = None  # S-column index, 0..s-1
-
-
-@dataclass(frozen=True)
-class AddIntra:
-    """Add edge {i, j} inside T; None endpoints are sampled."""
-
-    i: int | None = None
-    j: int | None = None
-
-
-def apply_noise(inst: CompositeInstance, ops, seed: int = 0) -> CompositeInstance:
-    """Apply cross-deletions and intra-T additions, in order.
-
-    Explicit endpoints must name a current scaffold edge (DeleteCross) or a
-    current non-edge of G between two distinct vertices (AddIntra), else
-    ValueError.  None endpoints are sampled uniformly among the currently
-    valid moves under the given seed (a deletion is valid only if it leaves
-    no zero scaffold column).  The result must be connected with no zero
-    column; otherwise ValueError.
-    """
-    rng = np.random.default_rng(seed)
-    A, K = inst.A.copy(), inst.K.copy()
-    t, s = K.shape
-    for op in ops:
-        if isinstance(op, DeleteCross):
-            if op.i is None or op.k is None:
-                cand = [
-                    (i, k)
-                    for i, k in zip(*np.nonzero(K))
-                    if K[:, k].sum() > 1
-                ]
-                if not cand:
-                    raise ValueError("no deletable scaffold edge remains")
-                i, k = cand[rng.integers(len(cand))]
-            else:
-                i, k = op.i, op.k
-                if not (0 <= i < t and 0 <= k < s) or K[i, k] == 0:
-                    raise ValueError(f"DeleteCross({i},{k}): not a scaffold edge")
-            K[i, k] = 0
-        elif isinstance(op, AddIntra):
-            if op.i is None or op.j is None:
-                cand = [
-                    (i, j)
-                    for i, j in itertools.combinations(range(t), 2)
-                    if not A[i, j]
-                ]
-                if not cand:
-                    raise ValueError("G is already complete")
-                i, j = cand[rng.integers(len(cand))]
-            else:
-                i, j = _norm_edge(op.i, op.j)
-                if not (0 <= i < t and 0 <= j < t):
-                    raise ValueError(f"AddIntra({op.i},{op.j}): endpoints must lie in T")
-                if i == j:
-                    raise ValueError(f"AddIntra({i},{j}): a loop is not an edge of a simple graph")
-                if A[i, j]:
-                    raise ValueError(f"AddIntra({i},{j}): already an edge of G")
-            A[i, j] = A[j, i] = 1
-        else:
-            raise TypeError(f"unknown noise op {op!r}")
-    return _assemble(A, K, labels=inst.labels)

@@ -21,7 +21,7 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
-from rothlab.analysis import decide_instance, s_roth_oracle
+from rothlab.analysis import decide_instance, decide_stack, s_roth_oracle
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from conftest import adjacency
@@ -290,6 +290,14 @@ def test_sweep_maxdeg_clean_small():
     assert out["counterexamples"] == []
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 6])
+def test_sampled_maxdeg_family_keeps_its_degree_cap(s):
+    # t = 9 is sampled; P_t and C_t have max degree 2, so they belong only when s >= 3
+    family = rothlab.census._family("maxdeg", s, 9, 5, 0)
+    assert len(family) == 5
+    assert (family.sum(-1).max(-1) < s).all()
+
+
 def test_sweep_relaxed_finds_path_failure():
     out = conjecture_sweep(
         "maxdeg", [4], [60], relax=True, sample_limit=5, seed=1
@@ -318,11 +326,16 @@ def test_sweep_deterministic():
 # ------------------------------------------------------------------ probes
 
 
-def test_ultra_probe_complete_4_4():
-    scaffold = np.ones((4, 4), dtype=int)
-    out = ultra_roth_probe(scaffold, all_graphs(4))
+@pytest.mark.parametrize("t, s", [(4, 4), (5, 17)])
+def test_ultra_probe_complete_scaffold(t, s):
+    # every G on t vertices keeps K_{t,s} + G S-Roth, exhaustively; (5, 17) is the
+    # paper's case of K_{5,17} with edges added inside T.  s >= t, so the st
+    # certificate predicts the verdict on every row.
+    scaffold = np.ones((t, s), dtype=int)
+    out = ultra_roth_probe(scaffold, all_graphs(t))
     assert out["all_s_roth"]
     assert out["failures"] == []
+    assert decide_stack(all_graphs(t), scaffold).st.all()
 
 
 def test_ultra_probe_one_missing_edge():

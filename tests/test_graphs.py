@@ -1,4 +1,4 @@
-"""Adjacency constructors, codecs, composition and noise operations."""
+"""Adjacency constructors, codecs and composition."""
 
 import re
 import tracemalloc
@@ -8,14 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX1_K, adjacency, edge_list_text, random_connected_graph
+from conftest import EX1_K, adjacency, edge_list_text
 from rothlab.census import run_census, ultra_roth_probe
 from rothlab.graphs import (
-    AddIntra,
-    DeleteCross,
     Graph,
     _component,
-    apply_noise,
     block_adjacency,
     complement,
     complete_bipartite,
@@ -449,53 +446,3 @@ def test_adjacency_refused_by_every_caller(caller, case, tmp_path):
     with pytest.raises(ValueError, match=match):
         ADJACENCY_CALLERS[caller](bad, str(tmp_path / "bad"))
     assert not (tmp_path / "bad").exists()  # refused before the census writes anything
-
-
-def test_apply_noise_explicit_ops():
-    base = compose(4, empty_graph(3))  # K_{4,3} complete scaffold, empty G
-    out = apply_noise(base, [DeleteCross(0, 0), AddIntra(0, 1)])
-    assert out.K[0, 0] == 0 and out.K.sum() == 11
-    assert out.A[0, 1] == out.A[1, 0] == 1
-    with pytest.raises(ValueError):
-        apply_noise(out, [DeleteCross(0, 0)])  # already deleted
-    with pytest.raises(ValueError):
-        apply_noise(out, [AddIntra(0, 1)])  # already added
-    with pytest.raises(ValueError):
-        apply_noise(base, [AddIntra(0, 5)])  # endpoint outside T
-
-
-def test_apply_noise_refuses_a_loop():
-    # AddIntra(i, i) would put a loop in G, and H would no longer be simple
-    base = compose(3, path_graph(4))
-    with pytest.raises(ValueError, match="loop"):
-        apply_noise(base, [AddIntra(2, 2)])
-    assert base.A[2, 2] == 0
-
-
-def test_apply_noise_zero_column_rejected():
-    # single-1 column: deleting its edge would disconnect that S-vertex
-    k = np.ones((3, 4), dtype=int)
-    k[1:, 3] = 0
-    base = compose(4, complete_graph(3), k)
-    with pytest.raises(ValueError):
-        apply_noise(base, [DeleteCross(0, 3)])
-
-
-def test_apply_noise_sampled_deterministic():
-    base = compose(5, empty_graph(4))
-    a = apply_noise(base, [DeleteCross(), AddIntra()], seed=42)
-    b = apply_noise(base, [DeleteCross(), AddIntra()], seed=42)
-    assert np.array_equal(a.K, b.K) and np.array_equal(a.A, b.A)
-    # pinned, so a change in the order moves are sampled in shows
-    assert a.K.tolist() == [[1, 0, 1, 1, 1]] + [[1] * 5] * 3 and np.argwhere(np.triu(a.A)).tolist() == [[1, 3]]
-    c = apply_noise(base, [DeleteCross(), AddIntra()], seed=43)
-    assert not (np.array_equal(a.K, c.K) and np.array_equal(a.A, c.A))
-
-
-def test_noise_preserves_validity():
-    rng = np.random.default_rng(3)
-    base = compose(6, random_connected_graph(rng, 5))
-    for seed in range(10):
-        out = apply_noise(base, [DeleteCross(), DeleteCross(), AddIntra()], seed=seed)
-        assert is_connected(block_adjacency(out.A, out.K))
-        assert (out.K.sum(axis=0) >= 1).all()
