@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import gc
-import heapq
 import json
 import os
 from contextlib import nullcontext
@@ -29,7 +28,7 @@ from . import __version__
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
 from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, block_adjacency, complete_graph,
-                     cycle_graph, decode_graph6, encode_graph6, instance_to_json, is_connected, path_graph)
+                     decode_graph6, encode_graph6, instance_to_json, is_connected)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -206,84 +205,35 @@ def census_summary_path(t: int, s: int, out_dir: str = ".") -> str:
 # conjecture sweeps: H = (empty graph on s) joined with G, i.e. complete scaffold
 
 
-def _random_capped_graph(t: int, cap: int, rng) -> np.ndarray:
-    """Adjacency of a random graph on t vertices with max degree <= cap (greedy over shuffled pairs)."""
-    pairs = [(u, v) for u in range(t) for v in range(u + 1, t)]
-    rng.shuffle(pairs)
-    target = int(rng.integers(0, min(len(pairs), t * cap // 2) + 1))
-    deg = [0] * t
-    a = np.zeros((t, t), dtype=np.int64)
-    for (u, v) in pairs:
-        if not target:
-            break
-        if deg[u] < cap and deg[v] < cap:
-            a[u, v] = a[v, u] = 1
-            target -= 1
-            deg[u] += 1
-            deg[v] += 1
-    return a
-
-
-def _sample_trees(t: int, max_deg: int, limit: int, rng) -> np.ndarray:
-    """Adjacency stack of random labeled trees (Pruefer decode) with the degree cap; path always included."""
-    out = [path_graph(t)] if max_deg >= 2 else []
-    attempts = 0
-    while len(out) < limit and attempts < 50 * limit:
-        attempts += 1
-        seq = rng.integers(0, t, size=t - 2)
-        deg = np.ones(t, dtype=np.int64)
-        for v in seq:
-            deg[v] += 1
-        if deg.max() > max_deg:
-            continue
-        a = np.zeros((t, t), dtype=np.int64)
-        leaves = [v for v in range(t) if deg[v] == 1]  # ascending, so already a heap
-        for v in seq.tolist():
-            leaf = heapq.heappop(leaves)
-            a[leaf, v] = a[v, leaf] = 1
-            deg[v] -= 1
-            if deg[v] == 1:
-                heapq.heappush(leaves, v)
-        u, v = leaves  # the two vertices left
-        a[u, v] = a[v, u] = 1
-        out.append(a)
-    return np.array(out, dtype=np.int64).reshape(-1, t, t)
-
-
+# sweeps are refused above these orders; the README records what raising them costs
 MAXDEG_EXHAUSTIVE_T = 8
 TREE_EXHAUSTIVE_T = 12
+_SWEEP_LIMITS = {"tree": TREE_EXHAUSTIVE_T, "maxdeg": MAXDEG_EXHAUSTIVE_T}
 
 
-def _family(kind: str, s: int, t: int, sample_limit: int, seed: int) -> np.ndarray:
-    """The family of G on t vertices for the sweep at s, as an adjacency stack (N, t, t)."""
+def _family(kind: str, s: int, t: int) -> np.ndarray:
+    """Every G on t vertices in the family for the sweep at s, as an adjacency stack (N, t, t)."""
     if kind == "tree":
-        if t <= TREE_EXHAUSTIVE_T:
-            a = all_trees(t)
-            return a[a.sum(-1).max(-1) <= s]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
-        return _sample_trees(t, s, sample_limit, rng)
-    if kind == "maxdeg":
-        if t <= MAXDEG_EXHAUSTIVE_T:
-            a = all_graphs(t)
-            return a[a.sum(-1).max(-1) < s]
-        rng = np.random.default_rng(np.random.SeedSequence([seed, s, t]))
-        fam = [path_graph(t), cycle_graph(t)] if s >= 3 else []  # both have max degree 2
-        while len(fam) < sample_limit:
-            fam.append(_random_capped_graph(t, s - 1, rng))
-        return np.array(fam)
-    raise ValueError(f"unknown family kind {kind!r}")
+        a = all_trees(t)
+        return a[a.sum(-1).max(-1) <= s]
+    a = all_graphs(t)
+    return a[a.sum(-1).max(-1) < s]
 
 
-def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
-                     sample_limit: int = 200, seed: int = 0) -> dict:
-    """Oracle sweep over H = (s isolated vertices) join G for a family of G.
+def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
+    """Exhaustive oracle sweep over H = (s isolated vertices) join G for a family of G.
 
-    kind='tree' takes all trees on t vertices with max degree <= s;
-    kind='maxdeg' takes graphs with max degree < s (exhaustive for t <= 8,
-    sampled above).  Hypotheses t > s >= 6 are enforced unless relax.
-    Each family is decided by oracle_stack in blocks of CENSUS_BLOCK.
+    kind='tree' takes all trees on t vertices with max degree <= s, for
+    t <= TREE_EXHAUSTIVE_T; kind='maxdeg' takes all graphs with max degree
+    < s, for t <= MAXDEG_EXHAUSTIVE_T.  Hypotheses t > s >= 6 are enforced
+    unless relax.  Every (s, t) pair is checked before any enumeration: an
+    unknown kind or a t above the limit raises ValueError.  Each family is
+    decided by oracle_stack in blocks of CENSUS_BLOCK.
     Returns {kind, checked, pairs, counterexamples}.
     """
+    if kind not in _SWEEP_LIMITS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    limit = _SWEEP_LIMITS[kind]
     pairs = []
     for s in s_range:
         if s < 1:
@@ -293,11 +243,13 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False,
                 continue
             if s < 6 and not relax:
                 raise ValueError(f"hypotheses need s >= 6 (got s={s}); pass relax to override")
+            if t > limit:
+                raise ValueError(f"{kind} sweeps are exhaustive only up to t = {limit} (got t={t})")
             pairs.append((s, t))
     checked = 0
     counterexamples = []
     for (s, t) in pairs:
-        family = _family(kind, s, t, sample_limit, seed)
+        family = _family(kind, s, t)
         complete = np.ones((t, s), dtype=np.int64)
         for lo in range(0, len(family), CENSUS_BLOCK):
             block = family[lo:lo + CENSUS_BLOCK]

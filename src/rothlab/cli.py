@@ -1,15 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze (single-instance JSON report on one line), census
-(Table-style CSV), conjecture (family sweeps), bounds (inverse-bound sweeps
-as CSV).  Exit codes for analyze: 0 when the instance is S-Roth, 3 when it
-is not, 1 on any error.
+(Table-style CSV), conjecture (exhaustive family sweeps).  Exit codes for
+analyze: 0 when the instance is S-Roth, 3 when it is not, 1 on any error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -18,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, bounds, census, graphs, spectra
+from . import analysis, census, graphs, spectra
 
 
 def _json_default(v):
@@ -28,20 +26,13 @@ def _json_default(v):
     raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
-def _load_graph(path: str, fmt: str) -> np.ndarray:
-    """Adjacency matrix of the first graph6 line, or of the edge list, in the file at path."""
+def _load_graph(path: str) -> np.ndarray:
+    """Adjacency matrix of the file at path: graph6 when its first line is one token, else an edge list."""
     with open(path) as fh:
         text = fh.read()
-    if fmt == "auto":
-        stripped = text.strip().splitlines()
-        first = stripped[0].strip() if stripped else ""
-        token = first.split()
-        fmt = "g6" if len(token) == 1 and not first.startswith("#") else "edges"
-    if fmt == "g6":
-        for line in text.splitlines():
-            if line.strip():
-                return graphs.decode_graph6([line])[0]
-        raise ValueError(f"{path}: no graph6 line found")
+    first = next(iter(text.strip().splitlines()), "")
+    if len(first.split()) == 1 and not first.startswith("#"):
+        return graphs.decode_graph6([first])[0]
     return graphs.parse_edge_list(text)
 
 
@@ -53,7 +44,7 @@ def _parse_vertex_list(spec: str) -> list:
 
 
 def cmd_analyze(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     if args.complete_scaffold is not None:
         inst = graphs.compose(args.complete_scaffold, g)
     else:
@@ -122,8 +113,11 @@ def cmd_census(args) -> int:
 
 def _parse_range(spec: str) -> range:
     lo, _, hi = spec.partition(":")
-    lo = int(lo)
-    hi = int(hi) if hi else lo
+    try:
+        lo = int(lo)
+        hi = int(hi) if hi else lo
+    except ValueError:
+        raise ValueError(f"bad range {spec!r} (use N or LO:HI)") from None
     if hi < lo:
         raise ValueError(f"range {spec!r} is reversed")
     return range(lo, hi + 1)
@@ -131,8 +125,7 @@ def _parse_range(spec: str) -> range:
 
 def cmd_conjecture(args) -> int:
     report = census.conjecture_sweep(args.kind, _parse_range(args.s_range),
-                                     _parse_range(args.t_range), relax=args.relax,
-                                     sample_limit=args.sample_limit, seed=args.seed)
+                                     _parse_range(args.t_range), relax=args.relax)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report["counterexamples"], indent=2, default=_json_default))
@@ -140,38 +133,6 @@ def cmd_conjecture(args) -> int:
                      | {"counterexamples": len(report["counterexamples"]),
                         "details": report["counterexamples"]}, default=_json_default))
     return 0 if not report["counterexamples"] else 3
-
-
-def cmd_bounds(args) -> int:
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["k", "lambda", "metric", "bound", "observed"])
-    if args.sweep == "cycle":
-        for k in (3, 5, 8, 13, 21, 34):
-            for lam in np.arange(2.1, 10.01, 0.7):
-                rep = bounds.cycle_block_bounds(k, float(lam))
-                writer.writerow([k, f"{lam:.2f}", "diag", rep.diag_bound, rep.observed_diag])
-                writer.writerow([k, f"{lam:.2f}", "offdiag_ratio", rep.offdiag_ratio,
-                                 rep.observed_offdiag_ratio])
-                writer.writerow([k, f"{lam:.2f}", "trace_lower", rep.trace_lower,
-                                 rep.observed_trace])
-                writer.writerow([k, f"{lam:.2f}", "trace_upper", rep.trace_upper,
-                                 rep.observed_trace])
-    elif args.sweep == "path":
-        mu = 0.5  # representative mu in (0,1); s-mu stays well positive
-        for k in range(3, 61):
-            sums = bounds.path_block_rowsums(k, args.s, mu)
-            writer.writerow([k, f"{args.s - mu:.2f}", "min_rowsum", 0.0, float(sums.min())])
-    elif args.sweep == "baigolub":
-        for k in (4, 9, 16, 25):
-            for lam in (0.5, 1.0, 3.0, 9.0):
-                a = spectra.signless_laplacian(graphs.cycle_graph(k)) + lam * np.eye(k)
-                lower, upper = bounds.bai_golub_trace_bounds(a, lam, lam + 4.0)
-                observed = float(np.trace(np.linalg.inv(a)))
-                writer.writerow([k, f"{lam:.2f}", "trace_lower", lower, observed])
-                writer.writerow([k, f"{lam:.2f}", "trace_upper", upper, observed])
-    else:
-        raise ValueError(f"unknown sweep {args.sweep!r}")
-    return 0
 
 
 @functools.cache  # parse_args leaves the parser unchanged, so one serves every call
@@ -182,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="classify one instance, JSON report to stdout")
     a.add_argument("input", help="graph file (graph6 or edge list)")
-    a.add_argument("--format", choices=("auto", "g6", "edges"), default="auto")
     a.add_argument("--s-vertices", help="comma-separated independent set S in the input graph")
     a.add_argument("--complete-scaffold", type=int, metavar="S",
                    help="treat the input as G and join S isolated vertices")
@@ -204,15 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     j.add_argument("--s-range", required=True, help="e.g. 6 or 6:8")
     j.add_argument("--t-range", required=True, help="e.g. 7:9")
     j.add_argument("--relax", action="store_true", help="drop the s >= 6 hypothesis")
-    j.add_argument("--sample-limit", type=int, default=200)
-    j.add_argument("--seed", type=int, default=0)
     j.add_argument("--out", help="write the counterexample list, [] when clean, to this JSON file")
     j.set_defaults(func=cmd_conjecture)
-
-    b = sub.add_parser("bounds", help="inverse-entry bound sweeps, CSV to stdout")
-    b.add_argument("--sweep", choices=("cycle", "path", "baigolub"), required=True)
-    b.add_argument("--s", type=int, default=6, help="s for the path sweep")
-    b.set_defaults(func=cmd_bounds)
     return p
 
 

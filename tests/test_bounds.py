@@ -72,8 +72,8 @@ def test_cycle_block_regime_of_interest():
 
 
 def test_cycle_block_invariants_grid():
-    ks = [3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200]
-    lams = [0.05, 0.3, 1.0, 2.1, 3.7, 9.0, 30.0, 100.0]
+    ks = [3, 4, 5, 8, 9, 13, 16, 21, 25, 34, 55, 89, 144, 200]
+    lams = [0.05, 0.3, 0.5, 1.0, 2.1, 3.0, 3.7, 9.0, 30.0, 100.0]
     for k in ks:
         for lam in lams:
             rep = cycle_block_bounds(k, lam)
@@ -106,11 +106,12 @@ def test_path_rowsums_match_direct():
 
 
 def test_path_rowsums_positive_for_s6():
-    # s = 6 against long paths: all row sums stay positive
+    # s = 6 against long paths: all row sums stay positive, at mu = 3.9 near
+    # the bound mu < 4 that holds for s = 6 against any path, and at mu = 0.5
     for k in range(3, 61):
-        mu = 3.9  # mu < 4 holds for s = 6 against any path
-        rows = path_block_rowsums(k, 6, mu)
-        assert rows.min() > 0
+        for mu in (3.9, 0.5):
+            rows = path_block_rowsums(k, 6, mu)
+            assert rows.min() > 0
 
 
 def test_path_corner_entry_negative():

@@ -290,37 +290,25 @@ def test_sweep_maxdeg_clean_small():
     assert out["counterexamples"] == []
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 6])
-def test_sampled_maxdeg_family_keeps_its_degree_cap(s):
-    # t = 9 is sampled; P_t and C_t have max degree 2, so they belong only when s >= 3
-    family = rothlab.census._family("maxdeg", s, 9, 5, 0)
-    assert len(family) == 5
-    assert (family.sum(-1).max(-1) < s).all()
-
-
-def test_sweep_relaxed_finds_path_failure():
-    out = conjecture_sweep(
-        "maxdeg", [4], [60], relax=True, sample_limit=5, seed=1
-    )
-    assert out["counterexamples"]
-    kinds = {ce["reason"] for ce in out["counterexamples"]}
-    assert kinds  # at least one failure reason recorded
-    for ce in out["counterexamples"]:
-        assert ce["s"] == 4 and ce["t"] == 60
-        assert "instance" in ce
-
-
 def test_sweep_skips_degenerate_pairs():
     # t <= s pairs are skipped entirely
     out = conjecture_sweep("maxdeg", [6, 7], [6, 7])
     assert out["pairs"] == [(6, 7)]
 
 
-def test_sweep_deterministic():
-    a = conjecture_sweep("maxdeg", [6], [9], sample_limit=30, seed=7)
-    b = conjecture_sweep("maxdeg", [6], [9], sample_limit=30, seed=7)
-    assert a["checked"] == b["checked"]
-    assert a["counterexamples"] == b["counterexamples"]
+def test_sweep_refuses_orders_above_its_limits(monkeypatch):
+    # sweeps are exhaustive only: a t above the limit is refused before any
+    # family is enumerated, also when the range starts below the limit
+    assert (rothlab.census.MAXDEG_EXHAUSTIVE_T, rothlab.census.TREE_EXHAUSTIVE_T) == (8, 12)
+    enumerated = []
+    monkeypatch.setattr(rothlab.census, "_family", lambda *args: enumerated.append(args))
+    for kind, t in (("maxdeg", 9), ("tree", 13)):
+        for t_range in ([t], range(7, t + 1)):
+            with pytest.raises(ValueError, match=f"exhaustive only up to t = {t - 1}"):
+                conjecture_sweep(kind, [6], t_range)
+    assert enumerated == []
+    with pytest.raises(ValueError, match="unknown family kind"):
+        conjecture_sweep("cycle", [6], [7])
 
 
 # ------------------------------------------------------------------ probes

@@ -1,7 +1,6 @@
 """End-to-end command line checks through main()."""
 
 import csv
-import io
 import json
 import os
 import subprocess
@@ -171,19 +170,31 @@ def test_census_named_graph(tmp_path, capsys):
 
 
 def test_conjecture_command_with_artifact(tmp_path, capsys):
+    # of the trees on 7 vertices, the star FsaC? fails at s = 6
     art = tmp_path / "ce.json"
     code, out, _ = run_cli(
-        capsys, "conjecture", "--kind", "maxdeg", "--s-range", "4",
-        "--t-range", "60", "--relax", "--sample-limit", "4", "--seed", "0",
-        "--out", str(art),
+        capsys, "conjecture", "--kind", "tree", "--s-range", "6",
+        "--t-range", "7", "--out", str(art),
     )
     assert code == 3
     rep = json.loads(out)
-    assert rep["counterexamples"] > 0
+    assert rep["counterexamples"] == 1
     assert rep["details"]
     assert art.exists()
     payload = json.loads(art.read_text())
-    assert payload and payload[0]["s"] == 4
+    assert [(ce["s"], ce["t"], ce["g_graph6"]) for ce in payload] == [(6, 7, "FsaC?")]
+
+
+def test_conjecture_refuses_an_order_past_its_limit(tmp_path, capsys):
+    # t = 60 is past the exhaustive maxdeg limit: refused before --out is written
+    art = tmp_path / "ce.json"
+    art.write_text('["keep"]')
+    code, out, err = run_cli(
+        capsys, "conjecture", "--kind", "maxdeg", "--s-range", "4",
+        "--t-range", "60", "--relax", "--out", str(art),
+    )
+    assert code == 1 and out == "" and "exhaustive only up to t = 8" in err
+    assert json.loads(art.read_text()) == ["keep"]
 
 
 def test_conjecture_clean_exit(tmp_path, capsys):
@@ -191,10 +202,12 @@ def test_conjecture_clean_exit(tmp_path, capsys):
         capsys, "conjecture", "--kind", "tree", "--s-range", "7",
         "--t-range", "8:9",
     )
-    # s=7 trees: the star on 8 vertices fails, so expect exit 3 here;
-    # restricting degree below s must exit clean
+    # of the 69 trees on 8 or 9 vertices with max degree <= 7, exactly the
+    # star on 8 vertices fails (criterion 9's (7, 8) row); restricting the
+    # degree below s must exit clean
     rep = json.loads(out)
-    assert code == (3 if rep["counterexamples"] else 0)
+    assert code == 3 and rep["checked"] == 69
+    assert [(ce["t"], ce["g_graph6"], ce["reason"]) for ce in rep["details"]] == [(8, "GsaCC?", "ZeroEntry")]
     code2, out2, _ = run_cli(
         capsys, "conjecture", "--kind", "maxdeg", "--s-range", "6",
         "--t-range", "7",
@@ -226,43 +239,14 @@ def test_conjecture_range_parsing(capsys):
         "--t-range", "9",
     )
     assert code == 1 and out == "" and "reversed" in err
-
-
-def test_bounds_cycle_sweep(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--sweep", "cycle")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert rows
-    assert set(rows[0]) == {"k", "lambda", "metric", "bound", "observed"}
-    for row in rows:
-        b, o = float(row["bound"]), float(row["observed"])
-        if row["metric"] in ("diag", "offdiag_ratio", "trace_upper"):
-            assert o <= b + 1e-8
-        elif row["metric"] == "trace_lower":
-            assert b <= o + 1e-8
-
-
-def test_bounds_path_sweep(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--sweep", "path", "--s", "6")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    ks = sorted({int(r["k"]) for r in rows})
-    assert ks[0] == 3 and ks[-1] == 60
-    for row in rows:
-        assert float(row["observed"]) > float(row["bound"])
-
-
-def test_bounds_baigolub_sweep(capsys):
-    code, out, _ = run_cli(capsys, "bounds", "--sweep", "baigolub")
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    lows = [r for r in rows if r["metric"] == "trace_lower"]
-    his = [r for r in rows if r["metric"] == "trace_upper"]
-    assert lows and his
-    for r in lows:
-        assert float(r["bound"]) <= float(r["observed"]) + 1e-8
-    for r in his:
-        assert float(r["observed"]) <= float(r["bound"]) + 1e-8
+    # a malformed range names the accepted forms, not int()'s message
+    for spec in ("7-9", ":9"):
+        code, out, err = run_cli(
+            capsys, "conjecture", "--kind", "maxdeg", "--s-range", "6",
+            "--t-range", spec,
+        )
+        assert code == 1 and out == ""
+        assert f"bad range {spec!r} (use N or LO:HI)" in err and "invalid literal" not in err
 
 
 def test_format_autodetect_graph6_vs_edges(tmp_path, capsys):
@@ -318,18 +302,6 @@ def test_report_above_graph6_orders_lists_edges(tmp_path, capsys):
     inst = rep["instance"]
     assert set(inst) == {"n", "s", "t", "edges", "labels"} and (inst["n"], inst["t"]) == (260, 250)
     assert inst["edges"] == np.argwhere(np.triu(join(path_graph(250), empty_graph(10)))).tolist()
-
-
-def test_explicit_format_override(tmp_path, capsys):
-    # a single-token line that is valid graph6 but meant as an edge list
-    path = tmp_path / "amb.txt"
-    path.write_text("0 1\n2 1\n")
-    code, out, _ = run_cli(
-        capsys, "analyze", str(path), "--format", "edges",
-        "--complete-scaffold", "5",
-    )
-    assert code == 0
-    assert json.loads(out)["instance"]["t"] == 3
 
 
 def test_parser_is_built_once():
