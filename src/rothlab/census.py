@@ -4,10 +4,11 @@ The census enumerates every connected bipartite scaffold with parts (t, s)
 up to isomorphism and decides each against a fixed graph G on the t-side:
 the scaffolds are stacked into arrays and analysis.decide_stack runs the
 verdict oracle, the certificates and the matrix-class checks on a whole
-block at once.  It aggregates the flag counts.  Long runs persist the
-scaffold stream as a graph6 cache and append per-instance rows to a CSV
-under a manifest, so an interrupted run resumes where it stopped and a run
-with other parameters refuses to resume it.
+block at once.  It aggregates the flag counts.  Every file is written whole
+or not at all: the scaffold stream is cached as graph6, and the detail CSV
+and the summary are moved into place once complete.  The manifest is
+written last, so it sits beside a detail CSV and a summary only when the
+run it describes wrote both.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import csv
 import gc
 import json
 import os
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
@@ -67,7 +68,8 @@ def _write_atomic(path: str, write) -> None:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        if os.path.exists(tmp):  # not when open itself failed
+            os.remove(tmp)
         raise
 
 
@@ -105,44 +107,17 @@ def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> np
     return _scaffold_stream(t, s, out_dir, allow_long)[0]
 
 
-def _drop_torn_tail(path: str) -> int:
-    """Cut a detail CSV after its last complete row, which an interrupted run can tear.
-
-    A complete row ends with a newline and has every DETAIL_COLUMNS field (no
-    field contains a comma).  Returns the number of data rows kept.
-    """
-    with open(path, "r+b") as fh:
-        lines = fh.read().splitlines(keepends=True)
-        rows = 0
-        while rows < len(lines) and lines[rows].endswith(b"\n") and lines[rows].count(b",") == len(DETAIL_COLUMNS) - 1:
-            rows += 1
-        fh.truncate(sum(map(len, lines[:rows])))
-    return max(0, rows - 1)
-
-
-def _check_manifest(path: str, manifest: dict, detail_path: str) -> None:
-    """Refuse to resume detail_path unless its manifest matches this run's, field by field."""
-    try:
-        with open(path) as fh:
-            old = json.load(fh)
-    except FileNotFoundError:
-        raise ValueError(f"cannot resume {detail_path}: its manifest {path} is missing") from None
-    for key, value in manifest.items():
-        if old.get(key) != value:
-            raise ValueError(f"cannot resume {detail_path}: its manifest has {key}={old.get(key)!r}, "
-                             f"this run has {key}={value!r}")
-
-
 def run_census(t: int, s: int, g=None, out_dir: str = ".",
-               jobs: int = 1, resume: bool = False, allow_long: bool = False) -> CensusRow:
+               jobs: int = 1, allow_long: bool = False) -> CensusRow:
     """Classify every (t, s) scaffold composed with G, of adjacency matrix g (default K_t); aggregate flag counts.
 
-    Writes classify_t{t}_s{s}.csv (one row per scaffold, resumable), its
-    manifest classify_t{t}_s{s}.json (t, s, G as graph6, scaffold count,
-    package version) and census_t{t}_s{s}.csv (single summary row).  A
-    resume whose manifest is missing or differs raises ValueError naming the
-    field.  Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK,
-    mapped over jobs worker processes; rows are written in enumeration order
+    Writes classify_t{t}_s{s}.csv (one row per scaffold), census_t{t}_s{s}.csv
+    (single summary row) and last the manifest classify_t{t}_s{s}.json (t,
+    s, G as graph6, scaffold count, package version).  Each file is moved
+    into place whole; an old manifest is removed before the first file is
+    replaced, so an interrupted run leaves no manifest and no torn file.
+    Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK, mapped
+    over jobs worker processes; rows are written in enumeration order
     regardless of jobs.  jobs < 1 and an empty scaffold cache (every (t, s)
     has a connected scaffold) raise ValueError before anything is written.
     """
@@ -154,39 +129,31 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     scaffolds, texts = _scaffold_stream(t, s, out_dir, allow_long)
     if not len(scaffolds):
         raise ValueError(f"scaffold cache {_cache_path(t, s, out_dir)} is empty")
-    detail_path = os.path.join(out_dir, f"classify_t{t}_s{s}.csv")
     manifest_path = os.path.join(out_dir, f"classify_t{t}_s{s}.json")
     manifest = {"t": t, "s": s, "g": encode_graph6(g[None])[0], "scaffolds": len(scaffolds),
                 "version": __version__}
+    blocks = [scaffolds[i:i + CENSUS_BLOCK] for i in range(0, len(scaffolds), CENSUS_BLOCK)]
+    counts = dict.fromkeys(DETAIL_COLUMNS[3:], 0)
 
-    done = 0
-    if resume and os.path.exists(detail_path):
-        _check_manifest(manifest_path, manifest, detail_path)
-        done = _drop_torn_tail(detail_path)
-    else:
-        _write_atomic(manifest_path, lambda fh: json.dump(manifest, fh))
-    todo = scaffolds[done:]
-    blocks = [todo[i:i + CENSUS_BLOCK] for i in range(0, len(todo), CENSUS_BLOCK)]
-
-    mode = "a" if done else "w"
-    with open(detail_path, mode, newline="") as fh:
+    def write_detail(fh):
         writer = csv.writer(fh)
-        if not done:
-            writer.writerow(DETAIL_COLUMNS)
+        writer.writerow(DETAIL_COLUMNS)
         work = partial(_census_rows, g)
         gc.freeze()  # while the blocks are decided, a forked worker's full collection skips these objects: no copy
         try:
             with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
                 columns = pool.imap(work, blocks) if pool else map(work, blocks)
-                for lo, cols in zip(range(done, len(scaffolds), CENSUS_BLOCK), columns):
+                for lo, cols in zip(range(0, len(scaffolds), CENSUS_BLOCK), columns):
                     writer.writerows(zip(texts[lo:lo + CENSUS_BLOCK], *cols))
+                    for k, flags in zip(counts, cols[2:]):  # cols starts at mu: its flag columns follow multiplicity
+                        counts[k] += flags.count("1")
         finally:
             gc.unfreeze()
 
-    with open(detail_path, newline="") as fh:  # the whole file, so that resumed rows count too
-        recs = csv.reader(fh)
-        col = dict(zip(next(recs), zip(*recs)))  # header field -> that column's values
-    row = CensusRow(s=s, t=t, total=len(col["graph6"]), **{f"n_{k}": col[k].count("1") for k in DETAIL_COLUMNS[3:]})
+    with suppress(FileNotFoundError):
+        os.remove(manifest_path)
+    _write_atomic(os.path.join(out_dir, f"classify_t{t}_s{s}.csv"), write_detail)
+    row = CensusRow(s=s, t=t, total=len(scaffolds), **{f"n_{k}": n for k, n in counts.items()})
 
     def write_summary(fh):
         writer = csv.writer(fh)
@@ -195,6 +162,7 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
                          row.n_m_matrix, row.n_inv_positive])
 
     _write_atomic(census_summary_path(t, s, out_dir), write_summary)
+    _write_atomic(manifest_path, lambda fh: json.dump(manifest, fh))
     return row
 
 

@@ -104,8 +104,7 @@ def _named_graph(spec: str) -> np.ndarray:
 def cmd_census(args) -> int:
     g = _named_graph(args.g) if args.g else None
     row = census.run_census(args.t, args.s, g=g, out_dir=args.out_dir,
-                            jobs=args.jobs, resume=args.resume,
-                            allow_long=args.allow_long)
+                            jobs=args.jobs, allow_long=args.allow_long)
     path = census.census_summary_path(args.t, args.s, args.out_dir)
     print(json.dumps({"row": row.__dict__, "csv": path}, default=_json_default))
     return 0
@@ -154,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--g", help="graph on T (K4, P5, C6, E3); default complete")
     c.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: cpu count)")
-    c.add_argument("--resume", action="store_true")
     c.add_argument("--allow-long", action="store_true")
     c.add_argument("--out-dir", default=".")
     c.set_defaults(func=cmd_census)

@@ -227,10 +227,13 @@ def all_trees(n: int) -> np.ndarray:
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_trees(n - 1).astype(bool)
-    # parent major, then the vertex the leaf hangs from
-    a = _extend(prev, (np.arange(len(prev))[:, None] << n - 1 | 1 << np.arange(n - 1)).ravel())
-    nbrs = np.nonzero(a)[2].reshape(len(a), -1).tolist()  # row-major: a tree's 2(n - 1) entries, vertex by vertex
-    reps = {}
-    for i, (vs, ends) in enumerate(zip(nbrs, a.sum(axis=2).cumsum(axis=1).tolist())):
-        reps.setdefault(_tree_key(n, [vs[lo:hi] for lo, hi in zip([0, *ends], ends)]), i)
-    return _read_only(a[[reps[k] for k in sorted(reps)]].astype(np.int64))
+    reps = {}  # key -> extension code of its first tree met
+    step = max(1, _BLOCK // (n - 1))  # parents keyed at once
+    for first in range(0, len(prev), step):
+        # parent major, then the vertex the leaf hangs from
+        codes = (np.arange(first, min(first + step, len(prev)))[:, None] << n - 1 | 1 << np.arange(n - 1)).ravel()
+        a = _extend(prev, codes)
+        nbrs = np.nonzero(a)[2].reshape(len(a), -1).tolist()  # row-major: a tree's 2(n - 1) entries, vertex by vertex
+        for code, vs, ends in zip(codes.tolist(), nbrs, a.sum(axis=2).cumsum(axis=1).tolist()):
+            reps.setdefault(_tree_key(n, [vs[lo:hi] for lo, hi in zip([0, *ends], ends)]), code)
+    return _read_only(_extend(prev, np.array([reps[k] for k in sorted(reps)])).astype(np.int64))

@@ -306,7 +306,7 @@ def test_criterion_4_census_tables(census_s5, census_s7):
         cache = os.path.join(ROOT, ".census_cache")
         os.makedirs(cache, exist_ok=True)
         t0 = time.perf_counter()
-        row9 = run_census(4, 9, out_dir=cache, jobs=_jobs(), resume=True)
+        row9 = run_census(4, 9, out_dir=cache, jobs=_jobs())
         dt9 = time.perf_counter() - t0
         got9 = (row9.total, row9.n_s_roth, row9.n_harmcond, row9.n_m_matrix,
                 row9.n_inv_positive)

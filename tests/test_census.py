@@ -73,50 +73,6 @@ def test_census_implications_hold_rowwise(tmp_path):
                 assert rec["s_roth"] == "1"
 
 
-def test_census_resume_deterministic(tmp_path):
-    first = run_census(3, 4, out_dir=str(tmp_path))
-    path = os.path.join(tmp_path, "classify_t3_s4.csv")
-    with open(path, "rb") as fh:
-        body1 = fh.read()
-    # resume a finished file, then one whose last row an interruption tore:
-    # cutting 12 bytes leaves "graph6,mu" without its flags or newline
-    for cut in (0, 12):
-        with open(path, "r+b") as fh:
-            fh.truncate(len(body1) - cut)
-        second = run_census(3, 4, out_dir=str(tmp_path), resume=True)
-        with open(path, "rb") as fh:
-            body2 = fh.read()
-        assert first == second
-        assert body1 == body2
-
-
-def test_census_resume_refuses_another_g(tmp_path):
-    # a P3 run cut to 30 rows must not be completed with K3 rows
-    out = str(tmp_path)
-    run_census(3, 4, g=path_graph(3), out_dir=out)
-    path = os.path.join(out, "classify_t3_s4.csv")
-    with open(path) as fh:
-        lines = fh.readlines()
-    with open(path, "w") as fh:
-        fh.writelines(lines[:31])
-    with open(os.path.join(out, "classify_t3_s4.json")) as fh:
-        manifest = json.load(fh)
-    assert manifest == {"t": 3, "s": 4, "g": encode_graph6(path_graph(3)[None])[0], "scaffolds": 34,
-                        "version": rothlab.__version__}
-    with pytest.raises(ValueError, match="g="):
-        run_census(3, 4, g=complete_graph(3), out_dir=out, resume=True)
-    assert main(["census", "--t", "3", "--s", "4", "--g", "K3", "--resume", "--jobs", "1",
-                 "--out-dir", out]) == 1
-    os.remove(os.path.join(out, "classify_t3_s4.json"))
-    with pytest.raises(ValueError, match="manifest .* is missing"):
-        run_census(3, 4, g=path_graph(3), out_dir=out, resume=True)
-    with open(path) as fh:
-        assert fh.readlines() == lines[:31]
-    # a fresh K3 run is not a resume and replaces the P3 files
-    assert run_census(3, 4, g=complete_graph(3), out_dir=out, resume=False) == run_census(
-        3, 4, g=complete_graph(3), out_dir=str(tmp_path / "fresh"))
-
-
 def test_census_blocks_and_pool_give_identical_files(tmp_path):
     # (4, 5) has more scaffolds than one block
     assert 558 > CENSUS_BLOCK
@@ -126,6 +82,9 @@ def test_census_blocks_and_pool_give_identical_files(tmp_path):
     for name in ("classify_t4_s5.csv", "census_t4_s5.csv", "classify_t4_s5.json"):
         with open(tmp_path / "1" / name, "rb") as a, open(tmp_path / "2" / name, "rb") as b:
             assert a.read() == b.read()
+    with open(tmp_path / "1" / "classify_t4_s5.json") as fh:
+        assert json.load(fh) == {"t": 4, "s": 5, "g": encode_graph6(complete_graph(4)[None])[0], "scaffolds": 558,
+                                 "version": rothlab.__version__}
 
 
 def test_census_parallel_matches_serial(tmp_path):
@@ -181,7 +140,7 @@ def test_census_refuses_an_empty_cache(tmp_path, capsys):
     assert f"error: scaffold cache {cache} is empty" in capsys.readouterr().err
     assert os.listdir(tmp_path) == [cache.name]
     with pytest.raises(ValueError, match="is empty"):
-        run_census(4, 5, out_dir=str(tmp_path), resume=True)
+        run_census(4, 5, out_dir=str(tmp_path))
     assert os.listdir(tmp_path) == [cache.name]
 
 
@@ -217,6 +176,47 @@ def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == []
     monkeypatch.undo()
     assert run_census(3, 4, out_dir=str(tmp_path)).total == 34
+
+
+def test_census_interrupt_leaves_the_earlier_run(tmp_path, monkeypatch):
+    # a complete P4 run, then a K4 run interrupted on its second block: no file may be torn or mislabelled
+    out = tmp_path / "run"
+    run_census(4, 5, g=path_graph(4), out_dir=str(out), jobs=1)
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    calls = []
+
+    def interrupted(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return decide_stack(*args)
+
+    monkeypatch.setattr(rothlab.census, "decide_stack", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(4, 5, out_dir=str(out), jobs=1)
+    assert gc.get_freeze_count() == 0
+    assert not list(out.glob("*.tmp"))
+    # the manifest described the P4 files and is gone; the files themselves are P4's, byte for byte
+    assert not (out / "classify_t4_s5.json").exists()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        name: body for name, body in earlier.items() if name != "classify_t4_s5.json"}
+    # a complete K4 run then replaces every file with what a fresh K4 run writes
+    monkeypatch.undo()
+    assert run_census(4, 5, out_dir=str(out), jobs=1) == run_census(4, 5, out_dir=str(tmp_path / "fresh"), jobs=1)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+        p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
+
+def test_write_atomic_reports_a_failed_open(tmp_path, monkeypatch):
+    # the error of open itself propagates, with no second error chained over it and no temp file left
+    def refuse(*args, **kwargs):
+        raise PermissionError("denied")
+
+    monkeypatch.setattr(rothlab.census, "open", refuse, raising=False)
+    with pytest.raises(PermissionError, match="denied") as info:
+        rothlab.census._write_atomic(str(tmp_path / "out.csv"), lambda fh: fh.write("x"))
+    assert info.value.__context__ is None and info.value.__cause__ is None
+    assert os.listdir(tmp_path) == []
 
 
 def test_classify_relabeling_invariance(tmp_path):

@@ -318,4 +318,7 @@ def test_consecutive_calls_share_no_argument_state(tmp_path, capsys):
     assert run_cli(capsys, "analyze", str(path), "--complete-scaffold", "4") == first
     ns = build_parser().parse_args(["census", "--t", "2", "--s", "1"])
     assert not hasattr(ns, "input") and not hasattr(ns, "complete_scaffold")
-    assert ns.jobs == (os.cpu_count() or 1) and ns.out_dir == "." and not ns.resume
+    assert ns.jobs == (os.cpu_count() or 1) and ns.out_dir == "."
+    with pytest.raises(SystemExit) as info:
+        main(["census", "--t", "2", "--s", "1", "--jobs", "1", "--out-dir", str(tmp_path), "--resume"])
+    assert info.value.code == 2
