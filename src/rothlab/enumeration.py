@@ -135,14 +135,20 @@ def _canonical_keys(a: np.ndarray) -> np.ndarray:
 
     The least, over the orders within each colour cell (cells in colour order), of the upper
     triangle read as an int with row-major pair k at bit k.  Keys order graphs as the edge
-    bitmasks with bit a*n + b for positions a < b do.
+    bitmasks with bit a*n + b for positions a < b do.  Graphs are grouped by their sorted colour
+    row, which fixes the cells: packed into one int64, 4 bits per colour, most significant first.
+    Colours are ranks below n, and all_graphs refuses n > 11, so the packing is injective (44 bits
+    at most) and orders the groups as the rows sort.
     """
     b, n = a.shape[:2]
     colors = _refine_colors(a)
     order = np.argsort(colors, axis=1)
     iu, ju = np.triu_indices(n, 1)
     upper = a[np.arange(b)[:, None], order[:, iu], order[:, ju]]
-    cells, group = np.unique(np.sort(colors, axis=1), axis=0, return_inverse=True)
+    cells = np.sort(colors, axis=1)
+    _, first, group = np.unique((cells.astype(np.int64) << 4 * np.arange(n - 1, -1, -1)).sum(axis=1),
+                                return_index=True, return_inverse=True)
+    cells = cells[first]  # one row per group: a block-long array kept through the loop costs 1 MB of peak RSS
     keys = np.empty(b, dtype=np.int64)
     for g, row in enumerate(cells):
         ranks, members = _cell_ranks(tuple(row.tolist())), group == g

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import math
 import os
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -193,7 +195,7 @@ def test_cell_ranks_cleared_after_each_level():
     assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
 
 
-@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 45 s, 350 MB)")
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 30 s, 360 MB)")
 def test_all_graphs_nine():
     # the known count (OEIS A000088); the digest, of the graph6 lines joined by
     # newlines, pins the labelled output and its order as the n <= 8 digests do
@@ -359,6 +361,45 @@ def test_stacked_labeller_matches_the_reference():
             # the stacked key puts pair rank k at bit k; the reference puts it at bit iu[k]*n + ju[k]
             as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
             assert as_ref == _ref_canon_code(n, edges, adj)
+
+
+def test_canonical_keys_at_the_top_orders():
+    # at n = 10 and 11 a colour fills up to 4 bits of its slot in the packed cell-group key, and one
+    # stack holds many cell groups; every graph leaves small cells (one cell at n = 11 has 11! orders)
+    rng = np.random.default_rng(11)
+    for n in (10, 11):
+        path = [(v, v + 1) for v in range(n - 1)]
+        base = [
+            path,
+            path[:-1] + [(1, n - 1)],  # two leaves on vertex 1
+            path[:-1] + [(2, n - 1)],  # legs 1, 2 and n - 4 on vertex 2: asymmetric
+            path + [(0, 2)],  # a triangle with a tail
+        ]
+        while len(base) < 24:  # random recursive trees, every other one with an extra edge
+            edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+            u, v = sorted(rng.choice(n, 2, replace=False).tolist())
+            if len(base) % 2 and (u, v) not in edges:
+                edges.append((u, v))
+            adj = [[w for e in edges if x in e for w in e if w != x] for x in range(n)]
+            orders = np.prod([math.factorial(c) for c in Counter(_ref_refine_colors(n, adj)).values()])
+            if orders <= 48:
+                base.append(edges)
+        stack = np.zeros((2 * len(base), n, n), dtype=bool)
+        for i, edges in enumerate(base):
+            u, v = np.array(edges).T
+            stack[i, u, v] = stack[i, v, u] = True
+            p = rng.permutation(n)
+            stack[len(base) + i] = stack[i][np.ix_(p, p)]
+        keys = rothlab.enumeration._canonical_keys(stack).tolist()
+        assert keys[len(base):] == keys[:len(base)]
+        graphs = [nx.from_edgelist(edges) for edges in base]
+        for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
+            assert (keys[i] == keys[j]) == nx.is_isomorphic(g, h)
+        iu, ju = np.triu_indices(n, 1)
+        for a, got in zip(stack, keys):
+            adj = [np.flatnonzero(row).tolist() for row in a]
+            as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
+            assert as_ref == _ref_canon_code(n, _edges(a), adj)
 
 
 def test_all_graphs_refuses_orders_whose_keys_overflow(monkeypatch):
