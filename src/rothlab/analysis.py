@@ -117,17 +117,6 @@ class ReducedMatrix:
     gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
 
 
-def _exact_sign_reason(vec, t: int) -> str:
-    """The reason code of an exact kernel vector, after an exact sign flip."""
-    if sum(vec[t:]) < 0:
-        vec = [-v for v in vec]
-    if any(v == 0 for v in vec):
-        return REASON_ZERO
-    if all(v > 0 for v in vec[t:]) and all(v < 0 for v in vec[:t]):
-        return REASON_SIGNED
-    return REASON_MIXED
-
-
 def _stacks(a_g, ks) -> tuple:
     """A_G and K broadcast against each other: (A_G as (N, t, t), K as (N, t, s), leading shape)."""
     a_g, ks = np.asarray(a_g), np.asarray(ks)
@@ -147,13 +136,7 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> Decisions:
     multiplicity = np.reshape(pair.multiplicity, -1).astype(np.int64)
     raw = pair.vector.reshape(-1, n)
     x = sign_normalize(raw, t)
-    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)[:, None]
-    multiple = multiplicity > 1
-    zero = np.any(np.abs(x) <= tol, axis=1)
-    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
-    reason = np.where(multiple, REASON_MULTIPLE, np.where(
-        zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
-    eigenvector = np.where(multiple[:, None], raw, x)
+    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)
     kernel = np.full(len(mu), None, dtype=object)
     c = integer_candidate(mu)
     for i in np.flatnonzero(np.isfinite(c)):
@@ -161,13 +144,18 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> Decisions:
         nullity, basis = exact_kernel_dim(q[i], ci)
         if nullity == 0:
             continue
-        kernel[i], mu[i], multiplicity[i] = basis, ci, nullity
-        if nullity > 1:
-            reason[i], eigenvector[i] = REASON_MULTIPLE, raw[i]
-        else:
-            reason[i] = _exact_sign_reason(basis[0], t)
+        # the float of an exact entry keeps its sign and a zero stays zero: the signs are read at tolerance 0
+        kernel[i], mu[i], multiplicity[i], tol[i] = basis, ci, nullity, 0.0
+        if nullity == 1:
             v = np.array([float(e) for e in basis[0]])
-            eigenvector[i] = sign_normalize(v / np.linalg.norm(v), t)
+            x[i] = sign_normalize(v / np.linalg.norm(v), t)
+    multiple = multiplicity > 1
+    tol = tol[:, None]
+    zero = np.any(np.abs(x) <= tol, axis=1)
+    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
+    reason = np.where(multiple, REASON_MULTIPLE, np.where(
+        zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
+    eigenvector = np.where(multiple[:, None], raw, x)
     return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel)
 
 
@@ -184,8 +172,9 @@ def oracle_stack(a_g, ks) -> Decisions:
     so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL and every
     T-entry falls below -SIGN_TOL (both sides are checked; the failing side is
     recorded in the reason).  Eigenvalues within INTEGER_TOL of an integer c
-    where Q(H) - cI is singular are settled by its rational kernel instead of
-    float sign tests; only those rows are solved one at a time.  Their mu is
+    where Q(H) - cI is singular are settled by its rational kernel: its
+    nullity is the multiplicity, and the signs of a simple kernel vector are
+    read with no tolerance; only those rows are solved one at a time.  Their mu is
     then c and their kernel is kept for the Q_mu classes; elsewhere kernel is None.
     """
     return _oracle(*_stacks(a_g, ks))
@@ -238,11 +227,10 @@ def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
     return lcm * qg - (k * (lcm // gaps)) @ k.T
 
 
-def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list) -> tuple:
-    """(z_matrix, m_matrix, inverse_positive, minpositive) of Q_mu at mu = c, from the integer L*Q_mu and the kernel.
+def _exact_classes(a: np.ndarray, k: np.ndarray, c: int) -> tuple:
+    """(z_matrix, m_matrix, inverse_positive) of Q_mu at mu = c, exactly at every t, from the integer L*Q_mu.
 
     L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
-    All four are exact at every t: minpositive reads the kernel, the others the integer L*Q_mu.
     """
     t = k.shape[0]
     mq = _exact_q_mu(a, k, c)
@@ -250,15 +238,8 @@ def _exact_classes(a: np.ndarray, k: np.ndarray, c: int, basis: list) -> tuple:
     z_matrix = bool(np.all(mq[off] < 0))
     # a disconnected off-diagonal pattern makes L*Q_mu block diagonal, and so its inverse, with exact zeros
     inverse_positive = is_connected(off) and has_positive_inverse(mq)
-    # lambda_1(Q_mu) = c with eigenspace = T-parts of the kernel of Q(H)-cI
-    minpositive = False
-    if len(basis) == 1:
-        w = basis[0][:t]
-        if sum(w) < 0:
-            w = [-v for v in w]
-        minpositive = all(v > 0 for v in w)
     # an M-matrix exactly when Z: Q_mu is PD since lambda_1(Q_mu) = c > 0
-    return z_matrix, z_matrix, inverse_positive, minpositive
+    return z_matrix, z_matrix, inverse_positive
 
 
 def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
@@ -270,9 +251,9 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     those of Q(H).  One stacked inverse serves the whole stack.  A verdict
     decided from a rational kernel (mu on an integer c: the t-s boundary of
     complete scaffolds and its relatives) has its flags computed from the
-    integer L*Q_mu and that kernel, so borderline zero entries and signs are
-    decided exactly at every t (see _exact_classes); only those rows are
-    classified one at a time.
+    integer L*Q_mu and the signs of that kernel, so borderline zero entries and
+    signs are decided exactly at every t (see _exact_classes); only those rows
+    are classified one at a time.
     """
     q_mu = _q_mu(a, k, d.mu)
     t = q_mu.shape[-1]
@@ -283,11 +264,14 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     inverse_positive = np.zeros(len(q_mu), dtype=bool)
     inverse_positive[regular] = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
     x = sign_normalize(d.eigenvector[:, :t], 0)
-    minpositive = regular & (d.multiplicity == 1) & np.all(x > SIGN_TOL * np.abs(x).max(axis=1)[:, None], axis=1)
+    exact = np.not_equal(d.kernel, None)
+    # as in the verdict, the float of an exact kernel vector is read at tolerance 0
+    tol = np.where(exact, 0.0, SIGN_TOL * np.abs(x).max(axis=1))
+    minpositive = regular & (d.multiplicity == 1) & np.all(x > tol[:, None], axis=1)
     flags = np.array([regular, z_matrix, z_matrix & (d.mu > 0.0), inverse_positive, minpositive])
     # the exact path sets mu to the integer c
-    for i in np.flatnonzero(regular & (d.mu > 0.0) & np.not_equal(d.kernel, None)):
-        flags[1:, i] = _exact_classes(a[i], k[i], int(d.mu[i]), d.kernel[i])
+    for i in np.flatnonzero(regular & (d.mu > 0.0) & exact):
+        flags[1:4, i] = _exact_classes(a[i], k[i], int(d.mu[i]))
     return flags
 
 

@@ -14,26 +14,25 @@ run it describes wrote both.
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import os
-from contextlib import nullcontext, suppress
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
-from multiprocessing import Pool
 
 import numpy as np
 
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
-from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
+from .enumeration import _connected_mask, all_graphs, all_trees, enumerate_connected_bipartite
 from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, block_adjacency, complete_graph,
                      decode_graph6, encode_graph6, instance_to_json, is_connected)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
-CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the worker pool
+CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the thread pool
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _cache_path(t: int, s: int, out_dir: str) -> str:
 def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
     """(scaffold stack (N, t, s), their graph6 texts), from the graph6 cache if present, else enumerated and cached.
 
-    Every cache line must encode a scaffold [[0, K], [K^T, 0]] on t + s vertices.
+    Every cache line must encode a connected scaffold [[0, K], [K^T, 0]] on t + s vertices.
     """
     path = _cache_path(t, s, out_dir)
     if os.path.exists(path):
@@ -92,9 +91,11 @@ def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
         b = b.reshape(-1, t + s, t + s)
         if b[:, :t, :t].any() or b[:, t:, t:].any():
             raise ValueError("cached scaffold is not bipartite with the expected parts")
+        if not _connected_mask(b[:, :t, t:]).all():
+            raise ValueError("cached scaffold is not connected")
         return b[:, :t, t:].astype(np.int64), texts
     ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
-    # bool, not int64: the heap keeps the stack's pages after the encode, and forked workers inherit them
+    # bool, not int64: the encode's temporary is 8x smaller
     texts = encode_graph6(block_adjacency(0, ks.astype(bool)))
     os.makedirs(out_dir, exist_ok=True)
     # a cache that exists is trusted, so it appears only once complete
@@ -117,9 +118,10 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     into place whole; an old manifest is removed before the first file is
     replaced, so an interrupted run leaves no manifest and no torn file.
     Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK, mapped
-    over jobs worker processes; rows are written in enumeration order
-    regardless of jobs.  jobs < 1 and an empty scaffold cache (every (t, s)
-    has a connected scaffold) raise ValueError before anything is written.
+    over jobs threads (numpy's eigensolve releases the GIL); rows are written
+    in enumeration order regardless of jobs.  jobs < 1, an empty scaffold
+    cache (every (t, s) has a connected scaffold) and a cache with a
+    disconnected scaffold raise ValueError before anything is written.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -139,16 +141,17 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
         writer = csv.writer(fh)
         writer.writerow(DETAIL_COLUMNS)
         work = partial(_census_rows, g)
-        gc.freeze()  # while the blocks are decided, a forked worker's full collection skips these objects: no copy
+        # one block, or jobs == 1, stays in this thread: a worker thread would add its own malloc arena
+        pool = ThreadPoolExecutor(jobs) if jobs > 1 and len(blocks) > 1 else None
         try:
-            with Pool(jobs) if jobs > 1 and len(blocks) > 1 else nullcontext() as pool:
-                columns = pool.imap(work, blocks) if pool else map(work, blocks)
-                for lo, cols in zip(range(0, len(scaffolds), CENSUS_BLOCK), columns):
-                    writer.writerows(zip(texts[lo:lo + CENSUS_BLOCK], *cols))
-                    for k, flags in zip(counts, cols[2:]):  # cols starts at mu: its flag columns follow multiplicity
-                        counts[k] += flags.count("1")
+            columns = pool.map(work, blocks) if pool else map(work, blocks)
+            for lo, cols in zip(range(0, len(scaffolds), CENSUS_BLOCK), columns):
+                writer.writerows(zip(texts[lo:lo + CENSUS_BLOCK], *cols))
+                for k, flags in zip(counts, cols[2:]):  # cols starts at mu: its flag columns follow multiplicity
+                    counts[k] += flags.count("1")
         finally:
-            gc.unfreeze()
+            if pool:  # an interrupt waits for the running blocks only, not the queued ones
+                pool.shutdown(cancel_futures=True)
 
     with suppress(FileNotFoundError):
         os.remove(manifest_path)

@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int, required=True)
     c.add_argument("--g", help="graph on T (K4, P5, C6, E3); default complete")
     c.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes (default: cpu count)")
+                   help="threads deciding scaffold blocks (default: cpu count)")
     c.add_argument("--allow-long", action="store_true")
     c.add_argument("--out-dir", default=".")
     c.set_defaults(func=cmd_census)

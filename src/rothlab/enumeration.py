@@ -59,9 +59,16 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
     m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
     k = _canonical_codes(m, cols)[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
-    # column codes are nonzero, so B is connected iff its rows are, through shared columns
-    k = k[_component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)]
+    k = k[_connected_mask(k)]
     return np.swapaxes(k, -1, -2) if transpose else k
+
+
+def _connected_mask(k: np.ndarray) -> np.ndarray:
+    """Which biadjacencies of a stack (N, t, s) are connected bipartite graphs, as bool (N,).
+
+    Connected iff no column is zero and the rows are connected through shared columns.
+    """
+    return k.any(axis=-2).all(axis=-1) & _component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)
 
 
 # all graphs on n vertices up to isomorphism, by vertex augmentation: the extensions

@@ -1,7 +1,7 @@
 """Census pipeline, conjecture sweeps, one-parameter probes."""
 
 import csv
-import gc
+import itertools
 import json
 import os
 import shutil
@@ -78,7 +78,6 @@ def test_census_blocks_and_pool_give_identical_files(tmp_path):
     assert 558 > CENSUS_BLOCK
     rows = [run_census(4, 5, out_dir=str(tmp_path / str(jobs)), jobs=jobs) for jobs in (1, 2)]
     assert rows[0] == rows[1] and rows[0].total == 558
-    assert gc.get_freeze_count() == 0  # the objects frozen while the blocks are decided are released
     for name in ("classify_t4_s5.csv", "census_t4_s5.csv", "classify_t4_s5.json"):
         with open(tmp_path / "1" / name, "rb") as a, open(tmp_path / "2" / name, "rb") as b:
             assert a.read() == b.read()
@@ -132,6 +131,18 @@ def test_scaffold_cache_round_trip(tmp_path):
     assert load_scaffolds(3, 4, str(tmp_path / "empty")).shape == (0, 3, 4)
 
 
+@pytest.mark.parametrize("k", [[[1, 0], [1, 0]], [[1, 0], [0, 1]]])
+def test_census_refuses_a_disconnected_cached_scaffold(tmp_path, k):
+    # an S-vertex with no neighbour (graph6 CW), or two components (CQ): the cache is refused before anything is written
+    load_scaffolds(2, 2, str(tmp_path))
+    cache = tmp_path / "bipartite_t2_s2.g6"
+    with open(cache, "a") as fh:
+        fh.write(encode_graph6(block_adjacency(0, np.array(k))[None])[0] + "\n")
+    with pytest.raises(ValueError, match="cached scaffold is not connected"):
+        run_census(2, 2, out_dir=str(tmp_path))
+    assert os.listdir(tmp_path) == [cache.name]
+
+
 def test_census_refuses_an_empty_cache(tmp_path, capsys):
     # every (t, s) has a connected scaffold, so an empty cache is damaged: refused before anything is written
     cache = tmp_path / "bipartite_t4_s5.g6"
@@ -178,23 +189,22 @@ def test_scaffold_cache_write_is_atomic(tmp_path, monkeypatch):
     assert run_census(3, 4, out_dir=str(tmp_path)).total == 34
 
 
-def test_census_interrupt_leaves_the_earlier_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_interrupt_leaves_the_earlier_run(tmp_path, monkeypatch, jobs):
     # a complete P4 run, then a K4 run interrupted on its second block: no file may be torn or mislabelled
     out = tmp_path / "run"
     run_census(4, 5, g=path_graph(4), out_dir=str(out), jobs=1)
     earlier = {p.name: p.read_bytes() for p in out.iterdir()}
-    calls = []
+    calls = itertools.count()  # next() is atomic, so two threads never draw the same number
 
     def interrupted(*args):
-        calls.append(1)
-        if len(calls) == 2:
+        if next(calls) == 1:
             raise KeyboardInterrupt
         return decide_stack(*args)
 
     monkeypatch.setattr(rothlab.census, "decide_stack", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        run_census(4, 5, out_dir=str(out), jobs=1)
-    assert gc.get_freeze_count() == 0
+        run_census(4, 5, out_dir=str(out), jobs=jobs)
     assert not list(out.glob("*.tmp"))
     # the manifest described the P4 files and is gone; the files themselves are P4's, byte for byte
     assert not (out / "classify_t4_s5.json").exists()
@@ -202,9 +212,36 @@ def test_census_interrupt_leaves_the_earlier_run(tmp_path, monkeypatch):
         name: body for name, body in earlier.items() if name != "classify_t4_s5.json"}
     # a complete K4 run then replaces every file with what a fresh K4 run writes
     monkeypatch.undo()
-    assert run_census(4, 5, out_dir=str(out), jobs=1) == run_census(4, 5, out_dir=str(tmp_path / "fresh"), jobs=1)
+    assert run_census(4, 5, out_dir=str(out), jobs=jobs) == run_census(4, 5, out_dir=str(tmp_path / "fresh"), jobs=1)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == {
         p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+
+
+def test_census_interrupt_in_the_writer_cancels_the_queued_blocks(tmp_path, monkeypatch):
+    # the interrupt reaches the main thread while it writes the first block: the blocks still queued
+    # for the two threads are never decided, and the detail CSV's temp file is removed
+    load_scaffolds(4, 7, str(tmp_path))
+    blocks = -(-5375 // CENSUS_BLOCK)
+    assert blocks == 21
+    decided = []
+    monkeypatch.setattr(rothlab.census, "decide_stack", lambda *args: decided.append(1) or decide_stack(*args))
+    writer = csv.writer
+
+    class Interrupted:
+        def __init__(self, fh):
+            self.writer = writer(fh)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(rothlab.census.csv, "writer", Interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(4, 7, out_dir=str(tmp_path), jobs=2)
+    assert len(decided) < blocks
+    assert os.listdir(tmp_path) == ["bipartite_t4_s7.g6"]
 
 
 def test_write_atomic_reports_a_failed_open(tmp_path, monkeypatch):
