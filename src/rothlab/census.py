@@ -26,9 +26,9 @@ import numpy as np
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
-from .enumeration import _connected_mask, all_graphs, all_trees, enumerate_connected_bipartite
-from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, block_adjacency, complete_graph,
-                     decode_graph6, encode_graph6, instance_to_json, is_connected)
+from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
+from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, _connected_mask, block_adjacency,
+                     complete_graph, decode_graph6, encode_graph6, instance_to_json)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
@@ -191,6 +191,20 @@ def _family(kind: str, s: int, t: int) -> np.ndarray:
     return a[a.sum(-1).max(-1) < s]
 
 
+def _failures(a_g: np.ndarray, k: np.ndarray) -> list:
+    """(G, its graph6, mu, reason) of each G of a stack (N, t, t) whose H with scaffold k is not S-Roth, in order.
+
+    oracle_stack decides blocks of CENSUS_BLOCK, so memory does not grow with N.
+    """
+    failures = []
+    for lo in range(0, len(a_g), CENSUS_BLOCK):
+        block = a_g[lo:lo + CENSUS_BLOCK]
+        d = oracle_stack(block, k)
+        bad = np.flatnonzero(~d.is_s_roth)
+        failures += zip(block[bad], encode_graph6(block[bad]), d.mu[bad].tolist(), d.reason[bad].tolist())
+    return failures
+
+
 def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
     """Exhaustive oracle sweep over H = (s isolated vertices) join G for a family of G.
 
@@ -198,9 +212,9 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
     t <= TREE_EXHAUSTIVE_T; kind='maxdeg' takes all graphs with max degree
     < s, for t <= MAXDEG_EXHAUSTIVE_T.  Hypotheses t > s >= 6 are enforced
     unless relax.  Every (s, t) pair is checked before any enumeration: an
-    unknown kind or a t above the limit raises ValueError.  Each family is
-    decided by oracle_stack in blocks of CENSUS_BLOCK.
-    Returns {kind, checked, pairs, counterexamples}.
+    unknown kind, a t above the limit, or no pair with t > s raises
+    ValueError.  Each family is decided by oracle_stack in blocks of
+    CENSUS_BLOCK.  Returns {kind, checked, pairs, counterexamples}.
     """
     if kind not in _SWEEP_LIMITS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -217,49 +231,39 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
             if t > limit:
                 raise ValueError(f"{kind} sweeps are exhaustive only up to t = {limit} (got t={t})")
             pairs.append((s, t))
+    if not pairs:
+        raise ValueError("no (s, t) pair with t > s to sweep")
     checked = 0
     counterexamples = []
     for (s, t) in pairs:
         family = _family(kind, s, t)
         complete = np.ones((t, s), dtype=np.int64)
-        for lo in range(0, len(family), CENSUS_BLOCK):
-            block = family[lo:lo + CENSUS_BLOCK]
-            d = oracle_stack(block, complete)
-            checked += len(block)
-            bad = np.flatnonzero(~d.is_s_roth)
-            for a, text, mu, reason in zip(block[bad], encode_graph6(block[bad]),
-                                           d.mu[bad].tolist(), d.reason[bad].tolist()):
-                counterexamples.append({
-                    "kind": kind, "s": s, "t": t,
-                    "g_graph6": text,
-                    "mu": mu, "reason": reason,
-                    "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s)))),
-                })
+        checked += len(family)
+        counterexamples += ({"kind": kind, "s": s, "t": t, "g_graph6": text, "mu": mu, "reason": reason,
+                             "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s))))}
+                            for a, text, mu, reason in _failures(family, complete))
     return {"kind": kind, "pairs": pairs, "checked": checked,
             "counterexamples": counterexamples}
 
 
 def ultra_roth_probe(scaffold: np.ndarray, a_g) -> dict:
-    """Run the verdict oracle for one t x s scaffold against every G of an adjacency stack (N, t, t), as one stack.
+    """Run the verdict oracle for one t x s scaffold against every G of an adjacency stack (N, t, t).
 
-    The scaffold must be 0/1 with no zero column, and every G 0/1, symmetric
-    and loop-free; both are checked even when the stack is empty.
+    The stack is decided in blocks of CENSUS_BLOCK, so memory does not grow
+    with N.  The scaffold must be 0/1 with no zero column, every G 0/1,
+    symmetric and loop-free, and every H connected; all are checked even
+    when the stack is empty.  Each G is tried in its given labelling only,
+    so over all_graphs(t) the probe covers every (G, K) pair only for a
+    scaffold that every permutation of T maps to itself up to a permutation
+    of S, such as the complete one.
     """
     scaffold = np.asarray(scaffold)
     t, s = scaffold.shape
     if s < 1:
         raise ValueError("need s >= 1")
-    _check_scaffold(scaffold)
     a_g = _check_adjacency(a_g)
     if a_g.shape[1:] != (t, t):
         raise ValueError(f"G must be an adjacency stack (N, {t}, {t}), got shape {a_g.shape}")
-    if not len(a_g):
-        return {"all_s_roth": True, "failures": []}
-    # H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
-    if not is_connected(a_g + scaffold @ scaffold.T):
-        raise ValueError("composite instance is disconnected")
-    d = oracle_stack(a_g, scaffold)
-    bad = np.flatnonzero(~d.is_s_roth)
-    failures = [{"g_graph6": text, "mu": mu, "reason": reason}
-                for text, mu, reason in zip(encode_graph6(a_g[bad]), d.mu[bad].tolist(), d.reason[bad].tolist())]
+    _check_scaffold(a_g, scaffold)
+    failures = [{"g_graph6": text, "mu": mu, "reason": reason} for _, text, mu, reason in _failures(a_g, scaffold)]
     return {"all_s_roth": not failures, "failures": failures}

@@ -19,13 +19,6 @@ import numpy as np
 from . import analysis, census, graphs, spectra
 
 
-def _json_default(v):
-    """json.dumps hook: numpy scalars and arrays become Python values."""
-    if isinstance(v, (np.generic, np.ndarray)):
-        return v.tolist()
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 def _load_graph(path: str) -> np.ndarray:
     """Adjacency matrix of the file at path: graph6 when its first line is one token, else an edge list."""
     with open(path) as fh:
@@ -86,7 +79,7 @@ def cmd_analyze(args) -> int:
             "upper_cut": spectra.mu_upper_bound_cut(inst),
         },
     }
-    print(json.dumps(report, default=_json_default))
+    print(json.dumps(report))
     return 0 if d.is_s_roth else 3
 
 
@@ -106,7 +99,7 @@ def cmd_census(args) -> int:
     row = census.run_census(args.t, args.s, g=g, out_dir=args.out_dir,
                             jobs=args.jobs, allow_long=args.allow_long)
     path = census.census_summary_path(args.t, args.s, args.out_dir)
-    print(json.dumps({"row": row.__dict__, "csv": path}, default=_json_default))
+    print(json.dumps({"row": row.__dict__, "csv": path}))
     return 0
 
 
@@ -127,10 +120,10 @@ def cmd_conjecture(args) -> int:
                                      _parse_range(args.t_range), relax=args.relax)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(report["counterexamples"], indent=2, default=_json_default))
+            fh.write(json.dumps(report["counterexamples"], indent=2))
     print(json.dumps({k: report[k] for k in ("kind", "pairs", "checked")}
                      | {"counterexamples": len(report["counterexamples"]),
-                        "details": report["counterexamples"]}, default=_json_default))
+                        "details": report["counterexamples"]}))
     return 0 if not report["counterexamples"] else 3
 
 

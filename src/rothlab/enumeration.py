@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _component
+from .graphs import _connected_mask
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000  # candidate tuples tested at once
@@ -61,14 +61,6 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
     k = _canonical_codes(m, cols)[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
     k = k[_connected_mask(k)]
     return np.swapaxes(k, -1, -2) if transpose else k
-
-
-def _connected_mask(k: np.ndarray) -> np.ndarray:
-    """Which biadjacencies of a stack (N, t, s) are connected bipartite graphs, as bool (N,).
-
-    Connected iff no column is zero and the rows are connected through shared columns.
-    """
-    return k.any(axis=-2).all(axis=-1) & _component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)
 
 
 # all graphs on n vertices up to isomorphism, by vertex augmentation: the extensions

@@ -3,8 +3,8 @@
 A graph on vertices 0..n-1 is its (n, n) 0/1 int64 adjacency array, from
 the command line to the outputs: the named constructors build one, the
 graph6 codec and the edge-list parser read one, every computation takes
-one, and outputs write it as graph6 (instance_to_json above GRAPH6_MAX_N
-vertices, where the codec stops, as an edge list).  A composite instance is
+one, and outputs write it as graph6, whose one-character and `~` headers
+reach GRAPH6_MAX_N vertices.  A composite instance is
 a connected graph H together with a distinguished independent set S; the
 bipartite scaffold B collects the S-T edges and G is the subgraph induced on
 T = V(H) - S.  Vertices of an instance are always ordered T first, so the
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GRAPH6_MAX_N = 258  # long-form header supported up to here, larger inputs rejected
+GRAPH6_MAX_N = 258047  # the 18-bit `~` header reaches here; the `~~` form beyond is rejected
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,14 @@ def _component(a, v: int = 0) -> np.ndarray:
     return seen
 
 
+def _connected_mask(k: np.ndarray, a=0) -> np.ndarray:
+    """Whether [[a, K], [K^T, 0]] is connected, bool (N,) over a stack of K or of a = A_G (a = 0: the scaffold).
+
+    Connected iff no column of K is zero and T is, with i ~ j for an edge of a or a common S-neighbour.
+    """
+    return k.any(axis=-2).all(axis=-1) & _component(a + k @ np.swapaxes(k, -1, -2)).all(axis=-1)
+
+
 def connected_components(a) -> list:
     """Partition of [0,n) into the maximal connected sets of adjacency matrix a.
 
@@ -157,17 +165,18 @@ def _g6_header(n: int) -> str:
 
 @functools.lru_cache(maxsize=8)
 def _g6_layout(n: int) -> tuple:
-    """(v, u, nchars) of order n: body bit v(v-1)/2 + u holds the pair u < v, read-only; nchars 6-bit groups."""
+    """(v, u) of order n, read-only: body bit v(v-1)/2 + u holds the pair u < v."""
     v, u = np.tril_indices(n, -1)
     v.flags.writeable = u.flags.writeable = False
-    return v, u, -(-len(u) // 6)
+    return v, u
 
 
 def encode_graph6(a) -> list:
     """graph6 lines of an adjacency stack (N, n, n), an edge wherever its upper triangle is nonzero."""
     a = np.asarray(a)
     head = np.frombuffer(_g6_header(a.shape[-1]).encode(), dtype=np.uint8)  # refuses an oversize n first
-    v, u, nchars = _g6_layout(a.shape[-1])
+    v, u = _g6_layout(a.shape[-1])
+    nchars = -(-len(u) // 6)
     bits = np.zeros((len(a), 6 * nchars), dtype=np.uint8)  # zero padding to a multiple of 6
     bits[:, :len(u)] = a[:, u, v] != 0
     # each 6-bit group, most significant first, packs into the top of a byte
@@ -200,17 +209,17 @@ def decode_graph6(lines) -> np.ndarray:
         raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
     if np.any(long & (size < 4)):
         raise ValueError("malformed graph6 header")
+    # a `~` header below `~~` reads at most 62 << 12 | 63 << 6 | 63 = GRAPH6_MAX_N
     n = np.where(long, c[:, 1] << 12 | c[:, 2] << 6 | c[:, 3], c[:, 0])
-    if np.any(n > GRAPH6_MAX_N):
-        raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
     if np.any(n != n[0]):
         raise ValueError(f"graph6 lines of different orders {n[0]} and {n[n != n[0]][0]}")
     n = int(n[0])
-    v, u, nchars = _g6_layout(n)
-    nbits = len(u)
-    head = np.where(long, 4, 1)
+    # the body length follows from n alone, so a short line is refused before _g6_layout allocates n(n-1) indices
+    nbits, head = n * (n - 1) // 2, np.where(long, 4, 1)
+    nchars = -(-nbits // 6)
     if np.any(size - head != nchars):
         raise ValueError("malformed graph6 header: body length does not match vertex count")
+    v, u = _g6_layout(n)
     body = np.take_along_axis(codes, head[:, None] + np.arange(nchars), axis=1) - 63
     bits = np.unpackbits(body.astype(np.uint8)[..., None], axis=-1)[..., 2:].reshape(len(lines), 6 * nchars)
     if bits[:, nbits:].any():
@@ -306,21 +315,22 @@ class CompositeInstance:
         return self.K.shape[0]
 
 
-def _check_scaffold(k: np.ndarray) -> None:
-    """Raise ValueError unless the t x s scaffold K is 0/1 and every S-vertex has a neighbour in T."""
+def _check_scaffold(a: np.ndarray, k: np.ndarray) -> None:
+    """Raise ValueError unless the t x s scaffold K is 0/1 with no zero column and H is connected.
+
+    a is A_G, or a stack of them, each of which must give a connected H.
+    """
     if not np.array_equal(k, k.astype(bool).astype(k.dtype)):
         raise ValueError("scaffold must be a 0/1 matrix")
     if np.any(k.sum(axis=0) == 0):
         raise ValueError("zero column in scaffold: an S-vertex has no neighbour in T")
+    if not _connected_mask(k != 0, a).all():  # bool, so that K K^T cannot overflow a narrow dtype
+        raise ValueError("composite instance is disconnected")
 
 
 def _assemble(a: np.ndarray, k: np.ndarray, labels) -> CompositeInstance:
-    _check_scaffold(k)
-    a, k = a.astype(np.int64), k.astype(np.int64)
-    # every S-vertex has a T-neighbour, so H is connected iff T is, with i ~ j for a G-edge or a common S-neighbour
-    if not is_connected(a + k @ k.T):
-        raise ValueError("composite instance is disconnected")
-    return CompositeInstance(A=a, K=k, labels=tuple(labels))
+    _check_scaffold(a, k)
+    return CompositeInstance(A=a.astype(np.int64), K=k.astype(np.int64), labels=tuple(labels))
 
 
 def compose(s: int, a_g, scaffold=None) -> CompositeInstance:
@@ -367,10 +377,7 @@ def instance_from_graph(a_h, S) -> CompositeInstance:
 def instance_to_json(inst: CompositeInstance) -> dict:
     """JSON-ready summary of an instance (embed directly or json.dump it).
 
-    H is given in its T-first labelling, T = 0..t-1 and S = t..n-1: as one graph6
-    line, or above GRAPH6_MAX_N vertices as its edge list [[u, v], ...], u < v.
+    H is given as one graph6 line in its T-first labelling, T = 0..t-1 and S = t..n-1.
     """
-    n, h = inst.t + inst.s, block_adjacency(inst.A, inst.K)
-    if n > GRAPH6_MAX_N:
-        return {"n": n, "s": inst.s, "t": inst.t, "edges": np.argwhere(np.triu(h)).tolist()}
-    return {"n": n, "s": inst.s, "t": inst.t, "graph6": encode_graph6(h[None])[0]}
+    h = block_adjacency(inst.A, inst.K)
+    return {"n": inst.t + inst.s, "s": inst.s, "t": inst.t, "graph6": encode_graph6(h[None])[0]}

@@ -21,7 +21,7 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
-from rothlab.analysis import decide_instance, decide_stack, s_roth_oracle
+from rothlab.analysis import decide_instance, decide_stack, oracle_stack, s_roth_oracle
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs
 from conftest import adjacency
@@ -333,6 +333,21 @@ def test_sweep_skips_degenerate_pairs():
     assert out["pairs"] == [(6, 7)]
 
 
+def test_sweep_refuses_ranges_with_no_pair(monkeypatch, capsys):
+    # every pair with t <= s is skipped, so nothing would be checked: refused before any enumeration
+    enumerated = []
+    monkeypatch.setattr(rothlab.census, "_family", lambda *args: enumerated.append(args))
+    for s_range, t_range in (([8], [7]), ([7, 8], [5, 6, 7]), ([], [7]), ([6], [])):
+        with pytest.raises(ValueError, match="no .s, t. pair with t > s"):
+            conjecture_sweep("tree", s_range, t_range)
+    # the s >= 1 check still speaks first
+    with pytest.raises(ValueError, match="s >= 1"):
+        conjecture_sweep("tree", [0], [0], relax=True)
+    assert main(["conjecture", "--kind", "tree", "--s-range", "8", "--t-range", "7"]) == 1
+    assert "no (s, t) pair" in capsys.readouterr().err
+    assert enumerated == []
+
+
 def test_sweep_refuses_orders_above_its_limits(monkeypatch):
     # sweeps are exhaustive only: a t above the limit is refused before any
     # family is enumerated, also when the range starts below the limit
@@ -394,6 +409,26 @@ def test_ultra_probe_validates_before_an_empty_family():
     for a in bad:
         with pytest.raises(ValueError, match="loop-free"):
             ultra_roth_probe(scaffold, a[None])
+
+
+def test_ultra_probe_decides_in_blocks(monkeypatch):
+    # 1044 graphs on 7 vertices reach oracle_stack in blocks of at most CENSUS_BLOCK rows,
+    # and the failures come back in family order, as one-at-a-time decisions list them
+    scaffold = np.array([[1, 0], [1, 0], [1, 0], [0, 1], [0, 1], [0, 1], [1, 1]])
+    family = all_graphs(7)
+    rows = []
+
+    def counted(a_g, k):
+        rows.append(len(a_g))
+        return oracle_stack(a_g, k)
+
+    monkeypatch.setattr(rothlab.census, "oracle_stack", counted)
+    out = ultra_roth_probe(scaffold, family)
+    assert len(family) == 1044 == sum(rows) and max(rows) <= CENSUS_BLOCK
+    failing = [(g6, r.reason) for g6, a in zip(encode_graph6(family), family)
+               if not (r := s_roth_oracle(compose(2, a, scaffold))).is_s_roth]
+    assert [(rec["g_graph6"], rec["reason"]) for rec in out["failures"]] == failing
+    assert failing and not out["all_s_roth"]
 
 
 def test_ultra_probe_records_failures():

@@ -291,8 +291,8 @@ def test_report_graph6_maps_back_to_the_input(tmp_path, capsys, ex2):
         assert np.array_equal(got, want)
 
 
-def test_report_above_graph6_orders_lists_edges(tmp_path, capsys):
-    # H = P_250 joined to 10 isolated vertices has 260 > 258 vertices, past the graph6 codec
+def test_report_above_order_258_gives_graph6(tmp_path, capsys):
+    # H = P_250 joined to 10 isolated vertices has 260 vertices, within the `~` header's 258047
     path = tmp_path / "p250.edges"
     path.write_text(edge_list_text(path_graph(250)))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--complete-scaffold", "10")
@@ -300,8 +300,14 @@ def test_report_above_graph6_orders_lists_edges(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["reason"] == "SignedEigenvector" and rep["mu"] == pytest.approx(3.824, abs=1e-3)
     inst = rep["instance"]
-    assert set(inst) == {"n", "s", "t", "edges", "labels"} and (inst["n"], inst["t"]) == (260, 250)
-    assert inst["edges"] == np.argwhere(np.triu(join(path_graph(250), empty_graph(10)))).tolist()
+    assert set(inst) == {"n", "s", "t", "graph6", "labels"} and (inst["n"], inst["t"]) == (260, 250)
+    h = join(path_graph(250), empty_graph(10))
+    assert np.array_equal(decode_graph6([inst["graph6"]])[0], h)
+    # and the line reads back through analyze, as H with the same S
+    path = tmp_path / "h260.g6"
+    path.write_text(inst["graph6"] + "\n")
+    code, again, _ = run_cli(capsys, "analyze", str(path), "--s-vertices", ",".join(map(str, range(250, 260))))
+    assert code == 0 and json.loads(again) == rep
 
 
 def test_parser_is_built_once():

@@ -132,7 +132,7 @@ def test_graph6_malformed():
     with pytest.raises(ValueError):
         parse_graph6("")
     with pytest.raises(ValueError):
-        parse_graph6("~~A")  # >258 vertices unsupported
+        parse_graph6("~~A")  # >258047 vertices unsupported
     with pytest.raises(ValueError):
         parse_graph6("B" + chr(30))  # char below offset
     with pytest.raises(ValueError):
@@ -169,7 +169,7 @@ def _parse_graph6_bits(text: str) -> tuple:
         if not (63 <= ord(ch) <= 126):
             raise ValueError(f"character {ch!r} outside graph6 range [63,126]")
     if line.startswith("~~"):
-        raise ValueError("graphs larger than 258 vertices are not supported")
+        raise ValueError("graphs larger than 258047 vertices are not supported")
     if line.startswith("~"):
         if len(line) < 4:
             raise ValueError("malformed graph6 header")
@@ -180,8 +180,8 @@ def _parse_graph6_bits(text: str) -> tuple:
     else:
         n = ord(line[0]) - 63
         body = line[1:]
-    if n > 258:
-        raise ValueError("graphs larger than 258 vertices are not supported")
+    if n > 258047:
+        raise ValueError("graphs larger than 258047 vertices are not supported")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError("malformed graph6 header: body length does not match vertex count")
@@ -230,6 +230,22 @@ def test_graph6_codec_matches_per_bit_reference_and_networkx():
     assert decode_graph6([]).shape == (0, 0, 0)
 
 
+def test_graph6_orders_above_258_match_networkx():
+    # the `~` header's 18 bits reach order 258047; networkx writes the same lines
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(19)
+    for n in (259, 300):
+        a = _random_stack(rng, 2, n, 0.3)
+        lines = encode_graph6(a)
+        for m, line in zip(a, lines):
+            gx = nx.Graph()
+            gx.add_nodes_from(range(n))
+            gx.add_edges_from(np.argwhere(m).tolist())
+            assert nx.to_graph6_bytes(gx, header=False).decode().strip() == line
+            assert nx.to_numpy_array(nx.from_graph6_bytes(line.encode()), nodelist=range(n)).tolist() == m.tolist()
+        assert np.array_equal(decode_graph6(lines), a)
+
+
 MALFORMED_GRAPH6 = ("", ">>graph6<<", "~~A", "~??", "B" + chr(30), "B" + chr(62), "A" + chr(127), "\U0001F600",
                     "D", "D???", "A" + chr(63 + 63), "~?@C" + "?" * 1000)
 
@@ -251,16 +267,23 @@ def test_graph6_codec_rejects_what_the_reference_rejects():
     assert np.array_equal(decode_graph6(["D??", "~??D??"]), np.zeros((2, 5, 5), dtype=bool))
 
 
+def _long_header(n: int) -> str:
+    return "~" + "".join(chr(((n >> sh) & 0x3F) + 63) for sh in (12, 6, 0))
+
+
 def test_graph6_codec_refuses_an_oversize_order_before_allocating():
-    # order 2000 would need megabytes; neither side may allocate them before refusing
-    big = np.broadcast_to(np.uint8(0), (1, 2000, 2000))
-    header = "~" + "".join(chr(((2000 >> sh) & 0x3F) + 63) for sh in (12, 6, 0))
+    # order 258048 needs the 8-byte `~~` header, which neither side supports; refused before any allocation
+    big = np.broadcast_to(np.uint8(0), (1, 258048, 258048))
+    assert _long_header(258048).startswith("~~")
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="larger than 258"):
+        with pytest.raises(ValueError, match="larger than 258047 vertices"):
             encode_graph6(big)
-        with pytest.raises(ValueError, match="larger than 258"):
-            decode_graph6([header + "?" * 6])
+        with pytest.raises(ValueError, match="larger than 258047 vertices"):
+            decode_graph6([_long_header(258048) + "?" * 6])
+        # a truncated order-2000 line would need megabytes of pair indices: its length is refused first
+        with pytest.raises(ValueError, match="body length does not match"):
+            decode_graph6([_long_header(2000) + "?" * 6])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
