@@ -166,7 +166,8 @@ def oracle_stack(a_g, ks) -> Decisions:
     one t x s scaffold or a stack (N, t, s); each broadcasts against the
     other.  Every Q(H) = [[A_G + diag(deg_G + D1), K], [K^T, diag(D2)]] is
     the signless Laplacian of H's block adjacency, and all are solved by one
-    stacked eigensolve, with full_spectrum's contract checks on every matrix.
+    stacked eigensolve under full_spectrum's contract: an asymmetric 0/1 A_G
+    fails its residual and raises ValueError.
 
     A verdict is True iff mu(H) is simple and, after flipping the eigenvector
     so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL and every

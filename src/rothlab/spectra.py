@@ -2,7 +2,8 @@
 
 Tolerance conventions used package-wide:
 
-    EIG_TOL      relative residual allowed for the dense eigensolver
+    EIG_TOL      the one eigensolve tolerance: full_spectrum's relative residual,
+                 against the matrix as given, and loss of orthogonality
     CLUSTER_TOL  relative gap below which eigenvalues count as one cluster
     SIGN_TOL     relative threshold below which an eigenvector entry is "zero"
     INTEGER_TOL  distance to the nearest integer at which an eigenvalue becomes
@@ -55,35 +56,32 @@ class SmallestEigenpair:
     multiplicity: int  # eigenvalues within CLUSTER_TOL*(1+|mu|) of mu
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError("expected a square matrix or a stack of them")
-    mt = np.swapaxes(m, -1, -2)
-    scale = 1.0 + np.abs(m).max(axis=(-2, -1), initial=0.0)
-    if np.any(np.abs(m - mt).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
-        raise ValueError("matrix is not symmetric")
-    return (m + mt) / 2.0
-
-
 def full_spectrum(m: np.ndarray) -> EigenSystem:
     """All eigenpairs of a dense symmetric matrix, sorted ascending.
 
-    m may be a stack (..., n, n); values and vectors then carry the same
-    leading axes, one eigensolve per matrix.  The residual and orthogonality
-    contracts are verified for every matrix after the solve and an
-    EigensolverError is raised on a violation rather than silently returning
-    a bad decomposition.  residual_bound is the largest residual of the stack.
+    m may be a stack (..., n, n); values and vectors then carry the same leading axes, one
+    eigensolve per matrix.  The solver reads the lower triangle; the residual m V - V diag(values)
+    and V^T V - I are measured against each matrix as given and fail closed, on a NaN or an
+    infinity too.  A failing stack raises ValueError if a matrix differs from its transpose and
+    EigensolverError otherwise.  residual_bound is the largest residual of the stack.
     """
-    m = _check_symmetric(m)
-    n = m.shape[-1]
-    values, vectors = np.linalg.eigh(m)
-    residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
-    norm_inf = np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
-    if np.any(residual > EIG_TOL * (1.0 + norm_inf)):
-        raise EigensolverError(f"residual {residual.max():g} exceeds {EIG_TOL:g}*(1+|A|)")
-    ortho = np.abs(np.swapaxes(vectors, -1, -2) @ vectors - np.eye(n)).max(initial=0.0)
-    if ortho > EIG_TOL * (1.0 + n):
+    m = np.asarray(m, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    try:
+        values, vectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:  # LAPACK stops on some NaN or infinity; the contract below fails on NaN
+        values, vectors = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
+    with np.errstate(all="ignore"):  # a NaN or an infinity fails the comparisons below
+        residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
+        norm_inf = np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
+        ortho = np.abs(np.swapaxes(vectors, -1, -2) @ vectors - np.eye(m.shape[-1])).max(initial=0.0)
+    fits = np.all(residual <= EIG_TOL * (1.0 + norm_inf))
+    if not (fits and ortho <= EIG_TOL * (1.0 + m.shape[-1])):
+        if not np.array_equal(m, np.swapaxes(m, -1, -2), equal_nan=True):
+            raise ValueError("matrix is not symmetric")
+        if not fits:
+            raise EigensolverError(f"residual {residual.max():g} exceeds {EIG_TOL:g}*(1+|A|)")
         raise EigensolverError(f"eigenvectors lost orthonormality ({ortho:g})")
     return EigenSystem(values=values, vectors=vectors, residual_bound=float(residual.max(initial=0.0)))
 

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -53,7 +54,7 @@ from rothlab.graphs import (
     instance_from_graph,
     path_graph,
 )
-from rothlab.census import load_scaffolds
+from rothlab.census import CENSUS_BLOCK, load_scaffolds
 from rothlab.cli import main
 from rothlab.enumeration import all_graphs, all_trees, enumerate_connected_bipartite
 from rothlab.spectra import (
@@ -799,6 +800,26 @@ def test_certificates_match_pairwise_fraction_loop():
         assert d.gc == _gc_loop(inst)
         holds += d.harmcond
     assert 0 < holds < 400
+
+
+@pytest.mark.parametrize("t, s, signed, explained", [
+    (4, 9, 8404, 1234),
+    pytest.param(5, 7, 6850, 35, marks=pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"),
+                                                          reason="set ROTHLAB_LONG=1 (about 5 s)")),
+])
+def test_sufficient_conditions_are_sound_on_every_instance(t, s, signed, explained):
+    # every scaffold of the shape with G = K_t, decided in census blocks: no certificate holds on a
+    # non-S-Roth row, and the certificates explain only some of the S-Roth rows
+    names = ("harmcond", "gc", "bdeg", "st", "gdeg", "deg2")
+    ks = enumerate_connected_bipartite(t, s)
+    columns = []
+    for i in range(0, len(ks), CENSUS_BLOCK):
+        d = decide_stack(complete_graph(t), ks[i:i + CENSUS_BLOCK])
+        columns.append([d.harmcond, d.gc, d.bdeg, d.st, d.gdeg != "none", d.deg2, d.is_s_roth])
+    *certificates, is_s_roth = np.concatenate(columns, axis=1)
+    violations = {name: int(np.sum(c & ~is_s_roth)) for name, c in zip(names, certificates)}
+    assert violations == dict.fromkeys(names, 0)
+    assert (int(is_s_roth.sum()), int(np.any(certificates, axis=0).sum())) == (signed, explained)
 
 
 def test_certificates_with_one_t_vertex():

@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in that module."""
+"""Static checks on the package source: every name a module imports is used there, and one function calls eigh."""
 
 import ast
 import pathlib
@@ -32,3 +32,33 @@ def test_unused_imports_are_found():
 def test_every_import_is_used(path):
     unused = [name for name in _unused_imports(ast.parse(path.read_text())) if (path.stem, name) not in REEXPORTS]
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def _eigh_callers(tree: ast.Module) -> list:
+    """The innermost function around each call of a name or attribute eigh in tree, '<module>' outside any."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigh":
+                    callers.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_eigh_callers_are_found():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import eigh\nw = eigh(np.eye(2))\n"
+                     "def f(m):\n    def g():\n        return np.linalg.eigh(m)\n    return g, np.linalg.eigvalsh(m)\n")
+    assert _eigh_callers(tree) == ["<module>", "g"]
+
+
+def test_only_full_spectrum_calls_eigh():
+    # every verdict rests on full_spectrum's checked solve.  np.linalg.eigvalsh stays in
+    # mu_lower_bound_degrees and bounds, which give bounds, not verdicts: its values can differ
+    # from eigh's in the last bits, so moving them would change the analyze reports
+    callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _eigh_callers(ast.parse(p.read_text()))]
+    assert callers == [("spectra", "full_spectrum")]

@@ -26,6 +26,7 @@ from rothlab.graphs import (
 )
 from rothlab.spectra import (
     EIG_TOL,
+    EigensolverError,
     exact_kernel_dim,
     full_spectrum,
     integer_candidate,
@@ -74,6 +75,44 @@ def test_full_spectrum_contracts():
         assert es.residual_bound <= EIG_TOL * scale
     with pytest.raises(ValueError):
         full_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_full_spectrum_fails_closed(bad):
+    # a comparison with NaN is False, so every contract check is written as not (x <= bound)
+    m = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(EigensolverError):
+        full_spectrum(m)
+    stack = np.stack([np.eye(3), signless_laplacian(cycle_graph(3)), np.eye(3)])
+    stack[1, 2, 2] = bad
+    with pytest.raises(EigensolverError):
+        full_spectrum(stack)
+    with pytest.raises(EigensolverError):
+        smallest_eigenpair(m)
+
+
+def test_asymmetric_input_is_refused_by_every_entry():
+    # eigh reads the lower triangle; the residual against the matrix as given refuses the rest
+    a = complete_graph(4)
+    a[0, 1] = 0
+    k = np.ones((4, 3), dtype=np.int64)
+    stack = np.repeat(complete_graph(4)[None], 8, axis=0)
+    stack[5] = a
+    for entry in (rothlab.analysis.oracle_stack, rothlab.analysis.decide_stack):
+        for g in (a, stack):
+            with pytest.raises(ValueError, match="not symmetric"):
+                entry(g, k)
+    qs = signless_laplacian(block_adjacency(stack, np.broadcast_to(k, (8, 4, 3))))
+    with pytest.raises(ValueError, match="not symmetric"):
+        full_spectrum(qs)
+
+
+def test_full_spectrum_is_eigh_on_a_symmetric_stack():
+    m = np.random.default_rng(7).normal(size=(6, 9, 9))
+    m = m + np.swapaxes(m, -1, -2)
+    es = full_spectrum(m)
+    values, vectors = np.linalg.eigh(m)
+    assert np.array_equal(es.values, values) and np.array_equal(es.vectors, vectors)
 
 
 def test_smallest_eigenpair_k2():
