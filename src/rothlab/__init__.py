@@ -4,8 +4,6 @@ __version__ = "0.1.0"
 
 from .graphs import (
     CompositeInstance,
-    complement,
-    complete_bipartite,
     complete_graph,
     compose,
     connected_components,
@@ -16,7 +14,6 @@ from .graphs import (
     instance_from_graph,
     instance_to_json,
     is_connected,
-    join,
     join_decomposition,
     parse_edge_list,
     parse_graph6,
@@ -38,11 +35,9 @@ from .analysis import (
     Decisions,
     ReducedMatrix,
     alpha_of,
-    build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    harmonic_witness,
     is_complete_scaffold,
     oracle_stack,
     s_roth_oracle,

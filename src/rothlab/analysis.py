@@ -6,7 +6,9 @@ strictly negative on T, up to a global sign.  The oracle decides this from the
 spectrum; the remaining operations are certificates: the Schur complement
 Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, join
 decomposition criteria at the mu = t-s boundary, and the reduced matrix R_mu
-whose inverse row sums characterize S-Rothness for complete scaffolds.
+whose inverse row sums characterize S-Rothness for complete scaffolds.  Q_mu
+is formed only to read its classes: the bare array and the exact harmonic sum
+of a witness pair are proof tools, kept with the tests in tests/paper_tools.py.
 
 The oracle, the Q_mu classes and the scaffold certificates run on stacks of
 same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class Decisions:
     # non-adjacent pair of T-vertices has N_ij nonempty
     harmcond: np.ndarray | None = None
     # int: the first failing G-edge in sorted order, else the first failing non-adjacent pair,
-    # as an index of np.triu_indices(t, 1); -1 where harmcond holds (see harmonic_witness)
+    # as an index of np.triu_indices(t, 1); -1 where harmcond holds (analyze reports the pair as harmcond_witness)
     witness: np.ndarray | None = None
     gc: np.ndarray | None = None  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
     bdeg: np.ndarray | None = None  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
@@ -201,20 +202,6 @@ def _q_mu(a: np.ndarray, k: np.ndarray, mu) -> np.ndarray:
     return base + (kf * weights[..., None, :]) @ np.swapaxes(kf, -1, -2)
 
 
-def build_q_mu(inst: CompositeInstance, mu: float) -> np.ndarray:
-    """Schur complement Q_mu = Q(G) + D1 + K (mu I - D2)^{-1} K^T of order t.
-
-    Requires mu < min(D2) so the middle factor is negative definite; the
-    off-diagonal (i,j) entry works out to [i ~G j] - sum over N_ij of
-    1/(d_B(k) - mu).  Its classes at the verdict's mu are the class fields
-    of decide_instance(inst).
-    """
-    d2_min = inst.K.sum(axis=0).min()
-    if mu >= d2_min:
-        raise ValueError(f"mu={mu} is not below the smallest S-degree {d2_min}")
-    return _q_mu(inst.A, inst.K, mu)
-
-
 def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
     """The integer L*Q_mu = L*(Q(G) + D1) - K diag(L/(d_B(k) - c)) K^T at mu = c < min(D2).
 
@@ -310,20 +297,6 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     witness = np.where(low.any(axis=1), low.argmax(axis=1),
                        np.where(empty.any(axis=1), empty.argmax(axis=1), -1))
     return witness < 0, witness, gc
-
-
-def harmonic_witness(k, witness: int) -> tuple | None:
-    """The T-vertex pair (i, j) of a Decisions witness index for the t x s scaffold k, and its exact harmonic sum.
-
-    The sum over N_ij of 1/d_B(k) is a Fraction (0 for an empty N_ij).  None
-    for the index -1: the harmonic condition holds.
-    """
-    if witness < 0:
-        return None
-    iu, ju = np.triu_indices(k.shape[0], 1)
-    i, j = int(iu[witness]), int(ju[witness])
-    degrees = k.sum(axis=0)[(k[i] != 0) & (k[j] != 0)]
-    return (i, j), sum((Fraction(1, int(d)) for d in degrees), Fraction(0))
 
 
 def alpha_of(inst: CompositeInstance, mu: float) -> float:

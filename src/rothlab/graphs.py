@@ -82,24 +82,6 @@ def cycle_graph(n: int) -> np.ndarray:
     return a
 
 
-def complete_bipartite(a: int, b: int) -> np.ndarray:
-    return join(empty_graph(a), empty_graph(b))
-
-
-def join(g, h) -> np.ndarray:
-    """g and h side by side, g's vertices first, plus every edge between them."""
-    n = len(g)
-    m = np.ones((n + len(h), n + len(h)), dtype=np.int64)
-    m[:n, :n] = g
-    m[n:, n:] = h
-    return m
-
-
-def complement(a) -> np.ndarray:
-    """Edge {i,j} in the result iff i != j and {i,j} is not an edge of a."""
-    return complete_graph(len(a)) - (np.asarray(a) != 0)
-
-
 def _component(a, v: int = 0) -> np.ndarray:
     """Vertices reachable from v in an adjacency matrix, or in each of a stack: bool (..., n).
 

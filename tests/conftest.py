@@ -4,7 +4,8 @@ join example with the exact integer eigenvalue, and random-instance helpers."""
 import numpy as np
 import pytest
 
-from rothlab.graphs import block_adjacency, complete_bipartite, complete_graph, compose, is_connected
+from paper_tools import complete_bipartite
+from rothlab.graphs import block_adjacency, complete_graph, compose, is_connected
 
 # worked example 1: harmonic condition met with equality
 EX1_K = np.array([

@@ -41,12 +41,11 @@ from conftest import (
     random_instance,
 )
 from exact_evidence import exact_q_mu, leading_minors, prove_census
+from paper_tools import build_q_mu, harmonic_witness
 from rothlab.analysis import (
-    build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
 )

@@ -1,10 +1,11 @@
-"""Oracle, Schur complement, certificates, reduced matrix, matrix classes."""
+"""Oracle, Schur complement, certificates, reduced matrix, matrix classes, the README example."""
 
 import dataclasses
 import itertools
 import json
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     random_instance,
 )
 from exact_evidence import _fraction_inverse
+from paper_tools import build_q_mu, complete_bipartite, harmonic_witness
 from rothlab.analysis import (
     REASON_MIXED,
     REASON_MULTIPLE,
@@ -37,16 +39,13 @@ from rothlab.analysis import (
     _exact_classes,
     _exact_q_mu,
     alpha_of,
-    build_q_mu,
     build_r_mu,
     decide_instance,
     decide_stack,
-    harmonic_witness,
     is_complete_scaffold,
     s_roth_oracle,
 )
 from rothlab.graphs import (
-    complete_bipartite,
     complete_graph,
     compose,
     cycle_graph,
@@ -935,3 +934,22 @@ def test_exact_classes_beyond_int64():
     basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]
     z_matrix, _, _, minpositive = _assert_exact_classes(a, k, c, basis)
     assert minpositive and not z_matrix
+
+
+# ----------------------------------------------------------- README example
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    # the python block under "Library quick start" runs as written, and each print that carries
+    # a comment prints that comment, "..." standing for any text
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as f:
+        block = re.search(r"## Library quick start\n\n```python\n(.*?)```", f.read(), re.S).group(1)
+    exec(compile(block, readme, "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    commented = [(out, line.partition("#")[2].strip()) for out, line in zip(printed, prints) if "#" in line]
+    assert len(commented) == 2
+    for out, comment in commented:
+        assert re.fullmatch(".*".join(map(re.escape, comment.split("..."))), out), (out, comment)

@@ -12,8 +12,8 @@ import pytest
 import rothlab
 from rothlab.cli import build_parser, main
 from conftest import edge_list_text
-from rothlab.graphs import (block_adjacency, complete_bipartite, cycle_graph, decode_graph6, empty_graph,
-                            encode_graph6, join, path_graph)
+from paper_tools import complete_bipartite, join
+from rothlab.graphs import block_adjacency, cycle_graph, decode_graph6, empty_graph, encode_graph6, path_graph
 
 
 def run_cli(capsys, *args):

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EX1_K, adjacency, edge_list_text
+from paper_tools import complement, complete_bipartite, join
 from rothlab.census import run_census, ultra_roth_probe
 from rothlab.graphs import (
     Graph,
     _component,
     block_adjacency,
-    complement,
-    complete_bipartite,
     complete_graph,
     compose,
     connected_components,
@@ -25,7 +24,6 @@ from rothlab.graphs import (
     encode_graph6,
     instance_from_graph,
     is_connected,
-    join,
     join_decomposition,
     parse_edge_list,
     parse_graph6,

@@ -1,11 +1,13 @@
-"""Static checks on the package source: every name a module imports is used there, and one function calls eigh."""
+"""Static checks on the package source: every name a module imports is used there, every public
+definition is used by the package or the benchmark, and one function calls eigh."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rothlab"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rothlab"
 # census never calls s_roth_oracle; perfbench's tracing test binds it as rothlab.census.s_roth_oracle
 REEXPORTS = {("census", "s_roth_oracle")}
 
@@ -32,6 +34,73 @@ def test_unused_imports_are_found():
 def test_every_import_is_used(path):
     unused = [name for name in _unused_imports(ast.parse(path.read_text())) if (path.stem, name) not in REEXPORTS]
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+# public definitions that no module of the package and no benchmark file reads
+UNREFERENCED = {
+    # analysis' one use of full_spectrum, which perfbench/tests/test_bench_tracing.py expects to find
+    # traced as rothlab.analysis.full_spectrum
+    "analysis.build_r_mu",
+    # perfbench/tracing.py's MODULES traces the bounds module
+    "bounds.cycle_block_bounds",
+    "bounds.path_block_rowsums",
+    # the README's library entry for a family of G of the user's own
+    "census.ultra_roth_probe",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree: ast.Module) -> list:
+    """The public functions and classes defined at the top level of tree."""
+    return [node.name for node in tree.body if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+
+
+def _references(tree: ast.Module) -> set:
+    """The names tree reads outside their own top-level definition: as a Name, or as an attribute of a rothlab module.
+
+    A rothlab module is a name bound by ``import rothlab...`` or by importing a submodule from rothlab or from the
+    package itself, so ``os.path.join`` reads no ``join``.
+    """
+    submodules = {p.stem for p in SRC.glob("*.py")}
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or "rothlab" for alias in node.names if alias.name.partition(".")[0] == "rothlab"}
+        elif isinstance(node, ast.ImportFrom) and (node.module == "rothlab" or (node.level and node.module is None)):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name in submodules}
+    refs = set()
+    for stmt in tree.body:
+        found = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    found.add(node.attr)
+        refs |= found - ({stmt.name} if isinstance(stmt, DEFINITIONS) else set())
+    return refs
+
+
+def test_references_are_found():
+    tree = ast.parse("import os\nimport rothlab.graphs\nfrom . import spectra as sp\nx = C()\n"
+                     "def f(n):\n    return f(n - 1) + g(n) + os.path.join() + rothlab.graphs.h() + sp.k\n"
+                     "class C:\n    def _m(self):\n        return C\n")
+    assert _definitions(tree) == ["f", "C"]
+    # C is read outside its class, f only inside its own body
+    assert _references(tree) == {"C", "os", "rothlab", "g", "graphs", "h", "k", "sp", "n"}
+
+
+def test_every_public_definition_is_used():
+    # a public function or class that only tests read is a proof tool and belongs in tests/paper_tools.py
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    trees = list(modules.values()) + [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    refs = set().union(*map(_references, trees))
+    unreferenced = {f"{stem}.{name}" for stem, tree in modules.items() for name in _definitions(tree) if name not in refs}
+    assert sorted(unreferenced - UNREFERENCED) == [], "only tests read these"
+    assert sorted(UNREFERENCED - unreferenced) == [], "these exceptions are read now, so they can go"
 
 
 def _eigh_callers(tree: ast.Module) -> list:

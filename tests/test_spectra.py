@@ -13,15 +13,14 @@ import rothlab.cli
 import rothlab.enumeration
 import rothlab.spectra
 from conftest import adjacency, random_connected_graph, random_instance
+from paper_tools import complete_bipartite, join
 from rothlab.graphs import (
     Graph,
     block_adjacency,
-    complete_bipartite,
     complete_graph,
     compose,
     cycle_graph,
     empty_graph,
-    join,
     path_graph,
 )
 from rothlab.spectra import (
