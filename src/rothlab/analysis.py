@@ -57,13 +57,13 @@ class Decisions:
     """Everything decided about a stack of N instances, one (N,) array per fact; row [i] is instance i.
 
     A row is the same record with Python scalars (bool, int, float, str), a
-    1-D eigenvector, a kernel that is a list or None and a boundary that is
-    a tuple or None; an index array selects a smaller stack.  oracle_stack
-    fills the verdict; the Q_mu classes and the scaffold certificates are
-    decide_stack's, and None otherwise.  N_ij is the set of S-vertices
-    adjacent to both T-vertices i and j, and d_B(k) the scaffold degree of
-    the S-vertex k.  Each certificate reads A_G and K only, never the
-    verdict, and when it holds implies that H is S-Roth.
+    1-D eigenvector, a witness pair of two ints, a kernel that is a list or
+    None and a boundary that is a tuple or None; an index array selects a
+    smaller stack.  oracle_stack fills the verdict; the Q_mu classes and the
+    scaffold certificates are decide_stack's, and None otherwise.  N_ij is
+    the set of S-vertices adjacent to both T-vertices i and j, and d_B(k)
+    the scaffold degree of the S-vertex k.  Each certificate reads A_G and K
+    only, never the verdict, and when it holds implies that H is S-Roth.
     """
 
     mu: np.ndarray  # float; the integer c where a rational kernel settled the verdict
@@ -73,16 +73,16 @@ class Decisions:
     eigenvector: np.ndarray  # (N, n); unit norm, signed so its S-sum is nonnegative unless mu is multiple
     kernel: np.ndarray  # object: rational basis of ker(Q(H) - mu I) on the exact path (all classes exact), else None
     # the Q_mu classes at mu, all False where classes is False
-    classes: np.ndarray | None = None  # bool: Q_mu is formed (mu < min(D2)) and regular
+    classes: np.ndarray | None = None  # bool: 0 < mu < min(D2), so Q_mu is formed and positive definite
     z_matrix: np.ndarray | None = None
-    m_matrix: np.ndarray | None = None
+    m_matrix: np.ndarray | None = None  # z_matrix itself: a positive definite Z-matrix is an M-matrix
     inverse_positive: np.ndarray | None = None
     minpositive: np.ndarray | None = None
     # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
     # non-adjacent pair of T-vertices has N_ij nonempty
     harmcond: np.ndarray | None = None
-    # int: the first failing G-edge in sorted order, else the first failing non-adjacent pair,
-    # as an index of np.triu_indices(t, 1); -1 where harmcond holds (analyze reports the pair as harmcond_witness)
+    # (N, 2) int: the T-vertex pair i < j of the first failing G-edge in sorted order, else of the first
+    # failing non-adjacent pair; (-1, -1) where harmcond holds (analyze reports it as harmcond_witness)
     witness: np.ndarray | None = None
     gc: np.ndarray | None = None  # the cruder global form: |N_ij| >= max S-degree on every G-edge, N_ij nonempty elsewhere
     bdeg: np.ndarray | None = None  # every T-vertex has scaffold degree at least (t+s)/2; implies harmcond
@@ -216,50 +216,44 @@ def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
 
 
 def _exact_classes(a: np.ndarray, k: np.ndarray, c: int) -> tuple:
-    """(z_matrix, m_matrix, inverse_positive) of Q_mu at mu = c, exactly at every t, from the integer L*Q_mu.
+    """(z_matrix, inverse_positive) of Q_mu at mu = c, exactly at every t, from the integer L*Q_mu.
 
     L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
     """
     t = k.shape[0]
     mq = _exact_q_mu(a, k, c)
     off = (mq != 0) & ~np.eye(t, dtype=bool)
-    z_matrix = bool(np.all(mq[off] < 0))
     # a disconnected off-diagonal pattern makes L*Q_mu block diagonal, and so its inverse, with exact zeros
-    inverse_positive = is_connected(off) and has_positive_inverse(mq)
-    # an M-matrix exactly when Z: Q_mu is PD since lambda_1(Q_mu) = c > 0
-    return z_matrix, z_matrix, inverse_positive
+    return bool(np.all(mq[off] < 0)), is_connected(off) and has_positive_inverse(mq)
 
 
 def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
-    """(regular, z_matrix, m_matrix, inverse_positive, minpositive) of a stack of Q_mu, each at its verdict's mu.
+    """(z_matrix, inverse_positive, minpositive) of a stack of Q_mu, each at its verdict's mu, 0 < mu < min(D2).
 
-    A (5, N) bool array, all False where Q_mu is singular.  No eigensolve:
-    for mu < min(D2), Haynsworth inertia makes mu the smallest eigenvalue of
-    Q_mu, with the verdict's multiplicity and eigenvectors the T-parts of
-    those of Q(H).  One stacked inverse serves the whole stack.  A verdict
-    decided from a rational kernel (mu on an integer c: the t-s boundary of
-    complete scaffolds and its relatives) has its flags computed from the
-    integer L*Q_mu and the signs of that kernel, so borderline zero entries and
-    signs are decided exactly at every t (see _exact_classes); only those rows
-    are classified one at a time.
+    A (3, N) bool array.  No eigensolve: for mu < min(D2), Haynsworth inertia
+    makes mu the smallest eigenvalue of Q_mu, with the verdict's multiplicity
+    and eigenvectors the T-parts of those of Q(H); so with mu > 0 Q_mu is
+    positive definite, and a Z-matrix is an M-matrix.  One stacked inverse
+    serves the whole stack.  A verdict decided from a rational kernel (mu on
+    an integer c: the t-s boundary of complete scaffolds and its relatives)
+    has its flags computed from the integer L*Q_mu and the signs of that
+    kernel, so borderline zero entries and signs are decided exactly at
+    every t (see _exact_classes); only those rows are classified one at a time.
     """
     q_mu = _q_mu(a, k, d.mu)
     t = q_mu.shape[-1]
-    scale = 1.0 + np.abs(q_mu).max(axis=(1, 2), initial=0.0)
-    regular = np.abs(d.mu) > 1e-12 * scale
-    z_matrix = regular & (q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z)
-    inv = np.linalg.inv(q_mu[regular])
-    inverse_positive = np.zeros(len(q_mu), dtype=bool)
-    inverse_positive[regular] = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
+    z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
+    inv = np.linalg.inv(q_mu)
+    inverse_positive = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
     x = sign_normalize(d.eigenvector[:, :t], 0)
     exact = np.not_equal(d.kernel, None)
     # as in the verdict, the float of an exact kernel vector is read at tolerance 0
     tol = np.where(exact, 0.0, SIGN_TOL * np.abs(x).max(axis=1))
-    minpositive = regular & (d.multiplicity == 1) & np.all(x > tol[:, None], axis=1)
-    flags = np.array([regular, z_matrix, z_matrix & (d.mu > 0.0), inverse_positive, minpositive])
+    minpositive = (d.multiplicity == 1) & np.all(x > tol[:, None], axis=1)
+    flags = np.array([z_matrix, inverse_positive, minpositive])
     # the exact path sets mu to the integer c
-    for i in np.flatnonzero(regular & (d.mu > 0.0) & exact):
-        flags[1:4, i] = _exact_classes(a[i], k[i], int(d.mu[i]))
+    for i in np.flatnonzero(exact):
+        flags[:2, i] = _exact_classes(a[i], k[i], int(d.mu[i]))
     return flags
 
 
@@ -267,7 +261,7 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
 
 
 def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
-    """Harmonic condition, its witness pair index (-1 where it holds) and gc for a stack (N, t, t), (N, t, s).
+    """Harmonic condition, its witness T-pair ((-1, -1) where it holds) and gc for a stack (N, t, t), (N, t, s).
 
     Harmonic sums are exact integers: each S-vertex weighs L / d_B(k), with L
     the lcm of the S-degrees present (a divisor of lcm(1..t)), so a sum is at
@@ -276,7 +270,7 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     """
     t, s = k.shape[-2:]
     if t == 1:  # no pair of T-vertices, so every pair condition holds
-        return np.ones(len(k), dtype=bool), np.full(len(k), -1), np.ones(len(k), dtype=bool)
+        return np.ones(len(k), dtype=bool), np.full((len(k), 2), -1), np.ones(len(k), dtype=bool)
     k = k.astype(np.int64)
     kt = np.swapaxes(k, -1, -2)
     d2 = k.sum(axis=1)
@@ -294,9 +288,9 @@ def _certificates(a: np.ndarray, k: np.ndarray) -> tuple:
     low = edge & (harm < lcm)  # G-edges with harmonic sum below 1
     empty = ~edge & (common == 0)  # non-adjacent pairs without a common S-neighbour
     gc = ~np.any((edge & (common < d2.max(axis=1)[:, None])) | empty, axis=1)
-    witness = np.where(low.any(axis=1), low.argmax(axis=1),
-                       np.where(empty.any(axis=1), empty.argmax(axis=1), -1))
-    return witness < 0, witness, gc
+    first = np.where(low.any(axis=1), low.argmax(axis=1), np.where(empty.any(axis=1), empty.argmax(axis=1), -1))
+    witness = np.where((first < 0)[:, None], -1, np.stack([iu[first], ju[first]], axis=1))
+    return first < 0, witness, gc
 
 
 def alpha_of(inst: CompositeInstance, mu: float) -> float:
@@ -340,18 +334,20 @@ def decide_stack(a_g, ks) -> Decisions:
 
     Takes A_G and K as oracle_stack does.  These are the steps the census and
     the CLI report share; each runs once per stack: one stacked eigensolve
-    for the verdicts, one stacked Q_mu and inverse for the classes, integer
-    array operations for the certificates, and the Q_mu classes reuse each
-    verdict's exact kernel.  join_decomposition runs only on rows at the
-    boundary delta(G) = t-s of a complete scaffold with t > s.
+    for the verdicts, one stacked Q_mu and inverse for the classes on the
+    rows 0 < mu < min(D2), integer array operations for the certificates,
+    and the Q_mu classes reuse each verdict's exact kernel.  m_matrix is the
+    z_matrix column.  join_decomposition runs only on rows at the boundary
+    delta(G) = t-s of a complete scaffold with t > s.
     """
     a, k, lead = _stacks(a_g, ks)
     d = _oracle(a, k, lead)
-    # Q_mu exists for mu < min(D2); it is singular when H is bipartite
-    formed = np.flatnonzero(d.mu < k.sum(axis=1).min(axis=1))
-    flags = np.zeros((5, len(d)), dtype=bool)
-    flags[:, formed] = _classify(a[formed], k[formed], d[formed])
-    d.classes, d.z_matrix, d.m_matrix, d.inverse_positive, d.minpositive = flags
+    # Q_mu exists for mu < min(D2) and is singular at mu = 0, which the exact path sets exactly where H is bipartite
+    d.classes = (d.mu > 0) & (d.mu < k.sum(axis=1).min(axis=1))
+    flags = np.zeros((3, len(d)), dtype=bool)
+    flags[:, d.classes] = _classify(a[d.classes], k[d.classes], d[d.classes])
+    d.z_matrix, d.inverse_positive, d.minpositive = flags
+    d.m_matrix = d.z_matrix  # Q_mu is positive definite wherever classes holds
     d.harmcond, d.witness, d.gc = _certificates(a, k)
     t, s = k.shape[-2:]
     d.bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -48,8 +47,6 @@ def cmd_analyze(args) -> int:
     d = analysis.decide_instance(inst)
     matrix_classes = {"z": d.z_matrix, "m_matrix": d.m_matrix, "inv_positive": d.inverse_positive,
                       "minpositive": d.minpositive} if d.classes else None
-    t, w = inst.t, d.witness  # w indexes np.triu_indices(t, 1), -1 where harmcond holds; its pair in closed form
-    i = t - 2 - (math.isqrt(8 * (t * (t - 1) // 2 - 1 - w) + 1) - 1) // 2
     alpha = None
     if analysis.is_complete_scaffold(inst) and d.mu < inst.t:
         alpha = analysis.alpha_of(inst, d.mu)
@@ -62,7 +59,7 @@ def cmd_analyze(args) -> int:
         "reason": d.reason,
         "certificates": {
             "harmcond": d.harmcond,
-            "harmcond_witness": None if w < 0 else [i, w + i + 1 - i * (2 * t - i - 1) // 2],
+            "harmcond_witness": None if d.harmcond else d.witness.tolist(),
             "gc": d.gc,
             "bdeg": d.bdeg,
             "st": d.st,

@@ -18,7 +18,6 @@ package reads graph6 with decode_graph6 and builds no Graph elsewhere.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -136,8 +135,6 @@ def join_decomposition(a) -> list:
 
 
 def _g6_header(n: int) -> str:
-    if n < 0:
-        raise ValueError("negative vertex count")
     if n <= 62:
         return chr(n + 63)
     if n <= GRAPH6_MAX_N:
@@ -145,12 +142,10 @@ def _g6_header(n: int) -> str:
     raise ValueError(f"graphs larger than {GRAPH6_MAX_N} vertices are not supported")
 
 
-@functools.lru_cache(maxsize=8)
 def _g6_layout(n: int) -> tuple:
-    """(v, u) of order n, read-only: body bit v(v-1)/2 + u holds the pair u < v."""
-    v, u = np.tril_indices(n, -1)
-    v.flags.writeable = u.flags.writeable = False
-    return v, u
+    """(v, u) of order n: body bit v(v-1)/2 + u holds the pair u < v."""
+    v = np.repeat(np.arange(n), np.arange(n))
+    return v, np.arange(len(v)) - v * (v - 1) // 2
 
 
 def encode_graph6(a) -> list:

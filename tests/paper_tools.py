@@ -2,8 +2,8 @@
 
 build_q_mu assembles the bare Schur complement Q_mu with rothlab.analysis._q_mu,
 the formula from which the package reads its Q_mu classes, so a test of it
-pins the package.  harmonic_witness turns a Decisions witness index into its
-T-vertex pair and exact harmonic sum.  complete_bipartite, join and complement
+pins the package.  harmonic_witness gives the exact harmonic sum of a
+Decisions witness pair.  complete_bipartite, join and complement
 build adjacency arrays, as the named constructors of rothlab.graphs do.
 """
 
@@ -31,16 +31,15 @@ def build_q_mu(inst: CompositeInstance, mu: float) -> np.ndarray:
     return _q_mu(inst.A, inst.K, mu)
 
 
-def harmonic_witness(k, witness: int) -> tuple | None:
-    """The T-vertex pair (i, j) of a Decisions witness index for the t x s scaffold k, and its exact harmonic sum.
+def harmonic_witness(k, witness) -> tuple | None:
+    """A Decisions witness pair (i, j) of T-vertices, as Python ints, and its exact harmonic sum in the scaffold k.
 
     The sum over N_ij of 1/d_B(k) is a Fraction (0 for an empty N_ij).  None
-    for the index -1: the harmonic condition holds.
+    for the pair (-1, -1): the harmonic condition holds.
     """
-    if witness < 0:
+    i, j = map(int, witness)
+    if i < 0:
         return None
-    iu, ju = np.triu_indices(k.shape[0], 1)
-    i, j = int(iu[witness]), int(ju[witness])
     degrees = k.sum(axis=0)[(k[i] != 0) & (k[j] != 0)]
     return (i, j), sum((Fraction(1, int(d)) for d in degrees), Fraction(0))
 

@@ -264,7 +264,7 @@ def test_class_hierarchy_random():
 
 def test_harmcond_example1(ex1):
     d = decide_instance(ex1)
-    assert d.harmcond and d.witness == -1
+    assert d.harmcond and d.witness.tolist() == [-1, -1]
     assert harmonic_witness(ex1.K, d.witness) is None
 
 
@@ -609,7 +609,8 @@ def test_classification_record_schema(ex2):
     assert ex2.s == 7 and ex2.t == 4
     assert d.is_s_roth is True
     assert d.m_matrix is True and d.harmcond is False
-    assert (type(d.mu), type(d.multiplicity), type(d.reason), type(d.witness)) == (float, int, str, int)
+    assert (type(d.mu), type(d.multiplicity), type(d.reason)) == (float, int, str)
+    assert d.witness.tolist() == [0, 1]  # the T-pair of the first G-edge with harmonic sum below 1
     assert (d.gdeg, d.deg2, d.boundary) == ("none", False, None)  # t < s
     assert d.eigenvector.shape == (11,) and d.kernel is None
     # the oracle alone fills the verdict fields of the same record type
@@ -661,10 +662,10 @@ def test_instance_from_graph_path():
 
 
 def _same_decision(a, b) -> bool:
-    """Rows a and b agree in every field: mu to the last bit, the eigenvector and the kernel exactly."""
+    """Rows a and b agree in every field: mu to the last bit, the eigenvector, witness and kernel exactly."""
     for f in dataclasses.fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name == "eigenvector":
+        if f.name in ("eigenvector", "witness"):
             same = np.array_equal(x, y)
         elif f.name == "mu":
             same = x.hex() == y.hex()
@@ -704,7 +705,7 @@ def test_stacked_decision_equals_single_decisions(tmp_path):
     n = len(cases)
     for f in dataclasses.fields(record):
         column = getattr(record, f.name)
-        assert column.shape == ((n, 9) if f.name == "eigenvector" else (n,)), f.name
+        assert column.shape == {"eigenvector": (n, 9), "witness": (n, 2)}.get(f.name, (n,)), f.name
     stacked = [record[i] for i in range(n)]
     singles = [decide_stack(a, k)[0] for a, k in cases]
     assert all(_same_decision(x, y) for x, y in zip(stacked, singles))
@@ -826,7 +827,7 @@ def test_certificates_with_one_t_vertex():
     for s in (1, 3):
         inst = compose(s, complete_graph(1))
         d = decide_instance(inst)
-        assert (d.harmcond, d.witness, d.gc) == (True, -1, True) and d.gc == _gc_loop(inst)
+        assert (d.harmcond, d.witness.tolist(), d.gc) == (True, [-1, -1], True) and d.gc == _gc_loop(inst)
         assert (d.harmcond, harmonic_witness(inst.K, d.witness)) == _harmcond_loop(inst)
         assert d.is_s_roth and (d.gdeg, d.deg2, d.boundary) == ("none", False, None)
 
@@ -880,11 +881,11 @@ def _classes(d) -> tuple:
 
 
 def _assert_exact_classes(a, k, c, basis):
-    """_exact_q_mu is L times the Fraction Q_mu, and _exact_classes gives the reference's first three flags."""
+    """_exact_q_mu is L times the Fraction Q_mu, and _exact_classes gives the reference's z and inverse flags."""
     ref, mq = _fraction_classes(a, k, c, basis)
     lcm = math.lcm(*(int(d) - c for d in k.sum(axis=0)))
     assert _exact_q_mu(a, k, c).tolist() == [[lcm * v for v in row] for row in mq]
-    assert _exact_classes(a, k, c) == ref[:3]
+    assert _exact_classes(a, k, c) == (ref[0], ref[2])
     return ref
 
 

@@ -392,6 +392,8 @@ def test_ultra_probe_rejects_a_later_disconnected_composite():
     assert set(ultra_roth_probe(scaffold, bridged[None])) == {"all_s_roth", "failures"}
     with pytest.raises(ValueError, match="disconnected"):
         ultra_roth_probe(scaffold, np.array([bridged, split]))
+    with pytest.raises(ValueError, match="s >= 1"):  # a scaffold without S
+        ultra_roth_probe(np.zeros((4, 0), dtype=np.int64), bridged[None])
 
 
 def test_ultra_probe_validates_before_an_empty_family():

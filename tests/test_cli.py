@@ -77,7 +77,7 @@ def test_analyze_prints_one_line_report(tmp_path, capsys, ex2):
 @pytest.mark.parametrize("t", [2, 5, 9])
 def test_analyze_witness_pair_of_every_index(tmp_path, capsys, t):
     # G is the one edge ij and one S-vertex sees all of T, so the harmonic sum on ij is 1/t and ij is
-    # the witness: the report's pair, made from the witness index in closed form, must be ij
+    # the witness: the report's pair must be ij
     path = tmp_path / "h.edges"
     for i, j in zip(*np.triu_indices(t, 1)):
         path.write_text(f"{i} {j}\n" + "".join(f"{v} {t}\n" for v in range(t)))
@@ -116,6 +116,9 @@ def test_analyze_rejects_bad_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path), "--complete-scaffold", "3")
     assert code == 1
     assert err.strip()
+    path.write_text("0 1\n1 2\n")
+    code, out, err = run_cli(capsys, "analyze", str(path), "--s-vertices", "0,x")
+    assert (code, out) == (1, "") and "bad vertex list '0,x'" in err
 
 
 def test_analyze_missing_file(capsys):
@@ -156,6 +159,8 @@ def test_census_command(tmp_path, capsys):
         code, out, err = run_cli(capsys, "census", "--t", "2", "--s", "1", "--jobs", jobs,
                                  "--out-dir", str(tmp_path / "none"))
         assert (code, out) == (1, "") and f"jobs must be at least 1, got {jobs}" in err
+    code, out, err = run_cli(capsys, "census", "--t", "2", "--s", "1", "--g", "X2", "--out-dir", str(tmp_path / "none"))
+    assert (code, out) == (1, "") and "unknown graph spec 'X2'" in err
     assert not os.path.exists(tmp_path / "none")
 
 

@@ -43,6 +43,8 @@ def test_matrix_orientation():
 def test_size_guard():
     with pytest.raises(ValueError):
         list(enumerate_connected_bipartite(7, 6))
+    with pytest.raises(ValueError, match="t, s >= 1"):
+        enumerate_connected_bipartite(0, 3)
     # explicit override allows oversized shapes; a thin one stays cheap
     mats = list(enumerate_connected_bipartite(41, 1, allow_long=True))
     assert len(mats) == 1 and mats[0].shape == (41, 1)
@@ -410,3 +412,6 @@ def test_all_graphs_refuses_orders_whose_keys_overflow(monkeypatch):
     for n in (12, 13, 40):
         with pytest.raises(ValueError, match="overflow"):
             all_graphs(n)
+    for enumerate_order in (all_graphs, all_trees):
+        with pytest.raises(ValueError, match="n >= 1"):
+            enumerate_order(0)

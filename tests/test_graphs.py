@@ -410,6 +410,10 @@ def test_compose_shapes_and_blocks(ex1=None):
 def test_compose_errors():
     with pytest.raises(ValueError):
         compose(2, complete_graph(3), np.zeros((3, 2), dtype=int))  # zero column
+    with pytest.raises(ValueError, match="s >= 1"):
+        compose(0, complete_graph(3))
+    with pytest.raises(ValueError, match="does not match"):
+        compose(2, complete_graph(3), np.ones((2, 3), dtype=int))
     k = np.array([[1, 0], [0, 1], [0, 0]])
     with pytest.raises(ValueError):
         compose(2, empty_graph(3), k)  # disconnected H
@@ -442,6 +446,8 @@ def test_instance_from_graph_refuses_empty_s():
     # an empty S would leave the oracle nothing to decide
     with pytest.raises(ValueError, match="at least one vertex"):
         instance_from_graph(path_graph(5), [])
+    with pytest.raises(ValueError, match="at least one vertex in T"):  # nor should an S of every vertex
+        instance_from_graph(empty_graph(3), [0, 1, 2])
 
 
 BAD_ADJACENCY = {

@@ -1,5 +1,6 @@
 """Static checks on the package source: every name a module imports is used there, every public
-definition is used by the package or the benchmark, and one function calls eigh."""
+definition is used by the package or the benchmark, every private one by the package, and one function
+calls eigh."""
 
 import ast
 import pathlib
@@ -51,8 +52,8 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _definitions(tree: ast.Module) -> list:
-    """The public functions and classes defined at the top level of tree."""
-    return [node.name for node in tree.body if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+    """The functions and classes defined at the top level of tree."""
+    return [node.name for node in tree.body if isinstance(node, DEFINITIONS)]
 
 
 def _references(tree: ast.Module) -> set:
@@ -87,20 +88,36 @@ def _references(tree: ast.Module) -> set:
 def test_references_are_found():
     tree = ast.parse("import os\nimport rothlab.graphs\nfrom . import spectra as sp\nx = C()\n"
                      "def f(n):\n    return f(n - 1) + g(n) + os.path.join() + rothlab.graphs.h() + sp.k\n"
-                     "class C:\n    def _m(self):\n        return C\n")
-    assert _definitions(tree) == ["f", "C"]
-    # C is read outside its class, f only inside its own body
+                     "class C:\n    def _m(self):\n        return C\n"
+                     "def _p():\n    return _p()\n")
+    assert _definitions(tree) == ["f", "C", "_p"]
+    # C is read outside its class, f and _p only inside their own bodies
     assert _references(tree) == {"C", "os", "rothlab", "g", "graphs", "h", "k", "sp", "n"}
+
+
+def _modules() -> dict:
+    """The parsed modules of the package but __init__, by stem."""
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
 
 
 def test_every_public_definition_is_used():
     # a public function or class that only tests read is a proof tool and belongs in tests/paper_tools.py
-    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    modules = _modules()
     trees = list(modules.values()) + [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     refs = set().union(*map(_references, trees))
-    unreferenced = {f"{stem}.{name}" for stem, tree in modules.items() for name in _definitions(tree) if name not in refs}
+    unreferenced = {f"{stem}.{name}" for stem, tree in modules.items() for name in _definitions(tree)
+                    if not name.startswith("_") and name not in refs}
     assert sorted(unreferenced - UNREFERENCED) == [], "only tests read these"
     assert sorted(UNREFERENCED - unreferenced) == [], "these exceptions are read now, so they can go"
+
+
+def test_every_private_definition_is_read_in_the_package():
+    # a private function or class is the package's own: one that only tests or the benchmark read is dead code
+    modules = _modules()
+    refs = set().union(*map(_references, modules.values()))
+    private = [(stem, name) for stem, tree in modules.items() for name in _definitions(tree) if name.startswith("_")]
+    assert private  # the walk found the helpers it checks
+    assert [f"{stem}.{name}" for stem, name in private if name not in refs] == []
 
 
 def _eigh_callers(tree: ast.Module) -> list:

@@ -88,6 +88,8 @@ def test_full_spectrum_fails_closed(bad):
         full_spectrum(stack)
     with pytest.raises(EigensolverError):
         smallest_eigenpair(m)
+    with pytest.raises(ValueError, match="square"):  # a 1-D input is refused before the solve
+        full_spectrum(m[0])
 
 
 def test_asymmetric_input_is_refused_by_every_entry():
@@ -216,6 +218,8 @@ def test_cut_bound_value(ex88):
 def test_degree_bound_values():
     assert mu_lower_bound_degrees(complete_graph(2)) == pytest.approx(0.0)
     assert mu_lower_bound_degrees(cycle_graph(3)) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="empty graph"):
+        mu_lower_bound_degrees(empty_graph(0))
 
 
 def test_mu_sandwich_on_random_instances():
