@@ -177,7 +177,7 @@ def census_summary_path(t: int, s: int, out_dir: str = ".") -> str:
 
 
 # sweeps are refused above these orders; the README records what raising them costs
-MAXDEG_EXHAUSTIVE_T = 8
+MAXDEG_EXHAUSTIVE_T = 9
 TREE_EXHAUSTIVE_T = 12
 _SWEEP_LIMITS = {"tree": TREE_EXHAUSTIVE_T, "maxdeg": MAXDEG_EXHAUSTIVE_T}
 

@@ -7,6 +7,15 @@ least among its sorted images under the row permutations.  Orderly generation
 a prefix X' of a canonical X is canonical, since the r-th entry of sorted p(X)
 is at most that of sorted p(X').  Tuples come out in lexicographic order, and
 only full tuples are tested for connectivity.
+
+Graphs on n vertices are the extensions of all_graphs(n - 1) by a vertex joined
+to a subset (sub) of the old ones, one per class: the first met, parent major
+and sub ascending, under a canonical key from colour refinement and the least
+upper triangle over the orders within each colour cell.  An extension is not
+keyed if twins i < j of its parent (a swap of them fixes the parent) have j in
+the sub and i not: the swap maps it onto the same parent's extension by a
+smaller sub, which comes first, so every first-met extension is still keyed
+and the output is that of keying them all.
 """
 
 from __future__ import annotations
@@ -78,6 +87,38 @@ def _extend(prev: np.ndarray, e: np.ndarray) -> np.ndarray:
     return a
 
 
+def _twin_kept(p: np.ndarray) -> np.ndarray:
+    """Bool mask (N, 2^m) of the subs kept for each parent of a bool stack (N, m, m).
+
+    Sub e is dropped if the parent has twins i < j, N(i) - {j} = N(j) - {i}, with bit j of e set
+    and bit i clear.  Swapping the twins fixes the parent and clears bit j for bit i, so the
+    extension is isomorphic to the one by a smaller sub, which comes first: no class loses its
+    first-met extension.
+    """
+    m = p.shape[-1]
+    iu, ju = np.triu_indices(m, 1)
+    pair = np.arange(len(iu))
+    same = p[:, iu] == p[:, ju]  # (N, pairs, m): rows i and j agree at each vertex
+    same[:, pair, iu] = same[:, pair, ju] = True  # but for vertices i and j
+    twins = same.all(axis=2)
+    bits = (np.arange(1 << m) >> np.arange(m)[:, None] & 1).astype(bool)
+    kept = np.ones((len(p), 1 << m), dtype=bool)
+    for k in np.flatnonzero(twins.any(axis=0)):
+        kept[twins[:, k]] &= bits[iu[k]] | ~bits[ju[k]]
+    return kept
+
+
+def _first_met(prev: np.ndarray) -> np.ndarray:
+    """Of each class among the extensions of a bool stack prev (N, m, m), the code parent << m | sub
+    of the first met, parent major and sub ascending; the codes come in canonical-key order."""
+    m = prev.shape[-1]
+    step = max(1, _BLOCK >> m)  # whole parents, at most _BLOCK extensions
+    kept = np.concatenate([_twin_kept(prev[lo:lo + step]) for lo in range(0, len(prev), step)]).ravel()
+    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])))
+                           for lo in range(0, len(kept), _BLOCK)])
+    return np.flatnonzero(kept)[np.unique(keys, return_index=True)[1]]
+
+
 def _ranks(key: np.ndarray) -> np.ndarray:
     """The dense rank (B, n), as uint8, of each entry of each row of key among the distinct values of its row."""
     order = np.argsort(key, axis=1)
@@ -92,29 +133,38 @@ def _refine_colors(a: np.ndarray) -> np.ndarray:
     """The stable colour refinement (B, n), as uint8, of each graph of a bool stack (B, n, n).
 
     Colours start as degree ranks; each round ranks the vertices by colour, then sorted neighbour
-    colours, until none changes.  Vertices of one colour share a degree, so that tuple order is the
-    order of an int in base n + 1: the colour, then per vertex 0 or neighbour colour + 1, ascending.
+    colours, until none changes.  Vertices of one colour share a degree, and no colour occurs n
+    times among n - 1 neighbours.  So of two vertices of one colour, the one with the smaller sorted
+    neighbour colours has the larger neighbour colour counts read as an int in base n, colour 0 most
+    significant: a vertex is ranked by its colour times n^n minus that int.
     """
     b, n = a.shape[:2]
-    digits = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     colors = _ranks(a.sum(axis=2))
     live = np.arange(b)  # graphs whose colours changed in the last round
     while live.size:
         c = colors[live]
-        nb = a[live] * (c[:, None, :] + np.uint8(1))
-        nb.sort(axis=2)
-        new = _ranks(c.astype(np.int64) * digits[0] + np.einsum("bvj,j->bv", nb, digits))  # int64 on numpy 1.x too
+        counts = np.einsum("bvu,bu->bv", a[live], digits[c])
+        new = _ranks(c.astype(np.int64) * n ** n - counts)
         colors[live] = new
         live = live[(new != c).any(axis=1)]
     return colors
 
 
+@lru_cache(maxsize=None)
+def _run_perms(k: int) -> np.ndarray:
+    """The permutations (k!, k) of 0..k-1, as uint8, in itertools order: the identity first."""
+    return np.array(list(itertools.permutations(range(k))), dtype=np.uint8).reshape(-1, k)
+
+
 def _cell_perms(cells: tuple) -> np.ndarray:
     """The permutations (P, n) of 0..n-1 that map each run of equal entries of cells onto itself, identity first."""
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for _, run in itertools.groupby(range(len(cells)), key=cells.__getitem__):
-        q = np.array(list(itertools.permutations(run)))
+    perms, lo = np.zeros((1, 0), dtype=np.int64), 0
+    for _, run in itertools.groupby(cells):
+        k = len(list(run))
+        q = lo + _run_perms(k).astype(np.int64)  # the run holds positions lo .. lo + k - 1
         perms = np.hstack([np.repeat(perms, len(q), axis=0), np.tile(q, (len(perms), 1))])
+        lo += k
     return perms
 
 
@@ -175,11 +225,9 @@ def all_graphs(n: int) -> np.ndarray:
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_graphs(n - 1).astype(bool)
-    total = len(prev) << (n - 1)
-    keys = np.concatenate([_canonical_keys(_extend(prev, np.arange(lo, min(lo + _BLOCK, total))))
-                           for lo in range(0, total, _BLOCK)])
+    first = _first_met(prev)
     _cell_ranks.cache_clear()  # its keys have length n, so no other level reuses an entry
-    first = np.unique(keys, return_index=True)[1]
+    _run_perms.cache_clear()  # a run of n vertices has n! orders: 3.3 MB at n = 9, 440 MB at n = 11
     return _read_only(_extend(prev, first).astype(np.int64))
 
 

@@ -327,6 +327,16 @@ def test_sweep_maxdeg_clean_small():
     assert out["counterexamples"] == []
 
 
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 30 s, 460 MB)")
+def test_sweep_maxdeg_at_the_limit():
+    # criterion 9's sharp form one order past its acceptance sweep: every G on 9 vertices of maximum
+    # degree below s keeps E_s joined with G S-Roth; the family sizes are counts of all_graphs(9)
+    assert rothlab.census.MAXDEG_EXHAUSTIVE_T == 9
+    for s, size in ((6, 84245), (7, 197867), (8, 262322)):
+        out = conjecture_sweep("maxdeg", [s], [9])
+        assert (out["pairs"], out["checked"], out["counterexamples"]) == ([(s, 9)], size, [])
+
+
 def test_sweep_skips_degenerate_pairs():
     # t <= s pairs are skipped entirely
     out = conjecture_sweep("maxdeg", [6, 7], [6, 7])
@@ -351,10 +361,10 @@ def test_sweep_refuses_ranges_with_no_pair(monkeypatch, capsys):
 def test_sweep_refuses_orders_above_its_limits(monkeypatch):
     # sweeps are exhaustive only: a t above the limit is refused before any
     # family is enumerated, also when the range starts below the limit
-    assert (rothlab.census.MAXDEG_EXHAUSTIVE_T, rothlab.census.TREE_EXHAUSTIVE_T) == (8, 12)
+    assert (rothlab.census.MAXDEG_EXHAUSTIVE_T, rothlab.census.TREE_EXHAUSTIVE_T) == (9, 12)
     enumerated = []
     monkeypatch.setattr(rothlab.census, "_family", lambda *args: enumerated.append(args))
-    for kind, t in (("maxdeg", 9), ("tree", 13)):
+    for kind, t in (("maxdeg", 10), ("tree", 13)):
         for t_range in ([t], range(7, t + 1)):
             with pytest.raises(ValueError, match=f"exhaustive only up to t = {t - 1}"):
                 conjecture_sweep(kind, [6], t_range)

@@ -198,7 +198,7 @@ def test_conjecture_refuses_an_order_past_its_limit(tmp_path, capsys):
         capsys, "conjecture", "--kind", "maxdeg", "--s-range", "4",
         "--t-range", "60", "--relax", "--out", str(art),
     )
-    assert code == 1 and out == "" and "exhaustive only up to t = 8" in err
+    assert code == 1 and out == "" and "exhaustive only up to t = 9" in err
     assert json.loads(art.read_text()) == ["keep"]
 
 

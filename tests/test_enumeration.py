@@ -192,12 +192,32 @@ def test_all_graphs_counts():
 
 
 def test_cell_ranks_cleared_after_each_level():
-    # a level's cell-rank tables are keyed by colour tuples of its own length
+    # a level's cell-rank tables are keyed by colour tuples of its own length, and a run of n cell
+    # orders has n! rows
     all_graphs.__wrapped__(6)
     assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
+    assert rothlab.enumeration._run_perms.cache_info().currsize == 0
 
 
-@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 30 s, 360 MB)")
+def test_twin_pruning_keeps_every_first_met_extension():
+    # all_graphs keys only the extensions that no twin swap of the parent maps to an earlier one:
+    # keying every extension and keying the kept ones must give the same classes, met first by the
+    # same codes, so the labelled output is that of keying them all
+    for n in range(2, 8):
+        prev = all_graphs(n - 1).astype(bool)
+        every = np.arange(len(prev) << (n - 1))
+        kept = every[rothlab.enumeration._twin_kept(prev).ravel()]
+        assert n < 3 or len(kept) < len(every), n
+        firsts = []
+        for codes in (every, kept):
+            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes)),
+                                    return_index=True)
+            firsts.append((keys.tolist(), codes[first].tolist()))
+        assert firsts[0] == firsts[1], n
+        assert rothlab.enumeration._first_met(prev).tolist() == firsts[0][1], n
+
+
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 15 s, 290 MB)")
 def test_all_graphs_nine():
     # the known count (OEIS A000088); the digest, of the graph6 lines joined by
     # newlines, pins the labelled output and its order as the n <= 8 digests do
