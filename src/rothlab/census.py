@@ -1,21 +1,24 @@
 """Scaffold census over connected bipartite graphs, and conjecture sweeps.
 
 The census enumerates every connected bipartite scaffold with parts (t, s)
-up to isomorphism and decides each against a fixed graph G on the t-side:
-the scaffolds are stacked into arrays and analysis.decide_stack runs the
-verdict oracle, the certificates and the matrix-class checks on a whole
-block at once.  It aggregates the flag counts.  Every file is written whole
-or not at all: the scaffold stream is cached as graph6, and the detail CSV
-and the summary are moved into place once complete.  The manifest is
-written last, so it sits beside a detail CSV and a summary only when the
-run it describes wrote both.
+up to isomorphism and decides each against a fixed graph G on the t-side.
+The scaffolds travel as packed column codes, one byte per column, from the
+enumerator or the graph6 cache to the files; a block of them becomes an
+int64 stack only while analysis.decide_stack runs the verdict oracle, the
+certificates and the matrix-class checks on it.  It aggregates the flag
+counts.  Every file is written whole or not at all: the scaffold stream is
+cached as graph6, and the detail CSV and the summary are moved into place
+once complete.  The manifest is written last, so it sits beside a detail
+CSV and a summary only when the run it describes wrote both.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
@@ -26,13 +29,14 @@ import numpy as np
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
-from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
+from .enumeration import _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
 from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, _connected_mask, block_adjacency,
                      complete_graph, decode_graph6, encode_graph6, instance_to_json)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
 CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the thread pool
+_CODEC_CHUNK = 1 << 13  # scaffolds per graph6 codec call and connectivity check of the scaffold stream
 
 
 @dataclass(frozen=True)
@@ -76,36 +80,63 @@ def _cache_path(t: int, s: int, out_dir: str) -> str:
     return os.path.join(out_dir, f"bipartite_t{t}_s{s}.g6")
 
 
-def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
-    """(scaffold stack (N, t, s), their graph6 texts), from the graph6 cache if present, else enumerated and cached.
+def _cached_codes(texts: list, t: int, s: int) -> np.ndarray:
+    """The packed codes (N, max(t, s)) of graph6 cache lines, each checked to encode a connected scaffold
+    [[0, K], [K^T, 0]] on t + s vertices."""
+    b = decode_graph6(texts)
+    if texts and b.shape[-1] != t + s:
+        raise ValueError(f"cached scaffold has {b.shape[-1]} vertices, expected {t + s}")
+    b = b.reshape(-1, t + s, t + s)
+    if b[:, :t, :t].any() or b[:, t:, t:].any():
+        raise ValueError("cached scaffold is not bipartite with the expected parts")
+    if not _connected_mask(b[:, :t, t:]).all():
+        raise ValueError("cached scaffold is not connected")
+    return _pack_codes(b[:, :t, t:])
 
-    Every cache line must encode a connected scaffold [[0, K], [K^T, 0]] on t + s vertices.
+
+def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
+    """(packed codes (N, max(t, s)) of the scaffolds, their graph6 texts), from the graph6 cache if present, else
+    enumerated and cached.
+
+    Both ways run one codec call per _CODEC_CHUNK scaffolds, so no (N, t, s) stack is built.  A cache is
+    read and checked whole before anything is returned.
     """
     path = _cache_path(t, s, out_dir)
     if os.path.exists(path):
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
-        b = decode_graph6(texts)
-        if texts and b.shape[-1] != t + s:
-            raise ValueError(f"cached scaffold has {b.shape[-1]} vertices, expected {t + s}")
-        b = b.reshape(-1, t + s, t + s)
-        if b[:, :t, :t].any() or b[:, t:, t:].any():
-            raise ValueError("cached scaffold is not bipartite with the expected parts")
-        if not _connected_mask(b[:, :t, t:]).all():
-            raise ValueError("cached scaffold is not connected")
-        return b[:, :t, t:].astype(np.int64), texts
-    ks = enumerate_connected_bipartite(t, s, allow_long=allow_long)
-    # bool, not int64: the encode's temporary is 8x smaller
-    texts = encode_graph6(block_adjacency(0, ks.astype(bool)))
+        # an empty cache is one empty chunk, of zero codes
+        chunks = [texts[lo:lo + _CODEC_CHUNK] for lo in range(0, len(texts) or 1, _CODEC_CHUNK)]
+        return np.concatenate([_cached_codes(chunk, t, s) for chunk in chunks]), texts
+    codes = scaffold_codes(t, s, allow_long=allow_long)
+    texts = []
+    for lo in range(0, len(codes), _CODEC_CHUNK):
+        # bool, not int64: the encode's temporary is 8x smaller
+        texts += encode_graph6(block_adjacency(0, _unpack_codes(codes[lo:lo + _CODEC_CHUNK], t, s)))
     os.makedirs(out_dir, exist_ok=True)
     # a cache that exists is trusted, so it appears only once complete
     _write_atomic(path, lambda fh: fh.writelines(text + "\n" for text in texts))
-    return ks, texts
+    return codes, texts
 
 
 def load_scaffolds(t: int, s: int, out_dir: str, allow_long: bool = False) -> np.ndarray:
-    """Scaffold stack (N, t, s) for (t, s), from the graph6 cache if present, else enumerated and cached."""
-    return _scaffold_stream(t, s, out_dir, allow_long)[0]
+    """Scaffold stack (N, t, s), int64, for (t, s), from the graph6 cache if present, else enumerated and cached.
+
+    The whole stack, as enumerate_connected_bipartite gives it; run_census never builds it.
+    """
+    return _unpack_codes(_scaffold_stream(t, s, out_dir, allow_long)[0], t, s, np.int64)
+
+
+def _in_order(pool: ThreadPoolExecutor, work, items, ahead: int):
+    """work(item) of each item, in order, run by pool with at most ahead items submitted and not yet passed on.
+
+    pool.map would submit every item at once and hold each result until it is read.
+    """
+    items = iter(items)
+    pending = deque(pool.submit(work, item) for item in itertools.islice(items, ahead))
+    while pending:
+        yield pending.popleft().result()
+        pending.extend(pool.submit(work, item) for item in itertools.islice(items, 1))
 
 
 def run_census(t: int, s: int, g=None, out_dir: str = ".",
@@ -117,8 +148,10 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     s, G as graph6, scaffold count, package version).  Each file is moved
     into place whole; an old manifest is removed before the first file is
     replaced, so an interrupted run leaves no manifest and no torn file.
-    Scaffolds are decided by decide_stack in blocks of CENSUS_BLOCK, mapped
-    over jobs threads (numpy's eigensolve releases the GIL); rows are written
+    The scaffolds are held as packed codes and graph6 texts; each block of
+    CENSUS_BLOCK is expanded to its int64 stack only as it is handed to
+    decide_stack, on jobs threads (numpy's eigensolve releases the GIL) with
+    at most 2 * jobs blocks decided ahead of the writer.  Rows are written
     in enumeration order regardless of jobs.  jobs < 1, an empty scaffold
     cache (every (t, s) has a connected scaffold) and a cache with a
     disconnected scaffold raise ValueError before anything is written.
@@ -128,24 +161,27 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     g = complete_graph(t) if g is None else _check_adjacency(g)
     if g.shape != (t, t):
         raise ValueError(f"G has shape {g.shape}, expected ({t}, {t})")
-    scaffolds, texts = _scaffold_stream(t, s, out_dir, allow_long)
-    if not len(scaffolds):
+    codes, texts = _scaffold_stream(t, s, out_dir, allow_long)
+    if not len(codes):
         raise ValueError(f"scaffold cache {_cache_path(t, s, out_dir)} is empty")
     manifest_path = os.path.join(out_dir, f"classify_t{t}_s{s}.json")
-    manifest = {"t": t, "s": s, "g": encode_graph6(g[None])[0], "scaffolds": len(scaffolds),
+    manifest = {"t": t, "s": s, "g": encode_graph6(g[None])[0], "scaffolds": len(codes),
                 "version": __version__}
-    blocks = [scaffolds[i:i + CENSUS_BLOCK] for i in range(0, len(scaffolds), CENSUS_BLOCK)]
+    starts = range(0, len(codes), CENSUS_BLOCK)
     counts = dict.fromkeys(DETAIL_COLUMNS[3:], 0)
 
     def write_detail(fh):
         writer = csv.writer(fh)
         writer.writerow(DETAIL_COLUMNS)
         work = partial(_census_rows, g)
+        # each block's int64 stack is made here as the block is submitted: made in the worker threads, it
+        # cost their malloc arenas page faults, and a fresh two-thread (4, 7) census about 10 % more time
+        blocks = (_unpack_codes(codes[lo:lo + CENSUS_BLOCK], t, s, np.int64) for lo in starts)
         # one block, or jobs == 1, stays in this thread: a worker thread would add its own malloc arena
-        pool = ThreadPoolExecutor(jobs) if jobs > 1 and len(blocks) > 1 else None
+        pool = ThreadPoolExecutor(jobs) if jobs > 1 and len(starts) > 1 else None
         try:
-            columns = pool.map(work, blocks) if pool else map(work, blocks)
-            for lo, cols in zip(range(0, len(scaffolds), CENSUS_BLOCK), columns):
+            columns = _in_order(pool, work, blocks, 2 * jobs) if pool else map(work, blocks)
+            for lo, cols in zip(starts, columns):
                 writer.writerows(zip(texts[lo:lo + CENSUS_BLOCK], *cols))
                 for k, flags in zip(counts, cols[2:]):  # cols starts at mu: its flag columns follow multiplicity
                     counts[k] += flags.count("1")
@@ -156,7 +192,7 @@ def run_census(t: int, s: int, g=None, out_dir: str = ".",
     with suppress(FileNotFoundError):
         os.remove(manifest_path)
     _write_atomic(os.path.join(out_dir, f"classify_t{t}_s{s}.csv"), write_detail)
-    row = CensusRow(s=s, t=t, total=len(scaffolds), **{f"n_{k}": n for k, n in counts.items()})
+    row = CensusRow(s=s, t=t, total=len(codes), **{f"n_{k}": n for k, n in counts.items()})
 
     def write_summary(fh):
         writer = csv.writer(fh)
@@ -242,6 +278,7 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
         counterexamples += ({"kind": kind, "s": s, "t": t, "g_graph6": text, "mu": mu, "reason": reason,
                              "instance": instance_to_json(CompositeInstance(a, complete, tuple(range(t + s))))}
                             for a, text, mu, reason in _failures(family, complete))
+        del family  # or it would live on while _family builds the next one: 170 MB at t = 9
     return {"kind": kind, "pairs": pairs, "checked": checked,
             "counterexamples": counterexamples}
 

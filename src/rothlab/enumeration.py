@@ -6,7 +6,10 @@ least among its sorted images under the row permutations.  Orderly generation
 (Read 1978; McKay 1998) appends columns c >= the last to canonical tuples only:
 a prefix X' of a canonical X is canonical, since the r-th entry of sorted p(X)
 is at most that of sorted p(X').  Tuples come out in lexicographic order, and
-only full tuples are tested for connectivity.
+only full tuples are tested for connectivity, on bool expansions in fixed
+chunks.  scaffold_codes returns the connected tuples themselves, one byte per
+column, which the census carries to its files; enumerate_connected_bipartite
+expands them into an int64 stack (N, t, s), eight bytes per entry.
 
 Graphs on n vertices are the extensions of all_graphs(n - 1) by a vertex joined
 to a subset (sub) of the old ones, one per class: the first met, parent major
@@ -29,6 +32,7 @@ from .graphs import _connected_mask
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000  # candidate tuples tested at once
+_CONNECT_CHUNK = 1 << 13  # canonical tuples expanded at once for the connectivity test
 
 
 def _canonical_codes(m: int, cols: int) -> np.ndarray:
@@ -53,11 +57,12 @@ def _canonical_codes(m: int, cols: int) -> np.ndarray:
     return level
 
 
-def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
-    """A stack (N, t, s) of int64 biadjacencies, one per isomorphism class of connected bipartite graphs.
+def scaffold_codes(t: int, s: int, allow_long: bool = False) -> np.ndarray:
+    """The packed codes (N, max(t, s)), uint8, of the connected bipartite graphs with parts (t, s), one per class.
 
-    Classes are taken under independent permutations of the two parts; parts
-    never swap.  Matrices arrive in ascending canonical order.  t*s above
+    A code lists the columns of the biadjacency over the smaller part as bitmasks, bit i for its row i:
+    the columns of the t x s matrix for t <= s, its rows otherwise.  Classes are taken under independent
+    permutations of the two parts; parts never swap.  Codes arrive in ascending canonical order.  t*s above
     EXHAUSTIVE_LIMIT raises unless allow_long is set, and above 63 always.
     """
     if t < 1 or s < 1:
@@ -66,10 +71,35 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False):
         raise ValueError(f"t*s = {t*s} exceeds 63: packed column codes would overflow int64")
     if t * s > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
-    m, cols, transpose = (t, s, False) if t <= s else (s, t, True)
-    k = _canonical_codes(m, cols)[:, None, :] >> np.arange(m)[:, None] & 1  # bit i of a column code is row i
-    k = k[_connected_mask(k)]
-    return np.swapaxes(k, -1, -2) if transpose else k
+    m, cols = min(t, s), max(t, s)
+    codes = _canonical_codes(m, cols)
+    chunks = np.split(codes, range(_CONNECT_CHUNK, len(codes), _CONNECT_CHUNK))
+    return codes[np.concatenate([_connected_mask(_unpack_codes(c, m, cols)) for c in chunks])]
+
+
+def _unpack_codes(codes: np.ndarray, t: int, s: int, dtype=bool) -> np.ndarray:
+    """The biadjacency stack (N, t, s), of dtype, of packed codes (N, max(t, s)).
+
+    Bit i of a code is row i of the smaller part; the result is a view with swapped axes for t > s.
+    """
+    k = (codes[:, None, :] >> np.arange(min(t, s), dtype=codes.dtype)[:, None] & 1).astype(dtype)
+    return k if t <= s else np.swapaxes(k, -1, -2)
+
+
+def _pack_codes(k: np.ndarray) -> np.ndarray:
+    """The packed codes (N, max(t, s)) of a 0/1 stack (N, t, s), which _unpack_codes turns back into it."""
+    t, s = k.shape[-2:]
+    k = k if t <= s else np.swapaxes(k, -1, -2)
+    dtype = np.min_scalar_type((1 << min(t, s)) - 1)
+    return (k.astype(dtype) << np.arange(min(t, s), dtype=dtype)[:, None]).sum(axis=-2, dtype=dtype)
+
+
+def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False) -> np.ndarray:
+    """A stack (N, t, s) of int64 biadjacencies, one per isomorphism class of connected bipartite graphs.
+
+    The expansion of scaffold_codes(t, s, allow_long), in its order and under its limits.
+    """
+    return _unpack_codes(scaffold_codes(t, s, allow_long), t, s, np.int64)
 
 
 # all graphs on n vertices up to isomorphism, by vertex augmentation: the extensions

@@ -5,6 +5,8 @@ import itertools
 import json
 import os
 import shutil
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -244,6 +246,76 @@ def test_census_interrupt_in_the_writer_cancels_the_queued_blocks(tmp_path, monk
     assert os.listdir(tmp_path) == ["bipartite_t4_s7.g6"]
 
 
+@pytest.mark.parametrize("t, s", [(4, 5), (5, 4)])
+def test_cold_and_cached_censuses_write_identical_files(tmp_path, t, s):
+    # the scaffolds reach the files as packed codes, enumerated or decoded from the cache, over either
+    # orientation of the parts: every file is the same byte for byte, at one thread or two
+    files = {}
+    for jobs in (1, 2):
+        cold, cached = tmp_path / f"cold{jobs}", tmp_path / f"cached{jobs}"
+        run_census(t, s, out_dir=str(cold), jobs=jobs)
+        cached.mkdir()
+        shutil.copy(cold / f"bipartite_t{t}_s{s}.g6", cached)
+        run_census(t, s, out_dir=str(cached), jobs=jobs)
+        for out in (cold, cached):
+            files[out.name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files["cold1"]) == 4
+    assert all(got == files["cold1"] for got in files.values())
+    assert load_scaffolds(t, s, str(tmp_path / "cold1")).shape == (558, t, s)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_census_decides_at_most_two_blocks_per_thread_ahead_of_the_writer(tmp_path, monkeypatch, jobs):
+    # (4, 5) in 35 blocks of 16, whose edges miss those of the 100-scaffold codec chunks: each block is
+    # decided once, at most 2 * jobs ahead of the writer, and the files are those of the usual blocks
+    run_census(4, 5, out_dir=str(tmp_path / "usual"), jobs=jobs)
+    monkeypatch.setattr(rothlab.census, "CENSUS_BLOCK", 16)
+    monkeypatch.setattr(rothlab.census, "_CODEC_CHUNK", 100)
+    written, ahead = [], []
+
+    def counted(*args):
+        ahead.append(next(calls) + 1 - len(written))
+        return decide_stack(*args)
+
+    writer = csv.writer
+
+    class Counted:
+        def __init__(self, fh):
+            self.writer = writer(fh)
+
+        def writerow(self, row):
+            self.writer.writerow(row)
+
+        def writerows(self, rows):
+            self.writer.writerows(rows)
+            written.append(1)
+
+    monkeypatch.setattr(rothlab.census, "decide_stack", counted)
+    monkeypatch.setattr(rothlab.census.csv, "writer", Counted)
+    for _ in ("enumerated", "from the cache the first run wrote"):
+        calls = itertools.count()  # next() is atomic, so two threads never draw the same number
+        written.clear()
+        ahead.clear()
+        run_census(4, 5, out_dir=str(tmp_path / "small"), jobs=jobs)
+        assert len(ahead) == -(-558 // 16) == 35
+        assert 1 <= max(ahead) <= 2 * jobs
+        assert {p.name: p.read_bytes() for p in (tmp_path / "small").iterdir()} == {
+            p.name: p.read_bytes() for p in (tmp_path / "usual").iterdir()}
+
+
+def test_census_holds_no_whole_scaffold_stack(tmp_path):
+    # the (4, 9) census from an empty directory: traced Python and numpy allocations peak below the
+    # int64 (N, t, s) stack of its 36677 scaffolds, 10.6 MB, which the census never builds
+    tracemalloc.start()
+    try:
+        row = run_census(4, 9, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row.total == 36677
+    assert peak < 36677 * 4 * 9 * 8
+
+
 def test_write_atomic_reports_a_failed_open(tmp_path, monkeypatch):
     # the error of open itself propagates, with no second error chained over it and no temp file left
     def refuse(*args, **kwargs):
@@ -335,6 +407,22 @@ def test_sweep_maxdeg_at_the_limit():
     for s, size in ((6, 84245), (7, 197867), (8, 262322)):
         out = conjecture_sweep("maxdeg", [s], [9])
         assert (out["pairs"], out["checked"], out["counterexamples"]) == ([(s, 9)], size, [])
+
+
+def test_sweep_releases_each_family_before_building_the_next(monkeypatch):
+    # a family can hold most of all_graphs(t): two at once would double the sweep's peak memory
+    family, alive = rothlab.census._family, []
+
+    def tracked(*args):
+        alive.append([ref() is not None for ref in refs])
+        a = family(*args)
+        refs.append(weakref.ref(a))
+        return a
+
+    refs = []
+    monkeypatch.setattr(rothlab.census, "_family", tracked)
+    assert conjecture_sweep("tree", [6], [7, 8, 9])["pairs"] == [(6, 7), (6, 8), (6, 9)]
+    assert alive == [[], [False], [False, False]]
 
 
 def test_sweep_skips_degenerate_pairs():

@@ -12,9 +12,12 @@ import pytest
 
 import rothlab.enumeration
 from rothlab.enumeration import (
+    _pack_codes,
+    _unpack_codes,
     all_graphs,
     all_trees,
     enumerate_connected_bipartite,
+    scaffold_codes,
 )
 from rothlab.graphs import Graph, _component, encode_graph6
 
@@ -61,6 +64,22 @@ def test_packed_code_limit(monkeypatch):
     for shape in ((8, 8), (64, 1), (7, 10)):
         with pytest.raises(ValueError, match="overflow int64"):
             enumerate_connected_bipartite(*shape, allow_long=True)
+
+
+def test_packed_codes_round_trip():
+    # the census packs the scaffolds of its cache and unpacks each block it decides: in both
+    # orientations, one byte per column of the smaller part, and lossless on any 0/1 stack
+    rng = np.random.default_rng(29)
+    for t, s in ((4, 7), (7, 4), (1, 5), (5, 1), (7, 7)):
+        k = rng.integers(0, 2, size=(50, t, s))
+        codes = _pack_codes(k)
+        assert codes.shape == (50, max(t, s)) and codes.dtype == np.uint8
+        assert np.array_equal(_unpack_codes(codes, t, s, np.int64), k)
+        assert np.array_equal(_unpack_codes(codes, t, s), k != 0)
+    for t, s in ((4, 5), (5, 4)):
+        codes = scaffold_codes(t, s)
+        assert codes.shape == (558, 5) and codes.dtype == np.uint8
+        assert np.array_equal(_pack_codes(enumerate_connected_bipartite(t, s)), codes)
 
 
 def _brute_force_count(t: int, s: int) -> int:
