@@ -7,8 +7,9 @@ spectrum; the remaining operations are certificates: the Schur complement
 Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, join
 decomposition criteria at the mu = t-s boundary, and the reduced matrix R_mu
 whose inverse row sums characterize S-Rothness for complete scaffolds.  Q_mu
-is formed only to read its classes: the bare array and the exact harmonic sum
-of a witness pair are proof tools, kept with the tests in tests/paper_tools.py.
+is formed only to read its classes, from the blocks of the Q(H) stack whose
+eigensolve gave the verdicts: the bare array and the exact harmonic sum of a
+witness pair are proof tools, kept with the tests in tests/paper_tools.py.
 
 The oracle, the Q_mu classes and the scaffold certificates run on stacks of
 same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack
@@ -18,10 +19,10 @@ decide_instance are their one-instance case, row [0] of the same record.
 Exact and floating-point decisions: when mu lies within INTEGER_TOL of an
 integer c and Q(H) - cI is singular, the verdict and the Q_mu classes at it
 are re-derived exactly, at every t, from the rational kernel and the integer
-L*Q_mu (see _exact_classes).  Every other verdict is a
-floating-point decision: a ZeroEntry or MultipleEigenvalue at an irrational
-mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  The certificates are
-integer arithmetic on A_G and K, so exact.
+L*Q_mu read off the integer Q(H) (see _exact_classes).  Every other verdict
+is a floating-point decision: a ZeroEntry or MultipleEigenvalue at an
+irrational mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  The
+certificates are integer arithmetic on A_G and K, so exact.
 """
 
 from __future__ import annotations
@@ -60,10 +61,12 @@ class Decisions:
     1-D eigenvector, a witness pair of two ints, a kernel that is a list or
     None and a boundary that is a tuple or None; an index array selects a
     smaller stack.  oracle_stack fills the verdict; the Q_mu classes and the
-    scaffold certificates are decide_stack's, and None otherwise.  N_ij is
-    the set of S-vertices adjacent to both T-vertices i and j, and d_B(k)
-    the scaffold degree of the S-vertex k.  Each certificate reads A_G and K
-    only, never the verdict, and when it holds implies that H is S-Roth.
+    scaffold certificates are decide_stack's, and None otherwise.  z_matrix
+    is also the M-matrix class, which the census and analyze report as
+    m_matrix.  N_ij is the set of S-vertices adjacent to both T-vertices i
+    and j, and d_B(k) the scaffold degree of the S-vertex k.  Each
+    certificate reads A_G and K only, never the verdict, and when it holds
+    implies that H is S-Roth.
     """
 
     mu: np.ndarray  # float; the integer c where a rational kernel settled the verdict
@@ -74,8 +77,7 @@ class Decisions:
     kernel: np.ndarray  # object: rational basis of ker(Q(H) - mu I) on the exact path (all classes exact), else None
     # the Q_mu classes at mu, all False where classes is False
     classes: np.ndarray | None = None  # bool: 0 < mu < min(D2), so Q_mu is formed and positive definite
-    z_matrix: np.ndarray | None = None
-    m_matrix: np.ndarray | None = None  # z_matrix itself: a positive definite Z-matrix is an M-matrix
+    z_matrix: np.ndarray | None = None  # and so an M-matrix: Q_mu is positive definite wherever classes holds
     inverse_positive: np.ndarray | None = None
     minpositive: np.ndarray | None = None
     # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
@@ -127,8 +129,10 @@ def _stacks(a_g, ks) -> tuple:
             np.broadcast_to(ks, lead + (t, s)).reshape(-1, t, s), lead)
 
 
-def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> Decisions:
-    """The verdicts of the stacks (N, t, t), (N, t, s); Q(H) keeps the leading shape lead in its eigensolve."""
+def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> tuple:
+    """(the verdicts, the float Q(H) stack (N, n, n) that later steps read off) of the stacks (N, t, t), (N, t, s).
+
+    Q(H) keeps the leading shape lead in its eigensolve."""
     t = k.shape[-2]
     q = signless_laplacian(block_adjacency(a, k))
     n = q.shape[-1]
@@ -157,7 +161,7 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> Decisions:
     reason = np.where(multiple, REASON_MULTIPLE, np.where(
         zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
     eigenvector = np.where(multiple[:, None], raw, x)
-    return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel)
+    return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel), q
 
 
 def oracle_stack(a_g, ks) -> Decisions:
@@ -179,7 +183,7 @@ def oracle_stack(a_g, ks) -> Decisions:
     read with no tolerance; only those rows are solved one at a time.  Their mu is
     then c and their kernel is kept for the Q_mu classes; elsewhere kernel is None.
     """
-    return _oracle(*_stacks(a_g, ks))
+    return _oracle(*_stacks(a_g, ks))[0]
 
 
 def s_roth_oracle(inst: CompositeInstance) -> Decisions:
@@ -191,44 +195,39 @@ def is_complete_scaffold(inst: CompositeInstance) -> bool:
     return bool(np.all(inst.K == 1))
 
 
-def _q_mu(a: np.ndarray, k: np.ndarray, mu) -> np.ndarray:
-    """Q_mu = Q(G) + D1 + K (mu I - D2)^{-1} K^T for each (A_G, K, mu) of a stack."""
-    t = k.shape[-2]
-    kf = k.astype(float)
-    base = a.astype(float)
-    i = np.arange(t)
-    base[..., i, i] = a.sum(axis=-1) + kf.sum(axis=-1)
-    weights = 1.0 / (np.asarray(mu, dtype=float)[..., None] - kf.sum(axis=-2))
-    return base + (kf * weights[..., None, :]) @ np.swapaxes(kf, -1, -2)
+def _q_mu(q: np.ndarray, t: int, mu) -> np.ndarray:
+    """Q_mu = Q[:t, :t] + K (mu I - D2)^{-1} K^T for each Q(H) = [[Q(G) + D1, K], [K^T, D2]] and mu of a stack."""
+    k = q[..., :t, t:]
+    weights = 1.0 / (np.asarray(mu, dtype=float)[..., None] - np.diagonal(q[..., t:, t:], axis1=-2, axis2=-1))
+    return q[..., :t, :t] + (k * weights[..., None, :]) @ np.swapaxes(k, -1, -2)
 
 
-def _exact_q_mu(a: np.ndarray, k: np.ndarray, c: int) -> np.ndarray:
-    """The integer L*Q_mu = L*(Q(G) + D1) - K diag(L/(d_B(k) - c)) K^T at mu = c < min(D2).
+def _exact_q_mu(q: np.ndarray, t: int, c: int) -> np.ndarray:
+    """The integer L*Q_mu = L*Q[:t, :t] - K diag(L/(D2 - c)) K^T of an integer Q(H) at mu = c < min(D2).
 
     L = lcm(d_B(k) - c) > 0.  int64, or Python ints when L*(largest entry of Q(G) + D1, plus s) passes int64.
     """
-    qg = np.rint(a).astype(np.int64) + np.diag(np.rint(a.sum(axis=1)).astype(np.int64) + k.sum(axis=1))
-    gaps = k.sum(axis=0).astype(np.int64) - c
+    qg, k = q[:t, :t], q[:t, t:]
+    gaps = np.diagonal(q)[t:] - c
     lcm = math.lcm(*set(gaps.tolist()))  # not np.unique, as in _certificates
     big = lcm * (int(qg.max()) + k.shape[1]) > np.iinfo(np.int64).max
     qg, k, gaps = (x.astype(object if big else np.int64) for x in (qg, k, gaps))
     return lcm * qg - (k * (lcm // gaps)) @ k.T
 
 
-def _exact_classes(a: np.ndarray, k: np.ndarray, c: int) -> tuple:
-    """(z_matrix, inverse_positive) of Q_mu at mu = c, exactly at every t, from the integer L*Q_mu.
+def _exact_classes(q: np.ndarray, t: int, c: int) -> tuple:
+    """(z_matrix, inverse_positive) of Q_mu at mu = c, exactly at every t, from the integer L*Q_mu of an integer Q(H).
 
     L > 0, so L*Q_mu has the off-diagonal signs of Q_mu, and (L*Q_mu)^{-1} = Q_mu^{-1}/L those of Q_mu^{-1}.
     """
-    t = k.shape[0]
-    mq = _exact_q_mu(a, k, c)
+    mq = _exact_q_mu(q, t, c)
     off = (mq != 0) & ~np.eye(t, dtype=bool)
     # a disconnected off-diagonal pattern makes L*Q_mu block diagonal, and so its inverse, with exact zeros
     return bool(np.all(mq[off] < 0)), is_connected(off) and has_positive_inverse(mq)
 
 
-def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
-    """(z_matrix, inverse_positive, minpositive) of a stack of Q_mu, each at its verdict's mu, 0 < mu < min(D2).
+def _classify(q: np.ndarray, t: int, d: Decisions) -> np.ndarray:
+    """(z_matrix, inverse_positive, minpositive) of Q_mu off a Q(H) stack, each at its verdict's mu, 0 < mu < min(D2).
 
     A (3, N) bool array.  No eigensolve: for mu < min(D2), Haynsworth inertia
     makes mu the smallest eigenvalue of Q_mu, with the verdict's multiplicity
@@ -240,8 +239,7 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     kernel, so borderline zero entries and signs are decided exactly at
     every t (see _exact_classes); only those rows are classified one at a time.
     """
-    q_mu = _q_mu(a, k, d.mu)
-    t = q_mu.shape[-1]
+    q_mu = _q_mu(q, t, d.mu)
     z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
     inv = np.linalg.inv(q_mu)
     inverse_positive = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
@@ -253,7 +251,7 @@ def _classify(a: np.ndarray, k: np.ndarray, d: Decisions) -> np.ndarray:
     flags = np.array([z_matrix, inverse_positive, minpositive])
     # the exact path sets mu to the integer c
     for i in np.flatnonzero(exact):
-        flags[:2, i] = _exact_classes(a[i], k[i], int(d.mu[i]))
+        flags[:2, i] = _exact_classes(q[i].astype(np.int64), t, int(d.mu[i]))
     return flags
 
 
@@ -336,20 +334,19 @@ def decide_stack(a_g, ks) -> Decisions:
     the CLI report share; each runs once per stack: one stacked eigensolve
     for the verdicts, one stacked Q_mu and inverse for the classes on the
     rows 0 < mu < min(D2), integer array operations for the certificates,
-    and the Q_mu classes reuse each verdict's exact kernel.  m_matrix is the
-    z_matrix column.  join_decomposition runs only on rows at the boundary
-    delta(G) = t-s of a complete scaffold with t > s.
+    and the Q_mu classes reuse each verdict's exact kernel and read Q_mu off
+    the verdicts' Q(H).  join_decomposition runs only on rows at the
+    boundary delta(G) = t-s of a complete scaffold with t > s.
     """
     a, k, lead = _stacks(a_g, ks)
-    d = _oracle(a, k, lead)
-    # Q_mu exists for mu < min(D2) and is singular at mu = 0, which the exact path sets exactly where H is bipartite
-    d.classes = (d.mu > 0) & (d.mu < k.sum(axis=1).min(axis=1))
-    flags = np.zeros((3, len(d)), dtype=bool)
-    flags[:, d.classes] = _classify(a[d.classes], k[d.classes], d[d.classes])
-    d.z_matrix, d.inverse_positive, d.minpositive = flags
-    d.m_matrix = d.z_matrix  # Q_mu is positive definite wherever classes holds
-    d.harmcond, d.witness, d.gc = _certificates(a, k)
+    d, q = _oracle(a, k, lead)
     t, s = k.shape[-2:]
+    # Q_mu exists for mu < min(D2) and is singular at mu = 0, which the exact path sets exactly where H is bipartite
+    d.classes = (d.mu > 0) & (d.mu < np.diagonal(q[:, t:, t:], axis1=1, axis2=2).min(axis=1))
+    flags = np.zeros((3, len(d)), dtype=bool)
+    flags[:, d.classes] = _classify(q[d.classes], t, d[d.classes])
+    d.z_matrix, d.inverse_positive, d.minpositive = flags
+    d.harmcond, d.witness, d.gc = _certificates(a, k)
     d.bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
     complete = np.all(k == 1, axis=(-2, -1))
     d.st = complete & (s >= t)

@@ -29,14 +29,13 @@ import numpy as np
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
-from .enumeration import _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
+from .enumeration import _SCAFFOLD_CHUNK, _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
 from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, _connected_mask, block_adjacency,
                      complete_graph, decode_graph6, encode_graph6, instance_to_json)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
 CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the thread pool
-_CODEC_CHUNK = 1 << 13  # scaffolds per graph6 codec call and connectivity check of the scaffold stream
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ def _census_rows(a_g: np.ndarray, ks: np.ndarray) -> list:
     """
     d = decide_stack(a_g, ks)
     s_roth, harmcond, m_matrix, inv_positive = (
-        np.where(f, "1", "0") for f in (d.is_s_roth, d.harmcond, d.m_matrix, d.inverse_positive))
+        np.where(f, "1", "0") for f in (d.is_s_roth, d.harmcond, d.z_matrix, d.inverse_positive))
     columns = (d.multiplicity.astype(str), s_roth, harmcond,
                np.where(d.classes, m_matrix, ""), np.where(d.classes, inv_positive, ""))
     return [["%.17g" % mu for mu in d.mu.tolist()]] + [c.tolist() for c in columns]  # np.char would import numpy.char
@@ -98,7 +97,7 @@ def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
     """(packed codes (N, max(t, s)) of the scaffolds, their graph6 texts), from the graph6 cache if present, else
     enumerated and cached.
 
-    Both ways run one codec call per _CODEC_CHUNK scaffolds, so no (N, t, s) stack is built.  A cache is
+    Both ways run one codec call per _SCAFFOLD_CHUNK scaffolds, so no (N, t, s) stack is built.  A cache is
     read and checked whole before anything is returned.
     """
     path = _cache_path(t, s, out_dir)
@@ -106,13 +105,13 @@ def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:
         with open(path) as fh:
             texts = [line.strip() for line in fh if line.strip()]
         # an empty cache is one empty chunk, of zero codes
-        chunks = [texts[lo:lo + _CODEC_CHUNK] for lo in range(0, len(texts) or 1, _CODEC_CHUNK)]
+        chunks = [texts[lo:lo + _SCAFFOLD_CHUNK] for lo in range(0, len(texts) or 1, _SCAFFOLD_CHUNK)]
         return np.concatenate([_cached_codes(chunk, t, s) for chunk in chunks]), texts
     codes = scaffold_codes(t, s, allow_long=allow_long)
     texts = []
-    for lo in range(0, len(codes), _CODEC_CHUNK):
+    for lo in range(0, len(codes), _SCAFFOLD_CHUNK):
         # bool, not int64: the encode's temporary is 8x smaller
-        texts += encode_graph6(block_adjacency(0, _unpack_codes(codes[lo:lo + _CODEC_CHUNK], t, s)))
+        texts += encode_graph6(block_adjacency(0, _unpack_codes(codes[lo:lo + _SCAFFOLD_CHUNK], t, s)))
     os.makedirs(out_dir, exist_ok=True)
     # a cache that exists is trusted, so it appears only once complete
     _write_atomic(path, lambda fh: fh.writelines(text + "\n" for text in texts))

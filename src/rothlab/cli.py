@@ -45,7 +45,7 @@ def cmd_analyze(args) -> int:
         inst = graphs.instance_from_graph(g, _parse_vertex_list(args.s_vertices))
 
     d = analysis.decide_instance(inst)
-    matrix_classes = {"z": d.z_matrix, "m_matrix": d.m_matrix, "inv_positive": d.inverse_positive,
+    matrix_classes = {"z": d.z_matrix, "m_matrix": d.z_matrix, "inv_positive": d.inverse_positive,
                       "minpositive": d.minpositive} if d.classes else None
     alpha = None
     if analysis.is_complete_scaffold(inst) and d.mu < inst.t:

@@ -18,7 +18,9 @@ upper triangle over the orders within each colour cell.  An extension is not
 keyed if twins i < j of its parent (a swap of them fixes the parent) have j in
 the sub and i not: the swap maps it onto the same parent's extension by a
 smaller sub, which comes first, so every first-met extension is still keyed
-and the output is that of keying them all.
+and the output is that of keying them all.  The cell-rank tables of the keys
+live in one dict of that level's _first_met call, so none outlives its level:
+the only caches of the module are all_graphs and all_trees.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .graphs import _connected_mask
 
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
 _CHUNK = 500_000  # candidate tuples tested at once
-_CONNECT_CHUNK = 1 << 13  # canonical tuples expanded at once for the connectivity test
+_SCAFFOLD_CHUNK = 1 << 13  # scaffolds expanded to bool at once: per connectivity test here, per graph6 codec call
 
 
 def _canonical_codes(m: int, cols: int) -> np.ndarray:
@@ -73,7 +75,7 @@ def scaffold_codes(t: int, s: int, allow_long: bool = False) -> np.ndarray:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
     m, cols = min(t, s), max(t, s)
     codes = _canonical_codes(m, cols)
-    chunks = np.split(codes, range(_CONNECT_CHUNK, len(codes), _CONNECT_CHUNK))
+    chunks = np.split(codes, range(_SCAFFOLD_CHUNK, len(codes), _SCAFFOLD_CHUNK))
     return codes[np.concatenate([_connected_mask(_unpack_codes(c, m, cols)) for c in chunks])]
 
 
@@ -144,7 +146,8 @@ def _first_met(prev: np.ndarray) -> np.ndarray:
     m = prev.shape[-1]
     step = max(1, _BLOCK >> m)  # whole parents, at most _BLOCK extensions
     kept = np.concatenate([_twin_kept(prev[lo:lo + step]) for lo in range(0, len(prev), step)]).ravel()
-    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])))
+    ranks = {}  # the level's cell-rank tables, shared by its blocks and gone with it: n! rows for a one-cell row
+    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])), ranks)
                            for lo in range(0, len(kept), _BLOCK)])
     return np.flatnonzero(kept)[np.unique(keys, return_index=True)[1]]
 
@@ -181,24 +184,18 @@ def _refine_colors(a: np.ndarray) -> np.ndarray:
     return colors
 
 
-@lru_cache(maxsize=None)
-def _run_perms(k: int) -> np.ndarray:
-    """The permutations (k!, k) of 0..k-1, as uint8, in itertools order: the identity first."""
-    return np.array(list(itertools.permutations(range(k))), dtype=np.uint8).reshape(-1, k)
-
-
 def _cell_perms(cells: tuple) -> np.ndarray:
     """The permutations (P, n) of 0..n-1 that map each run of equal entries of cells onto itself, identity first."""
     perms, lo = np.zeros((1, 0), dtype=np.int64), 0
     for _, run in itertools.groupby(cells):
         k = len(list(run))
-        q = lo + _run_perms(k).astype(np.int64)  # the run holds positions lo .. lo + k - 1
+        # the run's positions lo .. lo + k - 1 in every order, itertools' first: the identity
+        q = lo + np.array(list(itertools.permutations(range(k))), dtype=np.int64)
         perms = np.hstack([np.repeat(perms, len(q), axis=0), np.tile(q, (len(perms), 1))])
         lo += k
     return perms
 
 
-@lru_cache(maxsize=None)
 def _cell_ranks(cells: tuple) -> np.ndarray:
     """Pair ranks (P, n(n-1)/2), as uint8: row p holds, for each pair i < j in row-major order,
     the row-major rank of the pair that the p-th permutation of _cell_perms moves it to."""
@@ -209,7 +206,7 @@ def _cell_ranks(cells: tuple) -> np.ndarray:
     return rank[perms[:, iu], perms[:, ju]]
 
 
-def _canonical_keys(a: np.ndarray) -> np.ndarray:
+def _canonical_keys(a: np.ndarray, ranks: dict) -> np.ndarray:
     """The canonical key (B,) of each graph of a bool stack (B, n, n).
 
     The least, over the orders within each colour cell (cells in colour order), of the upper
@@ -217,7 +214,8 @@ def _canonical_keys(a: np.ndarray) -> np.ndarray:
     bitmasks with bit a*n + b for positions a < b do.  Graphs are grouped by their sorted colour
     row, which fixes the cells: packed into one int64, 4 bits per colour, most significant first.
     Colours are ranks below n, and all_graphs refuses n > 11, so the packing is injective (44 bits
-    at most) and orders the groups as the rows sort.
+    at most) and orders the groups as the rows sort.  ranks holds the _cell_ranks table of each sorted
+    colour row met, by its tuple; the caller chooses how long it lives.
     """
     b, n = a.shape[:2]
     colors = _refine_colors(a)
@@ -230,12 +228,14 @@ def _canonical_keys(a: np.ndarray) -> np.ndarray:
     cells = cells[first]  # one row per group: a block-long array kept through the loop costs 1 MB of peak RSS
     keys = np.empty(b, dtype=np.int64)
     for g, row in enumerate(cells):
-        ranks, members = _cell_ranks(tuple(row.tolist())), group == g
+        if (cell := tuple(row.tolist())) not in ranks:
+            ranks[cell] = _cell_ranks(cell)
+        table, members = ranks[cell], group == g
         u = upper[members].astype(np.int64)
         best = np.full(len(u), np.iinfo(np.int64).max)
         step = max(1, _BLOCK * 8 // len(u))  # keeps each (G, step) product near 1 MB
-        for p in range(0, len(ranks), step):
-            np.minimum(best, (u @ (1 << ranks[p:p + step].T.astype(np.int64))).min(axis=1), out=best)
+        for p in range(0, len(table), step):
+            np.minimum(best, (u @ (1 << table[p:p + step].T.astype(np.int64))).min(axis=1), out=best)
         keys[members] = best
     return keys
 
@@ -255,10 +255,7 @@ def all_graphs(n: int) -> np.ndarray:
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_graphs(n - 1).astype(bool)
-    first = _first_met(prev)
-    _cell_ranks.cache_clear()  # its keys have length n, so no other level reuses an entry
-    _run_perms.cache_clear()  # a run of n vertices has n! orders: 3.3 MB at n = 9, 440 MB at n = 11
-    return _read_only(_extend(prev, first).astype(np.int64))
+    return _read_only(_extend(prev, _first_met(prev)).astype(np.int64))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

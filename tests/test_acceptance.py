@@ -145,7 +145,7 @@ def test_criterion_2_worked_examples_two_to_four(ex2, ex3, ex4):
     d2 = decide_instance(ex2)
     witness2 = harmonic_witness(ex2.K, d2.witness)
     ex2_ok = (
-        d2.m_matrix
+        d2.z_matrix
         and not d2.harmcond
         and witness2[0] == (0, 1)
         and witness2[1] == Fraction(5, 6)

@@ -38,6 +38,7 @@ from rothlab.analysis import (
     REASON_ZERO,
     _exact_classes,
     _exact_q_mu,
+    _q_mu,
     alpha_of,
     build_r_mu,
     decide_instance,
@@ -46,6 +47,7 @@ from rothlab.analysis import (
     s_roth_oracle,
 )
 from rothlab.graphs import (
+    block_adjacency,
     complete_graph,
     compose,
     cycle_graph,
@@ -215,14 +217,14 @@ def test_q_mu_inverse_printed(ex3):
 def test_classify_example2(ex2):
     rep = decide_instance(ex2)
     assert rep.classes
-    assert rep.z_matrix and rep.m_matrix
+    assert rep.z_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
 def test_classify_example3(ex3):
     rep = decide_instance(ex3)
     assert rep.classes
-    assert not rep.z_matrix and not rep.m_matrix
+    assert not rep.z_matrix
     assert rep.inverse_positive and rep.minpositive
 
 
@@ -238,7 +240,7 @@ def test_classify_singular_is_none():
     d = decide_instance(compose(3, empty_graph(5)))  # bipartite H, mu = 0, Q_mu singular
     assert d.mu == 0.0
     assert not d.classes
-    assert not (d.z_matrix or d.m_matrix or d.inverse_positive or d.minpositive)
+    assert not (d.z_matrix or d.inverse_positive or d.minpositive)
 
 
 def test_class_hierarchy_random():
@@ -251,7 +253,7 @@ def test_class_hierarchy_random():
         if not rep.classes:
             continue
         checked += 1
-        if rep.m_matrix:
+        if rep.z_matrix:
             assert rep.inverse_positive
         if rep.inverse_positive:
             assert rep.minpositive
@@ -604,11 +606,11 @@ def test_classification_record_schema(ex2):
     d = decide_instance(ex2)
     assert [f.name for f in dataclasses.fields(d)] == [
         "mu", "multiplicity", "reason", "is_s_roth", "eigenvector", "kernel",
-        "classes", "z_matrix", "m_matrix", "inverse_positive", "minpositive",
+        "classes", "z_matrix", "inverse_positive", "minpositive",
         "harmcond", "witness", "gc", "bdeg", "st", "gdeg", "deg2", "boundary"]
     assert ex2.s == 7 and ex2.t == 4
     assert d.is_s_roth is True
-    assert d.m_matrix is True and d.harmcond is False
+    assert d.z_matrix is True and d.harmcond is False
     assert (type(d.mu), type(d.multiplicity), type(d.reason)) == (float, int, str)
     assert d.witness.tolist() == [0, 1]  # the T-pair of the first G-edge with harmonic sum below 1
     assert (d.gdeg, d.deg2, d.boundary) == ("none", False, None)  # t < s
@@ -649,8 +651,8 @@ def test_exact_kernel_solved_once_per_instance(s, g, mu, nullity, tmp_path, caps
 def test_classification_record_singular():
     d = decide_instance(compose(3, empty_graph(4)))
     assert d.is_s_roth is True
-    assert d.classes is False  # no z, m_matrix or minpositive flag
-    assert not (d.z_matrix or d.m_matrix or d.inverse_positive or d.minpositive)
+    assert d.classes is False  # no z_matrix, inverse_positive or minpositive flag
+    assert not (d.z_matrix or d.inverse_positive or d.minpositive)
 
 
 def test_instance_from_graph_path():
@@ -877,16 +879,51 @@ def _fraction_classes(a, k, c, basis):
 
 
 def _classes(d) -> tuple:
-    return d.z_matrix, d.m_matrix, d.inverse_positive, d.minpositive
+    return d.z_matrix, d.z_matrix, d.inverse_positive, d.minpositive
+
+
+def _integer_q(a, k) -> np.ndarray:
+    """The integer Q(H) of A_G and K, int64."""
+    return np.rint(signless_laplacian(block_adjacency(a, k))).astype(np.int64)
 
 
 def _assert_exact_classes(a, k, c, basis):
     """_exact_q_mu is L times the Fraction Q_mu, and _exact_classes gives the reference's z and inverse flags."""
     ref, mq = _fraction_classes(a, k, c, basis)
     lcm = math.lcm(*(int(d) - c for d in k.sum(axis=0)))
-    assert _exact_q_mu(a, k, c).tolist() == [[lcm * v for v in row] for row in mq]
-    assert _exact_classes(a, k, c) == (ref[0], ref[2])
+    q = _integer_q(a, k)
+    assert _exact_q_mu(q, k.shape[0], c).tolist() == [[lcm * v for v in row] for row in mq]
+    assert _exact_classes(q, k.shape[0], c) == (ref[0], ref[2])
     return ref
+
+
+@pytest.mark.parametrize("s", [5, 7])
+def test_q_mu_read_off_q_h_is_the_block_formula(s, monkeypatch):
+    # decide_stack reads Q_mu off the Q(H) stack its eigensolve used: on every classified row that
+    # float Q_mu is, bit for bit, Q(G) + D1 + K (mu I - D2)^{-1} K^T formed from A_G and K, and on
+    # every exact-path row the integer L*Q_mu is L*(Q(G) + D1) - K diag(L/(d_B(k) - c)) K^T
+    seen = []
+    classify = rothlab.analysis._classify
+    monkeypatch.setattr(rothlab.analysis, "_classify", lambda q, t, d: seen.append((q, d)) or classify(q, t, d))
+    t, a = 4, complete_graph(4)
+    ks = enumerate_connected_bipartite(t, s)
+    classes = decide_stack(a, ks).classes
+    (q, d), = seen
+    k = ks[classes]
+    kf = k.astype(float)
+    base = np.broadcast_to(a.astype(float), kf.shape[:1] + (t, t)).copy()
+    i = np.arange(t)
+    base[:, i, i] = a.sum(axis=-1) + kf.sum(axis=-1)
+    weights = 1.0 / (d.mu[:, None] - kf.sum(axis=-2))
+    assert np.array_equal(_q_mu(q, t, d.mu), base + (kf * weights[..., None, :]) @ np.swapaxes(kf, -1, -2))
+    exact = np.flatnonzero(np.not_equal(d.kernel, None))
+    assert len(exact) > 0
+    for j in exact:
+        c = int(d.mu[j])
+        gaps = k[j].sum(axis=0) - c
+        lcm = math.lcm(*gaps.tolist())
+        qg = a + np.diag(a.sum(axis=1) + k[j].sum(axis=1))
+        assert np.array_equal(_exact_q_mu(q[j].astype(np.int64), t, c), lcm * qg - (k[j] * (lcm // gaps)) @ k[j].T)
 
 
 @pytest.mark.parametrize("s", [5, 7])
@@ -930,7 +967,7 @@ def test_exact_classes_beyond_int64():
         k[:p + 1, j] = 1
     k[:, -1] = 1
     a = cycle_graph(t)
-    mq = _exact_q_mu(a, k, c)
+    mq = _exact_q_mu(_integer_q(a, k), t, c)
     assert mq.dtype == object and math.lcm(*primes, t - c) > np.iinfo(np.int64).max
     basis = [[Fraction(-1)] * t + [Fraction(1)] * k.shape[1]]
     z_matrix, _, _, minpositive = _assert_exact_classes(a, k, c, basis)

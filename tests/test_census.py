@@ -270,7 +270,7 @@ def test_census_decides_at_most_two_blocks_per_thread_ahead_of_the_writer(tmp_pa
     # decided once, at most 2 * jobs ahead of the writer, and the files are those of the usual blocks
     run_census(4, 5, out_dir=str(tmp_path / "usual"), jobs=jobs)
     monkeypatch.setattr(rothlab.census, "CENSUS_BLOCK", 16)
-    monkeypatch.setattr(rothlab.census, "_CODEC_CHUNK", 100)
+    monkeypatch.setattr(rothlab.census, "_SCAFFOLD_CHUNK", 100)
     written, ahead = [], []
 
     def counted(*args):
@@ -345,7 +345,7 @@ def test_classify_relabeling_invariance(tmp_path):
 def _census_flags(d) -> tuple:
     """(s_roth, harmcond, m_matrix, inv_positive) of a decision; None where Q_mu has no classes."""
     return (d.is_s_roth, d.harmcond,
-            d.m_matrix if d.classes else None, d.inverse_positive if d.classes else None)
+            d.z_matrix if d.classes else None, d.inverse_positive if d.classes else None)
 
 
 def test_classification_record_of_composed_scaffold():

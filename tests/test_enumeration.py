@@ -210,14 +210,6 @@ def test_all_graphs_counts():
         assert len(all_graphs(n)) == cnt
 
 
-def test_cell_ranks_cleared_after_each_level():
-    # a level's cell-rank tables are keyed by colour tuples of its own length, and a run of n cell
-    # orders has n! rows
-    all_graphs.__wrapped__(6)
-    assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
-    assert rothlab.enumeration._run_perms.cache_info().currsize == 0
-
-
 def test_twin_pruning_keeps_every_first_met_extension():
     # all_graphs keys only the extensions that no twin swap of the parent maps to an earlier one:
     # keying every extension and keying the kept ones must give the same classes, met first by the
@@ -229,7 +221,7 @@ def test_twin_pruning_keeps_every_first_met_extension():
         assert n < 3 or len(kept) < len(every), n
         firsts = []
         for codes in (every, kept):
-            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes)),
+            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes), {}),
                                     return_index=True)
             firsts.append((keys.tolist(), codes[first].tolist()))
         assert firsts[0] == firsts[1], n
@@ -244,7 +236,6 @@ def test_all_graphs_nine():
     assert len(gs) == 274668
     digest = hashlib.sha256("\n".join(encode_graph6(gs)).encode()).hexdigest()
     assert digest == "01ced676852cfd8c9ed260a657f93b59d0baf4630cdf696df096f3a41054bda0"
-    assert rothlab.enumeration._cell_ranks.cache_info().currsize == 0
 
 
 def test_all_graphs_are_distinct_objects():
@@ -393,7 +384,7 @@ def test_stacked_labeller_matches_the_reference():
         if n >= 7:
             ext = ext[np.sort(rng.choice(len(ext), 2000, replace=False))]
         colors = rothlab.enumeration._refine_colors(ext)
-        keys = rothlab.enumeration._canonical_keys(ext).tolist()
+        keys = rothlab.enumeration._canonical_keys(ext, {}).tolist()
         iu, ju = np.triu_indices(n, 1)
         for a, got_colors, got in zip(ext, colors.tolist(), keys):
             edges = _edges(a)
@@ -431,7 +422,7 @@ def test_canonical_keys_at_the_top_orders():
             stack[i, u, v] = stack[i, v, u] = True
             p = rng.permutation(n)
             stack[len(base) + i] = stack[i][np.ix_(p, p)]
-        keys = rothlab.enumeration._canonical_keys(stack).tolist()
+        keys = rothlab.enumeration._canonical_keys(stack, {}).tolist()
         assert keys[len(base):] == keys[:len(base)]
         graphs = [nx.from_edgelist(edges) for edges in base]
         for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):

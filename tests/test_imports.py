@@ -1,6 +1,6 @@
 """Static checks on the package source: every name a module imports is used there, every public
-definition is used by the package or the benchmark, every private one by the package, and one function
-calls eigh."""
+definition is used by the package or the benchmark, every private one by the package, one function
+calls eigh, and only the enumerated families and the CLI parser are cached."""
 
 import ast
 import pathlib
@@ -151,3 +151,45 @@ def test_only_full_spectrum_calls_eigh():
     # from eigh's in the last bits, so moving them would change the analyze reports
     callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _eigh_callers(ast.parse(p.read_text()))]
     assert callers == [("spectra", "full_spectrum")]
+
+
+# the enumerated families are cached for the sweeps and the parser for every CLI call; any other cache would
+# keep its tables past the call that needs them (all_graphs' cell-rank tables live in one _first_met call)
+CACHED = {("enumeration", "all_graphs"), ("enumeration", "all_trees"), ("cli", "build_parser")}
+CACHES = {"lru_cache", "cache"}
+
+
+def _cache_uses(tree: ast.Module) -> list:
+    """The innermost function around each use of functools.lru_cache or functools.cache in tree, '<module>' outside
+    any; a decorator counts as inside the function it decorates."""
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name in CACHES}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names if alias.name == "functools"}
+    uses = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id in names) or (
+                    isinstance(child, ast.Attribute) and child.attr in CACHES
+                    and isinstance(child.value, ast.Name) and child.value.id in modules):
+                uses.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, "<module>")
+    return uses
+
+
+def test_cache_uses_are_found():
+    tree = ast.parse("import functools as ft\nfrom functools import lru_cache as lc, partial\n"
+                     "@lc(maxsize=None)\ndef f(n):\n    return n\n@ft.cache\ndef g():\n    return partial\n"
+                     "h = ft.lru_cache(maxsize=2)(f)\ndef cache(x):\n    return x.cache\n")
+    assert _cache_uses(tree) == ["f", "g", "<module>"]
+
+
+def test_only_the_enumerated_families_and_the_parser_are_cached():
+    uses = [(p.stem, owner) for p in sorted(SRC.glob("*.py")) for owner in _cache_uses(ast.parse(p.read_text()))]
+    assert uses  # the walk found the caches it allows
+    assert [use for use in uses if use not in CACHED] == []
