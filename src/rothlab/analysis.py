@@ -21,7 +21,11 @@ integer c and Q(H) - cI is singular, the verdict and the Q_mu classes at it
 are re-derived exactly, at every t, from the rational kernel and the integer
 L*Q_mu read off the integer Q(H) (see _exact_classes).  Every other verdict
 is a floating-point decision: a ZeroEntry or MultipleEigenvalue at an
-irrational mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  The
+irrational mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  So is
+every row that the sweeps and the probe clear on the twin quotient B of
+their scaffold (see _twin_screen): an S-Roth verdict read off B with
+tenfold those margins, which never clears an integer-candidate mu; every
+other row goes to the oracle on the full Q(H).  The
 certificates are integer arithmetic on A_G and K, so exact.
 """
 
@@ -34,6 +38,7 @@ import numpy as np
 
 from .graphs import CompositeInstance, block_adjacency, is_connected, join_decomposition
 from .spectra import (
+    CLUSTER_TOL,
     SIGN_TOL,
     exact_kernel_dim,
     full_spectrum,
@@ -162,6 +167,42 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> tuple:
         zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
     eigenvector = np.where(multiple[:, None], raw, x)
     return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel), q
+
+
+def _twin_screen(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Bool (N,): the rows of a stack (N, t, t) of A_G that the twin quotient of the one t x s scaffold k clears as
+    S-Roth; none when k has no repeated column, as the quotient would then be Q(H) itself.
+
+    S-vertices with equal columns of k are twins.  With one row and column per distinct column c (multiplicity m,
+    degree d), Q(H) has the spectrum of B = [[Q(G) + diag(D1), C diag(sqrt m)], [diag(sqrt m) C^T, diag(d)]] plus
+    d_c with multiplicity m_c - 1 (Godsil & Royle 2001, 9.3), and the eigenvector lifts as x_T = y_T,
+    x_S = y_c / sqrt(m_c).  The unit vector on c has Rayleigh quotient d_c, so mu(H) = mu(B).  One eigensolve
+    serves the stack.  A row is cleared only with tenfold the oracle's margins: mu(B) is no integer candidate,
+    B's second eigenvalue and every twin d_c lie above the cluster band of mu, and every lifted entry is signed
+    beyond SIGN_TOL.  A row that is not cleared is left to the oracle on the full Q(H).
+    """
+    t = len(k)
+    cols, m = np.unique(k.T, axis=0, return_counts=True)
+    if len(m) == k.shape[1]:
+        return np.zeros(len(a), dtype=bool)
+    root, d = np.sqrt(m), cols.sum(axis=1)
+    n = t + len(m)
+    b = np.zeros((len(a), n, n))
+    b[:, :t, :t] = signless_laplacian(a)
+    b[:, range(t), range(t)] += k.sum(axis=1)
+    b[:, :t, t:] = cols.T * root
+    b[:, t:, :t] = cols * root[:, None]
+    b[:, range(t, n), range(t, n)] = d
+    es = full_spectrum(b)
+    mu = es.values[:, 0]
+    band = mu + 10 * CLUSTER_TOL * (1.0 + np.abs(mu))
+    simple = (es.values[:, 1] > band) & np.all(d[m > 1] > band[:, None], axis=1)
+    # each class's entry once, not m_c times: sign_normalize flips it as it would the whole lift wherever every
+    # S-entry has one sign, which a cleared row needs
+    x = sign_normalize(np.concatenate([es.vectors[:, :t, 0], es.vectors[:, t:, 0] / root], axis=1), t)
+    tol = 10 * SIGN_TOL * np.abs(x).max(axis=1, keepdims=True)
+    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
+    return ~np.isfinite(integer_candidate(mu)) & simple & signed
 
 
 def oracle_stack(a_g, ks) -> Decisions:

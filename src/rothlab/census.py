@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
-from .analysis import decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
+from .analysis import _twin_screen, decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
 from .enumeration import _SCAFFOLD_CHUNK, _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
 from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, _connected_mask, block_adjacency,
                      complete_graph, decode_graph6, encode_graph6, instance_to_json)
@@ -229,11 +229,16 @@ def _family(kind: str, s: int, t: int) -> np.ndarray:
 def _failures(a_g: np.ndarray, k: np.ndarray) -> list:
     """(G, its graph6, mu, reason) of each G of a stack (N, t, t) whose H with scaffold k is not S-Roth, in order.
 
-    oracle_stack decides blocks of CENSUS_BLOCK, so memory does not grow with N.
+    The stack goes in blocks of CENSUS_BLOCK, so memory does not grow with N.  Each block is screened on the twin
+    quotient of k (analysis._twin_screen), and only the rows it does not clear as S-Roth are decided by
+    oracle_stack on the full Q(H), so a failure's mu and reason are the oracle's.
     """
     failures = []
     for lo in range(0, len(a_g), CENSUS_BLOCK):
         block = a_g[lo:lo + CENSUS_BLOCK]
+        block = block[~_twin_screen(block, k)]
+        if not len(block):
+            continue
         d = oracle_stack(block, k)
         bad = np.flatnonzero(~d.is_s_roth)
         failures += zip(block[bad], encode_graph6(block[bad]), d.mu[bad].tolist(), d.reason[bad].tolist())
@@ -248,8 +253,11 @@ def conjecture_sweep(kind: str, s_range, t_range, relax: bool = False) -> dict:
     < s, for t <= MAXDEG_EXHAUSTIVE_T.  Hypotheses t > s >= 6 are enforced
     unless relax.  Every (s, t) pair is checked before any enumeration: an
     unknown kind, a t above the limit, or no pair with t > s raises
-    ValueError.  Each family is decided by oracle_stack in blocks of
-    CENSUS_BLOCK.  Returns {kind, checked, pairs, counterexamples}.
+    ValueError.  Each family is decided in blocks of CENSUS_BLOCK on the
+    twin quotient of the complete scaffold, of order t + 1, and only the
+    rows it does not clear are solved by oracle_stack on the full Q(H), so
+    every counterexample's mu and reason are the oracle's (see _failures).
+    Returns {kind, checked, pairs, counterexamples}.
     """
     if kind not in _SWEEP_LIMITS:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -286,14 +294,19 @@ def ultra_roth_probe(scaffold: np.ndarray, a_g) -> dict:
     """Run the verdict oracle for one t x s scaffold against every G of an adjacency stack (N, t, t).
 
     The stack is decided in blocks of CENSUS_BLOCK, so memory does not grow
-    with N.  The scaffold must be 0/1 with no zero column, every G 0/1,
-    symmetric and loop-free, and every H connected; all are checked even
-    when the stack is empty.  Each G is tried in its given labelling only,
+    with N.  A scaffold with repeated columns first screens each block on
+    its twin quotient, and only the rows that screen does not clear are
+    solved by oracle_stack on the full Q(H) (see _failures).  The scaffold
+    must be a 0/1 matrix with no zero column, every G 0/1, symmetric and
+    loop-free, and every H connected; all are checked even when the stack
+    is empty.  Each G is tried in its given labelling only,
     so over all_graphs(t) the probe covers every (G, K) pair only for a
     scaffold that every permutation of T maps to itself up to a permutation
     of S, such as the complete one.
     """
     scaffold = np.asarray(scaffold)
+    if scaffold.ndim != 2:
+        raise ValueError(f"scaffold must be a t x s matrix, got shape {scaffold.shape}")
     t, s = scaffold.shape
     if s < 1:
         raise ValueError("need s >= 1")

@@ -23,12 +23,12 @@ from rothlab.census import (
     run_census,
     ultra_roth_probe,
 )
-from rothlab.analysis import decide_instance, decide_stack, oracle_stack, s_roth_oracle
+from rothlab.analysis import _twin_screen, decide_instance, decide_stack, oracle_stack, s_roth_oracle
 from rothlab.cli import main
-from rothlab.enumeration import all_graphs
+from rothlab.enumeration import all_graphs, enumerate_connected_bipartite
 from conftest import adjacency
-from rothlab.graphs import (block_adjacency, complete_graph, compose, decode_graph6, empty_graph, encode_graph6,
-                            path_graph)
+from rothlab.graphs import (_connected_mask, block_adjacency, complete_graph, compose, decode_graph6, empty_graph,
+                            encode_graph6, path_graph)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -529,6 +529,68 @@ def test_ultra_probe_decides_in_blocks(monkeypatch):
                if not (r := s_roth_oracle(compose(2, a, scaffold))).is_s_roth]
     assert [(rec["g_graph6"], rec["reason"]) for rec in out["failures"]] == failing
     assert failing and not out["all_s_roth"]
+
+
+def test_ultra_probe_with_twins_solves_only_the_uncleared_rows(monkeypatch):
+    # two equal columns make the twin quotient of order t + 2: oracle_stack sees only the rows of each block
+    # that the quotient does not clear, at most CENSUS_BLOCK at once, and the failures are the one-at-a-time ones
+    scaffold = np.array([[1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 0, 0, 0]]).T
+    family = all_graphs(7)
+    seen = []
+
+    def counted(a_g, k):
+        seen.append(a_g)
+        return oracle_stack(a_g, k)
+
+    monkeypatch.setattr(rothlab.census, "oracle_stack", counted)
+    out = ultra_roth_probe(scaffold, family)
+    blocks = [family[lo:lo + CENSUS_BLOCK] for lo in range(0, len(family), CENSUS_BLOCK)]
+    uncleared = [a for block in blocks if len(a := block[~_twin_screen(block, scaffold)])]
+    assert len(seen) == len(uncleared) and all(np.array_equal(a, b) for a, b in zip(seen, uncleared))
+    assert max(map(len, seen)) <= CENSUS_BLOCK and sum(map(len, seen)) == 1044 - 88
+    failing = [(g6, r.mu, r.reason) for g6, a in zip(encode_graph6(family), family)
+               if not (r := s_roth_oracle(compose(3, a, scaffold))).is_s_roth]
+    assert [(rec["g_graph6"], rec["mu"], rec["reason"]) for rec in out["failures"]] == failing
+    assert len(failing) == 954
+
+
+def test_twin_screen_clears_only_rows_the_oracle_decides_s_roth():
+    # every (4, 5) and (3, 6) scaffold with a repeated column against every G that keeps H connected: a
+    # cleared row is S-Roth on the full Q(H), and no row the oracle settles exactly or finds multiple is cleared
+    rows = cleared = exact = 0
+    for t, s in ((4, 5), (3, 6)):
+        graphs = all_graphs(t)
+        for k in enumerate_connected_bipartite(t, s):
+            if len(np.unique(k.T, axis=0)) == s:
+                assert not _twin_screen(graphs, k).any()  # no twins: nothing is screened
+                continue
+            a = graphs[_connected_mask(np.broadcast_to(k, (len(graphs), t, s)), graphs)]
+            screened, d = _twin_screen(a, k), oracle_stack(a, k)
+            assert d.is_s_roth[screened].all()
+            settled = np.not_equal(d.kernel, None)
+            assert not (screened & (settled | (d.multiplicity > 1))).any()
+            rows, cleared, exact = rows + len(a), cleared + screened.sum(), exact + settled.sum()
+    assert (rows, cleared, exact) == (4876, 1009, 561)
+
+
+@pytest.mark.parametrize("kind, pairs", [("maxdeg", [(6, 7)]),
+                                         ("tree", [(s, t) for s in range(6, 9) for t in range(7, 10) if t > s])])
+def test_screened_failures_are_the_oracles(kind, pairs):
+    # the sweeps' failures, screened on the twin quotient, are the oracle_stack failures of the whole family in order
+    for s, t in pairs:
+        family, k = rothlab.census._family(kind, s, t), np.ones((t, s), dtype=np.int64)
+        d = oracle_stack(family, k)
+        bad = np.flatnonzero(~d.is_s_roth)
+        screened = rothlab.census._failures(family, k)
+        assert [(text, mu, reason) for _, text, mu, reason in screened] == list(
+            zip(encode_graph6(family[bad]), d.mu[bad].tolist(), d.reason[bad].tolist()))
+        assert all(np.array_equal(a, b) for (a, *_), b in zip(screened, family[bad]))
+
+
+def test_ultra_probe_refuses_a_scaffold_that_is_not_a_matrix():
+    for shape in ((4,), (1, 4, 2)):
+        with pytest.raises(ValueError, match=rf"t x s matrix, got shape \({', '.join(map(str, shape))},?\)"):
+            ultra_roth_probe(np.ones(shape, dtype=np.int64), np.zeros((1, 4, 4), dtype=np.int64))
 
 
 def test_ultra_probe_records_failures():
