@@ -18,9 +18,11 @@ upper triangle over the orders within each colour cell.  An extension is not
 keyed if twins i < j of its parent (a swap of them fixes the parent) have j in
 the sub and i not: the swap maps it onto the same parent's extension by a
 smaller sub, which comes first, so every first-met extension is still keyed
-and the output is that of keying them all.  The cell-rank tables of the keys
-live in one dict of that level's _first_met call, so none outlives its level:
-the only caches of the module are all_graphs and all_trees.
+and the output is that of keying them all.  A graph whose colour cells are each
+one twin class has its key read off the colour order; any other is keyed by a
+search that fills positions from the last and keeps, per graph, the partial
+orders with the least rows.  No table of cell orders is built, and the only
+caches of the module are all_graphs and all_trees.
 """
 
 from __future__ import annotations
@@ -110,13 +112,27 @@ def enumerate_connected_bipartite(t: int, s: int, allow_long: bool = False) -> n
 _BLOCK = 1 << 14  # extensions keyed at once: about 1 MB of bool adjacency at n = 8
 
 
-def _extend(prev: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Bool stack (N, m + 1, m + 1): prev[e >> m], on m vertices, plus vertex m joined to the bits of e mod 2^m."""
+def _extend(prev: np.ndarray, e: np.ndarray, dtype=bool) -> np.ndarray:
+    """Stack (N, m + 1, m + 1), of dtype: prev[e >> m], on m vertices, plus vertex m joined to the bits of e mod 2^m."""
     m = prev.shape[-1]
-    a = np.zeros((len(e), m + 1, m + 1), dtype=bool)
+    a = np.zeros((len(e), m + 1, m + 1), dtype=dtype)
     a[:, :m, :m] = prev[e >> m]
     a[:, :m, m] = a[:, m, :m] = e[:, None] >> np.arange(m) & 1
     return a
+
+
+def _bit_rows(a: np.ndarray) -> np.ndarray:
+    """The rows (B, n), as uint16, of a bool stack (B, n, n), n <= 16, as bitmasks: entry (v, u) at bit u of row v."""
+    rows = np.zeros(a.shape[:2], dtype=np.uint16)
+    for u in range(a.shape[2]):
+        rows |= a[:, :, u].astype(np.uint16) << u
+    return rows
+
+
+def _twins(rows: np.ndarray) -> np.ndarray:
+    """Bool (B, n, n) of graphs as bit rows (B, n): (u, w) is set if N(u) - {w} = N(w) - {u}, the diagonal too."""
+    bits = np.uint16(1) << np.arange(rows.shape[1], dtype=np.uint16)
+    return ((rows[:, :, None] ^ rows[:, None, :]) & ~(bits[:, None] | bits)) == 0
 
 
 def _twin_kept(p: np.ndarray) -> np.ndarray:
@@ -129,10 +145,7 @@ def _twin_kept(p: np.ndarray) -> np.ndarray:
     """
     m = p.shape[-1]
     iu, ju = np.triu_indices(m, 1)
-    pair = np.arange(len(iu))
-    same = p[:, iu] == p[:, ju]  # (N, pairs, m): rows i and j agree at each vertex
-    same[:, pair, iu] = same[:, pair, ju] = True  # but for vertices i and j
-    twins = same.all(axis=2)
+    twins = _twins(_bit_rows(p))[:, iu, ju]
     bits = (np.arange(1 << m) >> np.arange(m)[:, None] & 1).astype(bool)
     kept = np.ones((len(p), 1 << m), dtype=bool)
     for k in np.flatnonzero(twins.any(axis=0)):
@@ -146,8 +159,7 @@ def _first_met(prev: np.ndarray) -> np.ndarray:
     m = prev.shape[-1]
     step = max(1, _BLOCK >> m)  # whole parents, at most _BLOCK extensions
     kept = np.concatenate([_twin_kept(prev[lo:lo + step]) for lo in range(0, len(prev), step)]).ravel()
-    ranks = {}  # the level's cell-rank tables, shared by its blocks and gone with it: n! rows for a one-cell row
-    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])), ranks)
+    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])))
                            for lo in range(0, len(kept), _BLOCK)])
     return np.flatnonzero(kept)[np.unique(keys, return_index=True)[1]]
 
@@ -196,48 +208,61 @@ def _cell_perms(cells: tuple) -> np.ndarray:
     return perms
 
 
-def _cell_ranks(cells: tuple) -> np.ndarray:
-    """Pair ranks (P, n(n-1)/2), as uint8: row p holds, for each pair i < j in row-major order,
-    the row-major rank of the pair that the p-th permutation of _cell_perms moves it to."""
-    n, perms = len(cells), _cell_perms(cells)
-    iu, ju = np.triu_indices(n, 1)
-    rank = np.zeros((n, n), dtype=np.uint8)
-    rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
-    return rank[perms[:, iu], perms[:, ju]]
-
-
-def _canonical_keys(a: np.ndarray, ranks: dict) -> np.ndarray:
-    """The canonical key (B,) of each graph of a bool stack (B, n, n).
+def _canonical_keys(a: np.ndarray) -> np.ndarray:
+    """The canonical key (B,) of each graph of a bool stack (B, n, n), n <= 11.
 
     The least, over the orders within each colour cell (cells in colour order), of the upper
     triangle read as an int with row-major pair k at bit k.  Keys order graphs as the edge
-    bitmasks with bit a*n + b for positions a < b do.  Graphs are grouped by their sorted colour
-    row, which fixes the cells: packed into one int64, 4 bits per colour, most significant first.
-    Colours are ranks below n, and all_graphs refuses n > 11, so the packing is injective (44 bits
-    at most) and orders the groups as the rows sort.  ranks holds the _cell_ranks table of each sorted
-    colour row met, by its tuple; the caller chooses how long it lives.
+    bitmasks with bit a*n + b for positions a < b do.  Where every cell is one twin class
+    (N(u) - {w} = N(w) - {u}), every order within the cells is a product of twin swaps, which
+    are automorphisms, so the colour order is least; _least_rows searches the other graphs.
     """
     b, n = a.shape[:2]
     colors = _refine_colors(a)
     order = np.argsort(colors, axis=1)
-    iu, ju = np.triu_indices(n, 1)
-    upper = a[np.arange(b)[:, None], order[:, iu], order[:, ju]]
-    cells = np.sort(colors, axis=1)
-    _, first, group = np.unique((cells.astype(np.int64) << 4 * np.arange(n - 1, -1, -1)).sum(axis=1),
-                                return_index=True, return_inverse=True)
-    cells = cells[first]  # one row per group: a block-long array kept through the loop costs 1 MB of peak RSS
-    keys = np.empty(b, dtype=np.int64)
-    for g, row in enumerate(cells):
-        if (cell := tuple(row.tolist())) not in ranks:
-            ranks[cell] = _cell_ranks(cell)
-        table, members = ranks[cell], group == g
-        u = upper[members].astype(np.int64)
-        best = np.full(len(u), np.iinfo(np.int64).max)
-        step = max(1, _BLOCK * 8 // len(u))  # keeps each (G, step) product near 1 MB
-        for p in range(0, len(table), step):
-            np.minimum(best, (u @ (1 << table[p:p + step].T.astype(np.int64))).min(axis=1), out=best)
-        keys[members] = best
+    cells = np.take_along_axis(colors, order, axis=1)
+    rows, at = np.take_along_axis(_bit_rows(a), order, axis=1), order.astype(np.uint16)
+    ordered = np.zeros((b, n), dtype=np.uint16)  # the graph in colour order: bit j of row i joins positions i and j
+    for j in range(n):
+        ordered |= (rows >> at[:, j, None] & 1) << j
+    # twins form classes and share a colour, so a cell is one class if each of its vertices is a twin of the next
+    twins = ((ordered[:, 1:] ^ ordered[:, :-1]) & ~(np.uint16(3) << np.arange(n - 1, dtype=np.uint16))) == 0
+    rest = np.flatnonzero(~(twins | (cells[:, 1:] != cells[:, :-1])).all(axis=1))
+    ordered[rest] = _least_rows(ordered[rest], cells[rest])
+    keys = np.zeros(b, dtype=np.int64)
+    for i in range(n):  # the pairs (i, j), j > i, from the row-major rank of (i, i + 1) up
+        keys |= (ordered[:, i] >> i + 1).astype(np.int64) << i * n - i * (i + 1) // 2
     return keys
+
+
+def _least_rows(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The bit rows (R, n) of each graph's least order, of graphs as bit rows (R, n) in colour order, colours cells.
+
+    Positions n - 1 down to 0 are filled over one stack of partial orders, sorted by graph.  A
+    position takes the unplaced vertices of its colour, twins in vertex order: a twin swap is an
+    automorphism that keeps the colours.  Placing position i fixes the pairs (i, j), j > i, which
+    outrank every pair of the rows below, so of each graph's partial orders only those with the
+    least row i go on (refine, then search: McKay and Piperno, Practical graph isomorphism II, 2014).
+    Row i of the result holds only its bits j > i.
+    """
+    r, n = rows.shape
+    bits = np.uint16(1) << np.arange(n, dtype=np.uint16)
+    # bit w of below[., v]: w < v is a twin of v, so v waits until w is placed
+    below = _bit_rows(_twins(rows) & np.tri(n, k=-1, dtype=bool))
+    g = np.arange(r)  # the graph of each partial order
+    placed = np.zeros(r, dtype=np.uint16)
+    seen = np.zeros((r, n), dtype=np.uint16)  # bit j of seen[., v]: v is joined to the vertex at position j
+    least = np.zeros((r, n), dtype=np.uint16)  # row i of each partial order, once position i is placed
+    for i in range(n - 1, -1, -1):
+        s, v = np.nonzero(((placed[:, None] & (below[g] | bits)) == below[g]) & (cells[g] == cells[g, i, None]))
+        row = seen[s, v]
+        first = np.flatnonzero(np.diff(g[s], prepend=-1))
+        keep = row == np.repeat(np.minimum.reduceat(row, first), np.diff(first, append=len(s)))
+        s, v = s[keep], v[keep].astype(np.uint16)
+        g, placed, least = g[s], placed[s] | bits[v], least[s]
+        least[:, i] = row[keep]
+        seen = seen[s] | (rows[g] >> v[:, None] & 1) << i
+    return least[np.flatnonzero(np.diff(g, prepend=-1))]
 
 
 @lru_cache(maxsize=None)
@@ -246,7 +271,7 @@ def all_graphs(n: int) -> np.ndarray:
 
     A cached, read-only int64 adjacency stack (N, n, n): of each class, the
     first labelled extension of all_graphs(n - 1) met, in canonical-key order. n above 11
-    raises ValueError; n above 9 is untested, and a one-cell group holds all n! cell orders.
+    raises ValueError; n above 9 is untested: all_graphs(10) alone would take about 10 GB.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -255,7 +280,7 @@ def all_graphs(n: int) -> np.ndarray:
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_graphs(n - 1).astype(bool)
-    return _read_only(_extend(prev, _first_met(prev)).astype(np.int64))
+    return _read_only(_extend(prev, _first_met(prev), np.int64))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -316,4 +341,4 @@ def all_trees(n: int) -> np.ndarray:
         nbrs = np.nonzero(a)[2].reshape(len(a), -1).tolist()  # row-major: a tree's 2(n - 1) entries, vertex by vertex
         for code, vs, ends in zip(codes.tolist(), nbrs, a.sum(axis=2).cumsum(axis=1).tolist()):
             reps.setdefault(_tree_key(n, [vs[lo:hi] for lo, hi in zip([0, *ends], ends)]), code)
-    return _read_only(_extend(prev, np.array([reps[k] for k in sorted(reps)])).astype(np.int64))
+    return _read_only(_extend(prev, np.array([reps[k] for k in sorted(reps)]), np.int64))

@@ -221,7 +221,7 @@ def test_twin_pruning_keeps_every_first_met_extension():
         assert n < 3 or len(kept) < len(every), n
         firsts = []
         for codes in (every, kept):
-            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes), {}),
+            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes)),
                                     return_index=True)
             firsts.append((keys.tolist(), codes[first].tolist()))
         assert firsts[0] == firsts[1], n
@@ -384,7 +384,7 @@ def test_stacked_labeller_matches_the_reference():
         if n >= 7:
             ext = ext[np.sort(rng.choice(len(ext), 2000, replace=False))]
         colors = rothlab.enumeration._refine_colors(ext)
-        keys = rothlab.enumeration._canonical_keys(ext, {}).tolist()
+        keys = rothlab.enumeration._canonical_keys(ext).tolist()
         iu, ju = np.triu_indices(n, 1)
         for a, got_colors, got in zip(ext, colors.tolist(), keys):
             edges = _edges(a)
@@ -422,7 +422,7 @@ def test_canonical_keys_at_the_top_orders():
             stack[i, u, v] = stack[i, v, u] = True
             p = rng.permutation(n)
             stack[len(base) + i] = stack[i][np.ix_(p, p)]
-        keys = rothlab.enumeration._canonical_keys(stack, {}).tolist()
+        keys = rothlab.enumeration._canonical_keys(stack).tolist()
         assert keys[len(base):] == keys[:len(base)]
         graphs = [nx.from_edgelist(edges) for edges in base]
         for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
@@ -432,6 +432,37 @@ def test_canonical_keys_at_the_top_orders():
             adj = [np.flatnonzero(row).tolist() for row in a]
             as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
             assert as_ref == _ref_canon_code(n, _edges(a), adj)
+
+
+def test_canonical_keys_on_the_largest_frontiers():
+    # graphs that colour refinement leaves as one cell: twin-free ones, whose key search keeps many partial
+    # orders, and ones whose cell holds several twin classes that automorphisms swap; each under 5 relabellings
+    k3, union = nx.complete_graph(3), nx.disjoint_union_all
+    graphs = [nx.cycle_graph(n) for n in range(6, 12)] + [
+        nx.circular_ladder_graph(3), union([k3] * 2),  # the prism C_3 x K_2, 2K_3
+        nx.hypercube_graph(3), nx.complete_bipartite_graph(4, 4), union([nx.cycle_graph(4)] * 2),
+        nx.cartesian_product(k3, k3), union([k3] * 3),
+        nx.petersen_graph(), nx.circular_ladder_graph(5),
+        nx.circulant_graph(10, [1, 5]), nx.circulant_graph(10, [1, 3]),
+        nx.lexicographic_product(nx.cycle_graph(5), nx.empty_graph(2)), union([nx.complete_graph(2)] * 5),  # C_5[2K_1]
+        nx.circulant_graph(11, [1, 2]), nx.circulant_graph(11, [1, 3]),
+    ]
+    rng = np.random.default_rng(2014)
+    for n in sorted({len(g) for g in graphs}):
+        base = [nx.to_numpy_array(g, nodelist=sorted(g), dtype=bool) for g in graphs if len(g) == n]
+        perms = [rng.permutation(n) for _ in range(5 * len(base))]
+        stack = np.array([base[k // 5][np.ix_(p, p)] for k, p in enumerate(perms)])
+        keys = rothlab.enumeration._canonical_keys(stack).reshape(len(base), 5)
+        assert (keys == keys[:, :1]).all(), n
+        for i, j in itertools.combinations(range(len(base)), 2):
+            assert (keys[i, 0] == keys[j, 0]) == nx.is_isomorphic(nx.from_numpy_array(base[i]),
+                                                                  nx.from_numpy_array(base[j])), (n, i, j)
+        iu, ju = np.triu_indices(n, 1)
+        for a, got in zip(stack[::5], keys[:, 0].tolist()):
+            adj = [np.flatnonzero(row).tolist() for row in a]
+            if np.prod([math.factorial(c) for c in Counter(_ref_refine_colors(n, adj)).values()]) <= math.factorial(8):
+                as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
+                assert as_ref == _ref_canon_code(n, _edges(a), adj), n
 
 
 def test_all_graphs_refuses_orders_whose_keys_overflow(monkeypatch):
