@@ -29,13 +29,14 @@ import numpy as np
 from . import __version__
 # s_roth_oracle is not called here; it stays importable as rothlab.census.s_roth_oracle
 from .analysis import _twin_screen, decide_stack, oracle_stack, s_roth_oracle  # noqa: F401
-from .enumeration import _SCAFFOLD_CHUNK, _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
-from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, _connected_mask, block_adjacency,
-                     complete_graph, decode_graph6, encode_graph6, instance_to_json)
+from .enumeration import _connected_codes, _pack_codes, _unpack_codes, all_graphs, all_trees, scaffold_codes
+from .graphs import (CompositeInstance, _check_adjacency, _check_scaffold, block_adjacency, complete_graph,
+                     decode_graph6, encode_graph6, instance_to_json)
 
 SUMMARY_COLUMNS = ("s", "total", "s_roth", "harmcond", "m_matrix", "inv_positive")
 DETAIL_COLUMNS = ("graph6", "mu", "multiplicity", "s_roth", "harmcond", "m_matrix", "inv_positive")
 CENSUS_BLOCK = 256  # scaffolds per stacked decision; the unit of work of the thread pool
+_SCAFFOLD_CHUNK = 1 << 13  # scaffolds per graph6 codec call, which expands them to bool
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,17 @@ def _cache_path(t: int, s: int, out_dir: str) -> str:
 
 def _cached_codes(texts: list, t: int, s: int) -> np.ndarray:
     """The packed codes (N, max(t, s)) of graph6 cache lines, each checked to encode a connected scaffold
-    [[0, K], [K^T, 0]] on t + s vertices."""
+    [[0, K], [K^T, 0]] on t + s vertices; connectivity is tested on the codes, as the enumerator tests it."""
     b = decode_graph6(texts)
     if texts and b.shape[-1] != t + s:
         raise ValueError(f"cached scaffold has {b.shape[-1]} vertices, expected {t + s}")
     b = b.reshape(-1, t + s, t + s)
     if b[:, :t, :t].any() or b[:, t:, t:].any():
         raise ValueError("cached scaffold is not bipartite with the expected parts")
-    if not _connected_mask(b[:, :t, t:]).all():
+    codes = _pack_codes(b[:, :t, t:])
+    if not _connected_codes(codes, min(t, s)).all():
         raise ValueError("cached scaffold is not connected")
-    return _pack_codes(b[:, :t, t:])
+    return codes
 
 
 def _scaffold_stream(t: int, s: int, out_dir: str, allow_long: bool) -> tuple:

@@ -5,9 +5,13 @@ subsets of the smaller part, as bitmasks), kept iff the ascending code tuple is
 least among its sorted images under the row permutations.  Orderly generation
 (Read 1978; McKay 1998) appends columns c >= the last to canonical tuples only:
 a prefix X' of a canonical X is canonical, since the r-th entry of sorted p(X)
-is at most that of sorted p(X').  Tuples come out in lexicographic order, and
-only full tuples are tested for connectivity, on bool expansions in fixed
-chunks.  scaffold_codes returns the connected tuples themselves, one byte per
+is at most that of sorted p(X').  Each canonical tuple carries one byte per
+non-identity permutation p, the entry where sorted p(X) first exceeds X, so
+a child is settled under p by comparing that byte with p of the new column;
+about 2 % of the pairs need the sorted image.  Tuples come out in
+lexicographic order, and only full tuples are tested for connectivity, on the
+codes: the rows reached from the first column grow by every column that meets
+them.  scaffold_codes returns the connected tuples themselves, one byte per
 column, which the census carries to its files; enumerate_connected_bipartite
 expands them into an int64 stack (N, t, s), eight bytes per entry.
 
@@ -32,33 +36,78 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _connected_mask
-
 EXHAUSTIVE_LIMIT = 40  # t*s above this needs allow_long
-_CHUNK = 500_000  # candidate tuples tested at once
-_SCAFFOLD_CHUNK = 1 << 13  # scaffolds expanded to bool at once: per connectivity test here, per graph6 codec call
+_CHUNK = 500_000  # (child, permutation) pairs tested at once
 
 
 def _canonical_codes(m: int, cols: int) -> np.ndarray:
-    """The canonical column-multisets (M, cols) of an m x cols biadjacency, as ascending codes, in lex order."""
+    """The canonical column-multisets (M, cols) of an m x cols biadjacency, as ascending codes, in lex order.
+
+    A tuple is canonical iff no row permutation maps it to a smaller sorted tuple.  Each canonical tuple of a
+    level carries its bounds under the m! - 1 non-identity row permutations (see _child_bounds) to its
+    children, chunk by chunk, and the last level carries none.  A chunk holds at most _CHUNK (child,
+    permutation) pairs.  The last level's bounds, dropped, are 0 exactly on each tuple's stabiliser.
+    """
     ncols = 1 << m
-    dtype = np.min_scalar_type(ncols - 1)  # narrow codes keep the candidate stacks small
-    # lut[p, c] = image of column type c under the p-th permutation of the m rows, the identity first
-    lut = ((1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)).astype(dtype)
-    level = np.zeros((1, 0), dtype=dtype)
+    dtype = np.min_scalar_type(ncols - 1)  # narrow codes and bounds keep the chunks small
+    # images[c, p] = image of column type c under the p-th non-identity permutation of the m rows
+    lut = (1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
+    images = np.ascontiguousarray(lut[1:].T, dtype=dtype)
+    step = _CHUNK // len(lut)  # children per chunk
+    chunks = [(np.zeros((1, 0), dtype=dtype), np.zeros((1, len(lut) - 1), dtype=dtype))]  # the empty tuple
     for k in range(1, cols + 1):
-        # each canonical parent, in order, then each column type c >= its last one (lut[0] lists the types in order)
-        cand = np.hstack([np.repeat(level, ncols - 1, axis=0), np.tile(lut[0, 1:, None], (len(level), 1))])
-        cand = cand[cand[:, -1] >= cand[:, -min(k, 2)]]  # at k = 1 a column meets only itself
-        w = ncols ** np.arange(k - 1, -1, -1, dtype=np.int64)
-        keep = []
-        for chunk in np.split(cand, range(_CHUNK, len(cand), _CHUNK)):
-            best = chunk @ w
-            for p in lut[1:]:
-                np.minimum(best, np.sort(p[chunk], axis=1) @ w, out=best)
-            keep.append(chunk[chunk @ w == best])
-        level = np.concatenate(keep)
-    return level
+        parents, chunks = chunks[::-1], []
+        while parents:
+            # each canonical parent, in order, then each column type c >= its last one (at k = 1, every c >= 1);
+            # a chunk of parents is dropped once its children are tested, so no level is held twice
+            level, bound = parents.pop()
+            last = level[:, -1].astype(np.int64) if k > 1 else np.ones(1, dtype=np.int64)
+            ends = np.cumsum(ncols - last)
+            shift = ends - ncols  # child j of parent i appends column j - shift[i]
+            for lo in range(0, ends[-1], step):
+                j = np.arange(lo, min(lo + step, ends[-1]))
+                par = np.searchsorted(ends, j, side="right")
+                child = np.hstack([level[par], (j - shift[par]).astype(dtype)[:, None]])
+                beaten, b = _child_bounds(child, bound[par], images)
+                chunks.append((child[~beaten], b[~beaten] if k < cols else None))
+    return np.concatenate([level for level, _ in chunks])
+
+
+def _child_bounds(child: np.ndarray, b: np.ndarray, images: np.ndarray) -> tuple:
+    """(beaten (n,), bounds (n, P)) of children (n, k), each a canonical parent X, of bounds b (n, P), plus a
+    column c >= X[-1], under the permutations of images (2^m, P): images[c, p] is the image of type c under p.
+
+    The bound of a canonical X under p is X[r] at the first r where sorted p(X) differs from X, where the
+    image is the larger, and 0 where they are equal (codes are at least 1).  With q = p(c): from 0, q > c
+    gives c; a bound b > 0 stays b if q > b, since sorted p(X + c) still first differs at r, there larger.
+    Otherwise, about one pair in fifty, the sorted image of X + c beats it or gives its new bound: from
+    0, q < c beats it and q == c keeps 0, and from b > 0 the tie q == b can beat it.  Where a child is
+    beaten its bounds mean nothing.
+    """
+    c = child[:, -1:]
+    q = images[child[:, -1]]
+    bound = b + (b == 0) * c  # 0 becomes c: arithmetic, as np.where on a scattered mask is many times slower
+    i, p = np.divmod(np.flatnonzero(q <= bound), bound.shape[1])
+    x = child[i]
+    img = np.sort(images[x, p[:, None]], axis=1)
+    r = (img != x).argmax(axis=1)  # 0 where they are equal, and then img[r] == x[r]
+    at, im = x[np.arange(len(i)), r], img[np.arange(len(i)), r]
+    bound[i, p] = np.where(im == at, 0, at)
+    beaten = np.zeros(len(child), dtype=bool)
+    beaten[i[im < at]] = True
+    return beaten, bound
+
+
+def _connected_codes(codes: np.ndarray, m: int) -> np.ndarray:
+    """Whether each packed scaffold (N, cols) over m rows is connected, bool (N,).
+
+    Connected iff no column is zero and every row is reached from the rows of the first column: a round ORs
+    into the reach every column that meets it, and adds a row until none is left to add.
+    """
+    reach = codes[:, 0].copy()
+    for _ in range(m - 1):
+        reach |= np.bitwise_or.reduce(np.where(codes & reach[:, None], codes, 0), axis=1)
+    return codes.all(axis=1) & (reach == (1 << m) - 1)
 
 
 def scaffold_codes(t: int, s: int, allow_long: bool = False) -> np.ndarray:
@@ -66,19 +115,19 @@ def scaffold_codes(t: int, s: int, allow_long: bool = False) -> np.ndarray:
 
     A code lists the columns of the biadjacency over the smaller part as bitmasks, bit i for its row i:
     the columns of the t x s matrix for t <= s, its rows otherwise.  Classes are taken under independent
-    permutations of the two parts; parts never swap.  Codes arrive in ascending canonical order.  t*s above
-    EXHAUSTIVE_LIMIT raises unless allow_long is set, and above 63 always.
+    permutations of the two parts; parts never swap.  Codes arrive in ascending canonical order: the canonical
+    tuples of _canonical_codes that _connected_codes passes, the test the census runs on a cached scaffold.
+    t*s above EXHAUSTIVE_LIMIT raises unless allow_long is set, and above 63 always.
     """
     if t < 1 or s < 1:
         raise ValueError("need t, s >= 1")
-    if t * s > 63:  # _canonical_codes packs a tuple of columns into t*s bits
-        raise ValueError(f"t*s = {t*s} exceeds 63: packed column codes would overflow int64")
+    if t * s > 63:  # keeps the smaller part at 7 rows or fewer, so codes and bounds fit uint8
+        raise ValueError(f"t*s = {t*s} exceeds 63, the largest scaffold shape")
     if t * s > EXHAUSTIVE_LIMIT and not allow_long:
         raise ValueError(f"t*s = {t*s} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; pass allow_long")
-    m, cols = min(t, s), max(t, s)
-    codes = _canonical_codes(m, cols)
-    chunks = np.split(codes, range(_SCAFFOLD_CHUNK, len(codes), _SCAFFOLD_CHUNK))
-    return codes[np.concatenate([_connected_mask(_unpack_codes(c, m, cols)) for c in chunks])]
+    m = min(t, s)
+    codes = _canonical_codes(m, max(t, s))
+    return codes[_connected_codes(codes, m)]
 
 
 def _unpack_codes(codes: np.ndarray, t: int, s: int, dtype=bool) -> np.ndarray:

@@ -96,8 +96,8 @@ def _component(a, v: int = 0) -> np.ndarray:
     return seen
 
 
-def _connected_mask(k: np.ndarray, a=0) -> np.ndarray:
-    """Whether [[a, K], [K^T, 0]] is connected, bool (N,) over a stack of K or of a = A_G (a = 0: the scaffold).
+def _connected_mask(k: np.ndarray, a) -> np.ndarray:
+    """Whether [[a, K], [K^T, 0]] is connected, bool (N,) over a stack of K or of a = A_G.
 
     Connected iff no column of K is zero and T is, with i ~ j for an edge of a or a common S-neighbour.
     """

@@ -73,9 +73,15 @@ def full_spectrum(m: np.ndarray) -> EigenSystem:
     except np.linalg.LinAlgError:  # LAPACK stops on some NaN or infinity; the contract below fails on NaN
         values, vectors = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
     with np.errstate(all="ignore"):  # a NaN or an infinity fails the comparisons below
-        residual = np.abs(m @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1), initial=0.0)
+        # both measures in one buffer: a census decides block after block, and fresh temporaries of a
+        # few hundred kB each would be mapped and faulted in again for every block
+        r = m @ vectors
+        r -= vectors * values[..., None, :]
+        residual = np.abs(r, out=r).max(axis=(-2, -1), initial=0.0)
         norm_inf = np.abs(m).sum(axis=-1).max(axis=-1, initial=0.0)
-        ortho = np.abs(np.swapaxes(vectors, -1, -2) @ vectors - np.eye(m.shape[-1])).max(initial=0.0)
+        np.matmul(np.swapaxes(vectors, -1, -2), vectors, out=r)
+        r -= np.eye(m.shape[-1])
+        ortho = np.abs(r, out=r).max(initial=0.0)
     fits = np.all(residual <= EIG_TOL * (1.0 + norm_inf))
     if not (fits and ortho <= EIG_TOL * (1.0 + m.shape[-1])):
         if not np.array_equal(m, np.swapaxes(m, -1, -2), equal_nan=True):

@@ -54,15 +54,14 @@ def test_size_guard():
 
 
 def test_packed_code_limit(monkeypatch):
-    # a tuple of k columns on m rows packs into m*k bits of an int64: past 63 the
-    # shape is refused before any enumeration, even with allow_long
+    # past t*s = 63 the shape is refused before any enumeration, even with allow_long
     def unreachable(m, cols):
         raise AssertionError("enumeration started")
 
     assert len(enumerate_connected_bipartite(63, 1, allow_long=True)) == 1
     monkeypatch.setattr(rothlab.enumeration, "_canonical_codes", unreachable)
     for shape in ((8, 8), (64, 1), (7, 10)):
-        with pytest.raises(ValueError, match="overflow int64"):
+        with pytest.raises(ValueError, match="exceeds 63"):
             enumerate_connected_bipartite(*shape, allow_long=True)
 
 
@@ -80,6 +79,17 @@ def test_packed_codes_round_trip():
         codes = scaffold_codes(t, s)
         assert codes.shape == (558, 5) and codes.dtype == np.uint8
         assert np.array_equal(_pack_codes(enumerate_connected_bipartite(t, s)), codes)
+
+
+def test_connectivity_on_codes_matches_the_matrix_test():
+    # the enumerator and the census cache test connectivity on packed codes: zero rows and columns included,
+    # in both orientations, it agrees with the component search on the biadjacency
+    rng = np.random.default_rng(33)
+    for t, s in ((4, 7), (7, 4), (1, 5), (5, 1), (3, 3), (6, 6)):
+        k = rng.random((400, t, s)) < rng.random((400, 1, 1))
+        got = rothlab.enumeration._connected_codes(_pack_codes(k), min(t, s))
+        expected = k.any(axis=-2).all(axis=-1) & _component(k @ np.swapaxes(k, -1, -2)).all(axis=-1)
+        assert np.array_equal(got, expected) and 0 < got.sum() < len(k), (t, s)
 
 
 def _brute_force_count(t: int, s: int) -> int:
@@ -165,19 +175,69 @@ def test_orderly_generation_matches_the_reference():
 
 
 def test_scaffold_stacks_match_their_pinned_digests():
-    # sha256 of the stack bytes, recorded from the full-multiset enumerator
+    # sha256 of the stack bytes: (4, 7) and (4, 9) recorded from the full-multiset enumerator, the rest from
+    # the enumerator that compared every candidate with all its sorted images; five and six rows are the
+    # permutation groups the reference test above does not reach
     pinned = {
         (4, 7): "e6f2093a086454ca812204073fa4c117150d910295c4caee660b8a7862d6d3f4",
         (4, 9): "058f7c70e7afe1329b4187c036900fc5776bf039d8f8db878c4da90e04d1592e",
+        (5, 5): "bcf62949d8ac389ff6b86ef96ce9e85b3cf3227bcdbb8ccf49c299cee38b12b7",
+        (5, 6): "f473c2624cdefdd7a2367a6ceb142a2309e27a2779831bc2116a03538bfd9cc7",
+        (5, 7): "1b0c019128c8526167f73a5935a4fa337abb65a8b8483dcb231801b849bb4c87",
+        (7, 5): "f0157ff82134d0a952129e249392e9c1c1409411a0881250a90f97e415f139cd",
     }
     for shape, digest in pinned.items():
         assert hashlib.sha256(enumerate_connected_bipartite(*shape).tobytes()).hexdigest() == digest, shape
 
 
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 1 s, 70 MB)")
+def test_six_row_scaffold_stack_matches_its_pinned_digest():
+    k = enumerate_connected_bipartite(6, 6)
+    assert len(k) == 194203
+    assert hashlib.sha256(k.tobytes()).hexdigest() == "b8e4737f0071bf2a9fda42f3c2539dfbeb440b19d6794a3eddbdf06146e771cb"
+
+
+def _ref_images(m: int, codes: tuple) -> list:
+    """The sorted image of a code tuple under each permutation of the m rows, in itertools' order (identity first)."""
+    bits = np.array(codes)[:, None] >> np.arange(m) & 1
+    perms = np.array(list(itertools.permutations(range(m))))
+    return [tuple(row) for row in np.sort((bits << perms[:, None, :]).sum(axis=2), axis=1).tolist()]
+
+
 def _ref_is_canonical(m: int, codes: tuple) -> bool:
-    images = (tuple(sorted(sum((c >> i & 1) << p[i] for i in range(m)) for c in codes))
-              for p in itertools.permutations(range(m)))
-    return min(images) == codes
+    return min(_ref_images(m, codes)) == codes
+
+
+def _ref_bounds(m: int, codes: tuple) -> list:
+    """Per non-identity permutation: the entry of codes at the first index where its sorted image differs, or 0."""
+    return [next((x for x, y in zip(codes, image) if x != y), 0) for image in _ref_images(m, codes)[1:]]
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_carried_bounds_decide_canonicity(m):
+    # walk each tuple's prefixes through the rule from the empty tuple, whose bounds are all 0: a tuple is
+    # canonical iff no prefix is beaten, and a canonical tuple's carried bounds are the ones defined afresh
+    rng = np.random.default_rng(33 + m)
+    perms = np.array(list(itertools.permutations(range(m))))
+    lut = (1 << perms) @ (np.arange(1 << m) >> np.arange(m)[:, None] & 1)
+    images = np.ascontiguousarray(lut[1:].T, dtype=np.uint8)
+    samples = set()
+    for k in range(1, 8):
+        for codes in np.sort(rng.integers(1, 1 << m, size=(40, k)), axis=1).tolist():
+            samples |= {tuple(codes), min(_ref_images(m, tuple(codes)))}  # mostly not canonical, and its least image
+    for k in range(1, 8):
+        tuples = sorted(x for x in samples if len(x) == k)
+        x = np.array(tuples, dtype=np.uint8)
+        alive, bounds = np.ones(len(x), dtype=bool), np.zeros((len(x), len(perms) - 1), dtype=np.uint8)
+        for j in range(1, k + 1):
+            beaten, bounds = rothlab.enumeration._child_bounds(x[:, :j], bounds, images)
+            alive &= ~beaten
+        expected = [_ref_is_canonical(m, codes) for codes in tuples]
+        assert alive.tolist() == expected, (m, k)
+        assert 0 < sum(expected) < len(tuples), (m, k)
+        for codes, row in zip(tuples, bounds.tolist()):
+            if _ref_is_canonical(m, codes):
+                assert row == _ref_bounds(m, codes), (m, codes)
 
 
 def test_every_prefix_of_an_emitted_tuple_is_canonical():

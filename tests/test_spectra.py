@@ -116,6 +116,16 @@ def test_full_spectrum_is_eigh_on_a_symmetric_stack():
     assert np.array_equal(es.values, values) and np.array_equal(es.vectors, vectors)
 
 
+def test_residual_bound_is_the_plain_residual():
+    # the contract measures in a reused buffer; the arithmetic, and so every bit of the bound, is the plain one
+    m = np.random.default_rng(33).normal(size=(40, 11, 11))
+    m = m + np.swapaxes(m, -1, -2)
+    for a in (m, m[3]):
+        es = full_spectrum(a)
+        expected = np.abs(a @ es.vectors - es.vectors * es.values[..., None, :]).max()
+        assert es.residual_bound == expected and es.residual_bound > 0
+
+
 def test_smallest_eigenpair_k2():
     pair = smallest_eigenpair(signless_laplacian(complete_graph(2)))
     assert abs(pair.mu) < 1e-12
