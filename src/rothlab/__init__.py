@@ -33,20 +33,12 @@ from .spectra import (
 )
 from .analysis import (
     Decisions,
-    ReducedMatrix,
     alpha_of,
-    build_r_mu,
     decide_instance,
     decide_stack,
     is_complete_scaffold,
     oracle_stack,
     s_roth_oracle,
-)
-from .bounds import (
-    InverseBoundReport,
-    bai_golub_trace_bounds,
-    cycle_block_bounds,
-    path_block_rowsums,
 )
 from .enumeration import all_graphs, all_trees, enumerate_connected_bipartite
 from .census import (

@@ -4,12 +4,13 @@ H (connected, with independent set S) is S-Roth when every eigenvector of the
 smallest signless-Laplacian eigenvalue mu(H) is strictly positive on S and
 strictly negative on T, up to a global sign.  The oracle decides this from the
 spectrum; the remaining operations are certificates: the Schur complement
-Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, join
-decomposition criteria at the mu = t-s boundary, and the reduced matrix R_mu
-whose inverse row sums characterize S-Rothness for complete scaffolds.  Q_mu
-is formed only to read its classes, from the blocks of the Q(H) stack whose
-eigensolve gave the verdicts: the bare array and the exact harmonic sum of a
-witness pair are proof tools, kept with the tests in tests/paper_tools.py.
+Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, and join
+decomposition criteria at the mu = t-s boundary.  Q_mu is formed only to read
+its classes, from the blocks of the Q(H) stack whose eigensolve gave the
+verdicts.  The bare Q_mu array, the exact harmonic sum of a witness pair, the
+reduced matrix R_mu = Q(G) + (s - mu) I of a complete scaffold and the inverse
+bounds on its cycle and path blocks are proof tools that no command runs, kept
+with the tests in tests/paper_tools.py.
 
 The oracle, the Q_mu classes and the scaffold certificates run on stacks of
 same-shape instances given as arrays (A_G, K): oracle_stack and decide_stack
@@ -113,16 +114,6 @@ def _row(column, i):
         return None
     v = column[i]
     return v.item() if isinstance(v, np.generic) else v
-
-
-@dataclass(eq=False)
-class ReducedMatrix:
-    r_mu: np.ndarray  # Q(G) + (s-mu)I, complete scaffolds only
-    positive_definite: bool
-    rowsums: np.ndarray | None  # row sums of r_mu^{-1}, when PD
-    s_roth: bool | None  # every row sum positive, when PD
-    gamma: float | None  # sum of rowsums: all entries of r_mu^{-1}, when PD
-    gamma_expected: float  # (t - mu)/s; equality is forced by the eigenvector equation
 
 
 def _stacks(a_g, ks) -> tuple:
@@ -339,33 +330,6 @@ def alpha_of(inst: CompositeInstance, mu: float) -> float:
     if mu >= inst.t:
         raise ValueError(f"mu={mu} >= t={inst.t}")
     return inst.s / (inst.t - mu)
-
-
-# the reduced matrix R_mu (complete scaffolds)
-
-
-def build_r_mu(inst: CompositeInstance, mu: float) -> ReducedMatrix:
-    """R_mu = Q(G) + (s - mu) I and the row sums of its inverse.  Singularity is recorded, not raised.
-
-    When R_mu is positive definite, H is S-Roth iff every row sum of R_mu^{-1}
-    is positive; s_roth is None otherwise.  gamma_expected = (t-mu)/s is the
-    value of gamma implied by the S-block of the eigenvector equation (all
-    S-entries equal, so summing the z formula over S pins gamma).
-    """
-    if not is_complete_scaffold(inst):
-        raise ValueError("R_mu is defined for complete scaffolds only")
-    r = inst.A + np.diag(inst.A.sum(axis=1) + (inst.s - mu))
-    values = full_spectrum(r).values
-    scale = 1.0 + np.abs(r).max(initial=0.0)
-    pd = bool(values[0] > 1e-9 * scale)
-    rowsums = s_roth = gamma = None
-    if pd:
-        rowsums = np.linalg.inv(r).sum(axis=1)
-        # a row sum at floating-point zero means a zero eigenvector entry
-        s_roth = bool(rowsums.min() > INV_POS_TOL * max(1.0, float(np.abs(rowsums).max())))
-        gamma = float(rowsums.sum())
-    return ReducedMatrix(r_mu=r, positive_definite=pd, rowsums=rowsums, s_roth=s_roth, gamma=gamma,
-                         gamma_expected=(inst.t - mu) / inst.s)
 
 
 def decide_stack(a_g, ks) -> Decisions:

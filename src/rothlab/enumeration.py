@@ -50,8 +50,9 @@ def _canonical_codes(m: int, cols: int) -> np.ndarray:
     """
     ncols = 1 << m
     dtype = np.min_scalar_type(ncols - 1)  # narrow codes and bounds keep the chunks small
-    # images[c, p] = image of column type c under the p-th non-identity permutation of the m rows
-    lut = (1 << _cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
+    # images[c, p] = image of column type c under the p-th non-identity permutation of the m rows; itertools
+    # lists the identity first, which lut[1:] drops
+    lut = (1 << np.array(list(itertools.permutations(range(m))))) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
     images = np.ascontiguousarray(lut[1:].T, dtype=dtype)
     step = _CHUNK // len(lut)  # children per chunk
     chunks = [(np.zeros((1, 0), dtype=dtype), np.zeros((1, len(lut) - 1), dtype=dtype))]  # the empty tuple
@@ -243,18 +244,6 @@ def _refine_colors(a: np.ndarray) -> np.ndarray:
         colors[live] = new
         live = live[(new != c).any(axis=1)]
     return colors
-
-
-def _cell_perms(cells: tuple) -> np.ndarray:
-    """The permutations (P, n) of 0..n-1 that map each run of equal entries of cells onto itself, identity first."""
-    perms, lo = np.zeros((1, 0), dtype=np.int64), 0
-    for _, run in itertools.groupby(cells):
-        k = len(list(run))
-        # the run's positions lo .. lo + k - 1 in every order, itertools' first: the identity
-        q = lo + np.array(list(itertools.permutations(range(k))), dtype=np.int64)
-        perms = np.hstack([np.repeat(perms, len(q), axis=0), np.tile(q, (len(perms), 1))])
-        lo += k
-    return perms
 
 
 def _canonical_keys(a: np.ndarray) -> np.ndarray:

@@ -84,7 +84,8 @@ def cycle_graph(n: int) -> np.ndarray:
 def _component(a, v: int = 0) -> np.ndarray:
     """Vertices reachable from v in an adjacency matrix, or in each of a stack: bool (..., n).
 
-    The one connectivity routine.  Breadth-first: each step is one boolean matrix-vector product
+    The connectivity routine of adjacency arrays; packed scaffold codes are tested on the codes by
+    enumeration._connected_codes.  Breadth-first: each step is one boolean matrix-vector product
     that moves the frontier to its unseen neighbours, until no frontier is left.
     """
     a = np.asarray(a) != 0

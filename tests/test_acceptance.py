@@ -41,18 +41,19 @@ from conftest import (
     random_instance,
 )
 from exact_evidence import exact_q_mu, leading_minors, prove_census
-from paper_tools import build_q_mu, harmonic_witness
-from rothlab.analysis import (
+from paper_tools import (
+    bai_golub_trace_bounds,
+    build_q_mu,
     build_r_mu,
+    cycle_block_bounds,
+    harmonic_witness,
+    path_block_rowsums,
+)
+from rothlab.analysis import (
     decide_instance,
     decide_stack,
     is_complete_scaffold,
     s_roth_oracle,
-)
-from rothlab.bounds import (
-    bai_golub_trace_bounds,
-    cycle_block_bounds,
-    path_block_rowsums,
 )
 from rothlab.census import conjecture_sweep, run_census
 from rothlab.enumeration import all_trees

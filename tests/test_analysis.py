@@ -30,7 +30,7 @@ from conftest import (
     random_instance,
 )
 from exact_evidence import _fraction_inverse
-from paper_tools import build_q_mu, complete_bipartite, harmonic_witness
+from paper_tools import build_q_mu, build_r_mu, complete_bipartite, harmonic_witness
 from rothlab.analysis import (
     REASON_MIXED,
     REASON_MULTIPLE,
@@ -40,7 +40,6 @@ from rothlab.analysis import (
     _exact_q_mu,
     _q_mu,
     alpha_of,
-    build_r_mu,
     decide_instance,
     decide_stack,
     is_complete_scaffold,

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from rothlab.bounds import (
-    bai_golub_trace_bounds,
-    cycle_block_bounds,
-    path_block_rowsums,
-)
+from paper_tools import bai_golub_trace_bounds, cycle_block_bounds, path_block_rowsums
 from rothlab.graphs import cycle_graph, path_graph
 from rothlab.spectra import signless_laplacian
 

@@ -141,7 +141,7 @@ def test_brute_force_cross_check():
 
 def _ref_canonical_codes(m: int, cols: int):
     ncols = 1 << m
-    lut = (1 << rothlab.enumeration._cell_perms((0,) * m)) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
+    lut = (1 << np.array(list(itertools.permutations(range(m))))) @ (np.arange(ncols) >> np.arange(m)[:, None] & 1)
     w = (ncols ** np.arange(cols - 1, -1, -1)).astype(np.int64)
     it = itertools.combinations_with_replacement(range(1, ncols), cols)
     while True:

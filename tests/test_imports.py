@@ -39,12 +39,6 @@ def test_every_import_is_used(path):
 
 # public definitions that no module of the package and no benchmark file reads
 UNREFERENCED = {
-    # analysis' one use of full_spectrum, which perfbench/tests/test_bench_tracing.py expects to find
-    # traced as rothlab.analysis.full_spectrum
-    "analysis.build_r_mu",
-    # perfbench/tracing.py's MODULES traces the bounds module
-    "bounds.cycle_block_bounds",
-    "bounds.path_block_rowsums",
     # the README's library entry for a family of G of the user's own
     "census.ultra_roth_probe",
     # the README's library entry for a whole scaffold stack, which perfbench/tracing.py probes by name; the
@@ -147,14 +141,15 @@ def test_eigh_callers_are_found():
 
 def test_only_full_spectrum_calls_eigh():
     # every verdict rests on full_spectrum's checked solve.  np.linalg.eigvalsh stays in
-    # mu_lower_bound_degrees and bounds, which give bounds, not verdicts: its values can differ
-    # from eigh's in the last bits, so moving them would change the analyze reports
+    # mu_lower_bound_degrees, which gives a bound, not a verdict: its values can differ
+    # from eigh's in the last bits, so moving it would change the analyze reports
     callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _eigh_callers(ast.parse(p.read_text()))]
     assert callers == [("spectra", "full_spectrum")]
 
 
 # the enumerated families are cached for the sweeps and the parser for every CLI call; any other cache would
-# keep its tables past the call that needs them (all_graphs' cell-rank tables live in one _first_met call)
+# keep its tables past the call that needs them (the scaffold enumerator's carried bounds live in one
+# _canonical_codes call)
 CACHED = {("enumeration", "all_graphs"), ("enumeration", "all_trees"), ("cli", "build_parser")}
 CACHES = {"lru_cache", "cache"}
 
