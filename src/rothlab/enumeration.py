@@ -16,13 +16,19 @@ column, which the census carries to its files; enumerate_connected_bipartite
 expands them into an int64 stack (N, t, s), eight bytes per entry.
 
 Graphs on n vertices are the extensions of all_graphs(n - 1) by a vertex joined
-to a subset (sub) of the old ones, one per class: the first met, parent major
-and sub ascending, under a canonical key from colour refinement and the least
-upper triangle over the orders within each colour cell.  An extension is not
-keyed if twins i < j of its parent (a swap of them fixes the parent) have j in
-the sub and i not: the swap maps it onto the same parent's extension by a
-smaller sub, which comes first, so every first-met extension is still keyed
-and the output is that of keying them all.  A graph whose colour cells are each
+to a subset (sub) of the old ones, one per class under a canonical key from
+colour refinement and the least upper triangle over the orders within each
+colour cell.  Only extensions whose new vertex has the least degree, ties kept,
+are keyed (McKay 1998), and no class is lost: for a least-degree vertex u of
+any member X, X - u is isomorphic to a parent, whose extension by the image of
+N(u) is isomorphic to X and has its new vertex, the image of u, least.
+Each class keeps the first of these met, parent major and sub ascending.  Nor
+is one keyed if twins i < j of its parent (a swap of them fixes the parent)
+have j in the sub and i not: the swap maps it onto the same parent's extension
+by a smaller sub, which comes first and, as a swap keeps every degree, is kept
+too.  So the output is that of keying every least-degree extension: the
+classes and their key order are those of keying every extension, and only the
+labelled representatives differ.  A graph whose colour cells are each
 one twin class has its key read off the colour order; any other is keyed by a
 search that fills positions from the last and keeps, per graph, the partial
 orders with the least rows.  No table of cell orders is built, and the only
@@ -203,15 +209,30 @@ def _twin_kept(p: np.ndarray) -> np.ndarray:
     return kept
 
 
+def _least_degree(p: np.ndarray) -> np.ndarray:
+    """Bool mask (N, 2^m) of the subs whose new vertex has the least degree in the extension of each
+    parent of a bool stack (N, m, m), ties kept: popcount(e) <= deg(u) + bit u of e for every u.
+
+    Every class on m + 1 vertices keeps a member: for a least-degree vertex u of any member X, X - u is
+    isomorphic to a parent, whose extension by the image of N(u) is isomorphic to X, with its new vertex least.
+    """
+    m = p.shape[-1]
+    bits = (np.arange(1 << m) >> np.arange(m)[:, None] & 1).astype(np.uint8)
+    least = (p.sum(axis=2, dtype=np.uint8)[:, :, None] + bits).min(axis=1)
+    return bits.sum(axis=0, dtype=np.uint8) <= least
+
+
 def _first_met(prev: np.ndarray) -> np.ndarray:
-    """Of each class among the extensions of a bool stack prev (N, m, m), the code parent << m | sub
-    of the first met, parent major and sub ascending; the codes come in canonical-key order."""
+    """Of each class among the extensions of a bool stack prev (N, m, m) whose new vertex has least degree,
+    the code parent << m | sub of the first met, parent major and sub ascending; the codes come in
+    canonical-key order.  A twin swap keeps every degree, so _twin_kept keeps each of those first ones."""
     m = prev.shape[-1]
     step = max(1, _BLOCK >> m)  # whole parents, at most _BLOCK extensions
-    kept = np.concatenate([_twin_kept(prev[lo:lo + step]) for lo in range(0, len(prev), step)]).ravel()
-    keys = np.concatenate([_canonical_keys(_extend(prev, lo + np.flatnonzero(kept[lo:lo + _BLOCK])))
-                           for lo in range(0, len(kept), _BLOCK)])
-    return np.flatnonzero(kept)[np.unique(keys, return_index=True)[1]]
+    chunks = (prev[lo:lo + step] for lo in range(0, len(prev), step))
+    codes = np.flatnonzero(np.concatenate([_twin_kept(p) & _least_degree(p) for p in chunks]))
+    keys = np.concatenate([_canonical_keys(_extend(prev, codes[lo:lo + _BLOCK]))
+                           for lo in range(0, len(codes), _BLOCK)])
+    return codes[np.unique(keys, return_index=True)[1]]
 
 
 def _ranks(key: np.ndarray) -> np.ndarray:
@@ -307,9 +328,10 @@ def _least_rows(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def all_graphs(n: int) -> np.ndarray:
     """All graphs on n vertices up to isomorphism (1, 2, 4, 11, 34, 156, 1044, ...).
 
-    A cached, read-only int64 adjacency stack (N, n, n): of each class, the
-    first labelled extension of all_graphs(n - 1) met, in canonical-key order. n above 11
-    raises ValueError; n above 9 is untested: all_graphs(10) alone would take about 10 GB.
+    A cached, read-only int64 adjacency stack (N, n, n), in canonical-key order: of each class, the
+    first extension of all_graphs(n - 1) met whose new vertex n - 1 has the least degree, parent major and
+    sub ascending (see _least_degree).  n above 11 raises ValueError; n above 9 is untested: all_graphs(10)
+    alone would take about 10 GB.
     """
     if n < 1:
         raise ValueError("need n >= 1")

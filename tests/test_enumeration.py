@@ -270,32 +270,34 @@ def test_all_graphs_counts():
         assert len(all_graphs(n)) == cnt
 
 
-def test_twin_pruning_keeps_every_first_met_extension():
-    # all_graphs keys only the extensions that no twin swap of the parent maps to an earlier one:
-    # keying every extension and keying the kept ones must give the same classes, met first by the
-    # same codes, so the labelled output is that of keying them all
+def test_all_graphs_keys_only_least_degree_twin_kept_extensions():
+    # all_graphs keys an extension only if its new vertex has least degree, ties kept, and no twin swap of the
+    # parent maps it to an earlier one: keying every extension and keying the kept ones give the same classes,
+    # and among the least-degree extensions the twin rule drops none that is met first
+    enum = rothlab.enumeration
     for n in range(2, 8):
         prev = all_graphs(n - 1).astype(bool)
         every = np.arange(len(prev) << (n - 1))
-        kept = every[rothlab.enumeration._twin_kept(prev).ravel()]
-        assert n < 3 or len(kept) < len(every), n
+        least_degree = enum._least_degree(prev).ravel()
+        least, kept = every[least_degree], every[least_degree & enum._twin_kept(prev).ravel()]
+        assert n < 3 or len(kept) < len(least) < len(every), n
         firsts = []
-        for codes in (every, kept):
-            keys, first = np.unique(rothlab.enumeration._canonical_keys(rothlab.enumeration._extend(prev, codes)),
-                                    return_index=True)
+        for codes in (every, least, kept):
+            keys, first = np.unique(enum._canonical_keys(enum._extend(prev, codes)), return_index=True)
             firsts.append((keys.tolist(), codes[first].tolist()))
-        assert firsts[0] == firsts[1], n
-        assert rothlab.enumeration._first_met(prev).tolist() == firsts[0][1], n
+        assert firsts[0][0] == firsts[2][0], n
+        assert firsts[1] == firsts[2], n
+        assert enum._first_met(prev).tolist() == firsts[2][1], n
 
 
-@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 15 s, 290 MB)")
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 4 s, 335 MB)")
 def test_all_graphs_nine():
     # the known count (OEIS A000088); the digest, of the graph6 lines joined by
     # newlines, pins the labelled output and its order as the n <= 8 digests do
     gs = all_graphs(9)
     assert len(gs) == 274668
     digest = hashlib.sha256("\n".join(encode_graph6(gs)).encode()).hexdigest()
-    assert digest == "01ced676852cfd8c9ed260a657f93b59d0baf4630cdf696df096f3a41054bda0"
+    assert digest == "bffb5626cc02c87a4ac9879df0d8897492e3d90fd3b052014fe044fddf36256f"
 
 
 def test_all_graphs_are_distinct_objects():
@@ -355,7 +357,7 @@ def test_graph_enumeration_canonical_distinct():
 
 def test_enumerators_keep_their_labelled_order():
     # the sweeps report counterexamples by graph6, so the labelling and the order are part of the output
-    assert encode_graph6(all_graphs(4)) == ["C?", "CQ", "C]", "CC", "CU", "CE", "CF", "CT", "CV", "C^", "C~"]
+    assert encode_graph6(all_graphs(4)) == ["C?", "C`", "Cr", "C_", "Cq", "Co", "Cs", "Cw", "C{", "C}", "C~"]
     assert encode_graph6(all_trees(7)) == ["FqGOO", "FqHA?", "FqH@?", "FqHC?", "FqH?O", "FqI?G", "FqIC?",
                                            "FqH?_", "FsaC?", "FsaA?", "Fs`A?"]
 
@@ -374,13 +376,14 @@ def test_enumeration_binds_no_graph():
 
 
 def test_enumerated_stacks_match_their_pinned_digests():
-    # sha256 of the graph6 lines joined by newlines, recorded from the per-code labeller
-    # that the stacked canonical key replaced: the labelled output and its order are pinned
+    # sha256 of the graph6 lines joined by newlines: the labelled output and its order are pinned.  The trees'
+    # were recorded from the per-code labeller that the stacked canonical key replaced; the graphs', from the
+    # least-degree rule, whose classes and key order are those of keying every extension
     pinned = {
-        (all_graphs, 5): "313f5c6f37b5b243a4f6db065ca72b4b5c3656cd3a3880420f7759f4c84ba8d3",
-        (all_graphs, 6): "02462efa1a05aa67541a345d4e097f51accf828de12ca43f6fdbfdf5ead44bff",
-        (all_graphs, 7): "bb522a56ea143f2771b027ce9d8ecdfac6c1d083faa1801e3e45b224f5d1a6e2",
-        (all_graphs, 8): "89d25a55c9fb9df05b2bf674d8066dfd3561b80a45defcc0825a1197f307de12",
+        (all_graphs, 5): "c05b3af23f0d560aff15b63955ded305cde5053768b50103c8300af281b03374",
+        (all_graphs, 6): "2273d5e9bf499e6a87ed09fc5aa1e186a3304d9cddf4b50aa9985010c091eafc",
+        (all_graphs, 7): "d69657d27cfee44bf5e157f3bcd1dc09eceb0ed1b68516184789ed5efd36528f",
+        (all_graphs, 8): "bc4dbc857bbe21ec600aef28af48210bc5205119ce56fdd30769976ede47d62d",
         (all_trees, 8): "79937b253a5064b284ec16229d5aeaac3c8650a243e80f18b73b75cc7e8ede0d",
         (all_trees, 9): "175095c4c6c779422e3e746faca45015256de368809c6b3a6ccee93a487310be",
         (all_trees, 10): "9b75eab16858d31dd46aea27726ac4f225aabd56000d36823da549cafdbc20c5",
@@ -453,6 +456,18 @@ def test_stacked_labeller_matches_the_reference():
             # the stacked key puts pair rank k at bit k; the reference puts it at bit iu[k]*n + ju[k]
             as_ref = sum(1 << (int(iu[k]) * n + int(ju[k])) for k in range(len(iu)) if got >> k & 1)
             assert as_ref == _ref_canon_code(n, edges, adj)
+
+
+def test_all_graphs_matches_the_least_degree_reference():
+    # one graph at a time: for each reference key, in key order, the first extension met whose new vertex has
+    # least degree, parent major and sub ascending
+    for n in range(2, 7):
+        first = {}
+        for a in _extensions(n):
+            deg = a.sum(axis=1)
+            if deg[-1] == deg.min():
+                first.setdefault(_ref_canon_code(n, _edges(a), [np.flatnonzero(row).tolist() for row in a]), a)
+        assert np.array_equal(all_graphs(n), [first[k] for k in sorted(first)]), n
 
 
 def test_canonical_keys_at_the_top_orders():
