@@ -7,7 +7,8 @@ spectrum; the remaining operations are certificates: the Schur complement
 Q_mu and its matrix classes, harmonic-sum conditions on the scaffold, and join
 decomposition criteria at the mu = t-s boundary.  Q_mu is formed only to read
 its classes, from the blocks of the Q(H) stack whose eigensolve gave the
-verdicts.  The bare Q_mu array, the exact harmonic sum of a witness pair, the
+verdicts; its minpositive class is the verdict itself (Haynsworth, see
+Decisions).  The bare Q_mu array, the exact harmonic sum of a witness pair, the
 reduced matrix R_mu = Q(G) + (s - mu) I of a complete scaffold and the inverse
 bounds on its cycle and path blocks are proof tools that no command runs, kept
 with the tests in tests/paper_tools.py.
@@ -24,9 +25,9 @@ L*Q_mu read off the integer Q(H) (see _exact_classes).  Every other verdict
 is a floating-point decision: a ZeroEntry or MultipleEigenvalue at an
 irrational mu is settled by SIGN_TOL and CLUSTER_TOL, not proved.  So is
 every row that the sweeps and the probe clear on the twin quotient B of
-their scaffold (see _twin_screen): an S-Roth verdict read off B with
-tenfold those margins, which never clears an integer-candidate mu; every
-other row goes to the oracle on the full Q(H).  The
+their scaffold (see _twin_screen): an S-Roth verdict read off B by the
+oracle's sign rule at factor 10, which never clears an integer-candidate mu;
+every other row goes to the oracle on the full Q(H).  The
 certificates are integer arithmetic on A_G and K, so exact.
 """
 
@@ -85,7 +86,7 @@ class Decisions:
     classes: np.ndarray | None = None  # bool: 0 < mu < min(D2), so Q_mu is formed and positive definite
     z_matrix: np.ndarray | None = None  # and so an M-matrix: Q_mu is positive definite wherever classes holds
     inverse_positive: np.ndarray | None = None
-    minpositive: np.ndarray | None = None
+    minpositive: np.ndarray | None = None  # is_s_roth, as Haynsworth inertia makes x_T Q_mu's smallest eigenvector
     # every G-edge ij has sum over N_ij of 1/d_B(k) >= 1, in exact arithmetic, and every
     # non-adjacent pair of T-vertices has N_ij nonempty
     harmcond: np.ndarray | None = None
@@ -125,6 +126,19 @@ def _stacks(a_g, ks) -> tuple:
             np.broadcast_to(ks, lead + (t, s)).reshape(-1, t, s), lead)
 
 
+def _sign_reasons(x: np.ndarray, t: int, multiple: np.ndarray, scale) -> np.ndarray:
+    """The REASON_* code of each sign-normalised row of an eigenvector stack (N, n), T-entries first.
+
+    Entries within scale * SIGN_TOL of their row's largest magnitude are zero: scale is 1 on float rows, 0 on
+    exact-kernel rows and 10 on the twin screen.  A multiple row is MultipleEigenvalue whatever its signs.
+    """
+    tol = (scale * SIGN_TOL * np.abs(x).max(axis=1, initial=0.0))[:, None]
+    zero = np.any(np.abs(x) <= tol, axis=1)
+    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
+    return np.where(multiple, REASON_MULTIPLE, np.where(
+        zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
+
+
 def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> tuple:
     """(the verdicts, the float Q(H) stack (N, n, n) that later steps read off) of the stacks (N, t, t), (N, t, s).
 
@@ -137,7 +151,6 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> tuple:
     multiplicity = np.reshape(pair.multiplicity, -1).astype(np.int64)
     raw = pair.vector.reshape(-1, n)
     x = sign_normalize(raw, t)
-    tol = SIGN_TOL * np.abs(x).max(axis=1, initial=0.0)
     kernel = np.full(len(mu), None, dtype=object)
     c = integer_candidate(mu)
     for i in np.flatnonzero(np.isfinite(c)):
@@ -145,17 +158,12 @@ def _oracle(a: np.ndarray, k: np.ndarray, lead: tuple) -> tuple:
         nullity, basis = exact_kernel_dim(q[i], ci)
         if nullity == 0:
             continue
-        # the float of an exact entry keeps its sign and a zero stays zero: the signs are read at tolerance 0
-        kernel[i], mu[i], multiplicity[i], tol[i] = basis, ci, nullity, 0.0
+        kernel[i], mu[i], multiplicity[i] = basis, ci, nullity
         if nullity == 1:
             v = np.array([float(e) for e in basis[0]])
             x[i] = sign_normalize(v / np.linalg.norm(v), t)
     multiple = multiplicity > 1
-    tol = tol[:, None]
-    zero = np.any(np.abs(x) <= tol, axis=1)
-    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
-    reason = np.where(multiple, REASON_MULTIPLE, np.where(
-        zero, REASON_ZERO, np.where(signed, REASON_SIGNED, REASON_MIXED)))
+    reason = _sign_reasons(x, t, multiple, np.equal(kernel, None))  # scale 0 on the exact rows
     eigenvector = np.where(multiple[:, None], raw, x)
     return Decisions(mu, multiplicity, reason, reason == REASON_SIGNED, eigenvector, kernel), q
 
@@ -169,8 +177,8 @@ def _twin_screen(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     d_c with multiplicity m_c - 1 (Godsil & Royle 2001, 9.3), and the eigenvector lifts as x_T = y_T,
     x_S = y_c / sqrt(m_c).  The unit vector on c has Rayleigh quotient d_c, so mu(H) = mu(B).  One eigensolve
     serves the stack.  A row is cleared only with tenfold the oracle's margins: mu(B) is no integer candidate,
-    B's second eigenvalue and every twin d_c lie above the cluster band of mu, and every lifted entry is signed
-    beyond SIGN_TOL.  A row that is not cleared is left to the oracle on the full Q(H).
+    B's second eigenvalue and every twin d_c lie above the cluster band of mu, and the lifted vector passes the
+    oracle's sign rule at factor 10.  A row that is not cleared is left to the oracle on the full Q(H).
     """
     t = len(k)
     cols, m = np.unique(k.T, axis=0, return_counts=True)
@@ -191,9 +199,7 @@ def _twin_screen(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     # each class's entry once, not m_c times: sign_normalize flips it as it would the whole lift wherever every
     # S-entry has one sign, which a cleared row needs
     x = sign_normalize(np.concatenate([es.vectors[:, :t, 0], es.vectors[:, t:, 0] / root], axis=1), t)
-    tol = 10 * SIGN_TOL * np.abs(x).max(axis=1, keepdims=True)
-    signed = np.all(x[:, t:] > tol, axis=1) & np.all(x[:, :t] < -tol, axis=1)
-    return ~np.isfinite(integer_candidate(mu)) & simple & signed
+    return ~np.isfinite(integer_candidate(mu)) & (_sign_reasons(x, t, ~simple, 10) == REASON_SIGNED)
 
 
 def oracle_stack(a_g, ks) -> Decisions:
@@ -207,9 +213,9 @@ def oracle_stack(a_g, ks) -> Decisions:
     fails its residual and raises ValueError.
 
     A verdict is True iff mu(H) is simple and, after flipping the eigenvector
-    so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL and every
-    T-entry falls below -SIGN_TOL (both sides are checked; the failing side is
-    recorded in the reason).  Eigenvalues within INTEGER_TOL of an integer c
+    so its S-sum is nonnegative, every S-entry exceeds SIGN_TOL times the
+    largest magnitude and every T-entry falls below minus that (else a zero
+    entry reads ZeroEntry, a wrong sign MixedSigns).  Eigenvalues within INTEGER_TOL of an integer c
     where Q(H) - cI is singular are settled by its rational kernel: its
     nullity is the multiplicity, and the signs of a simple kernel vector are
     read with no tolerance; only those rows are solved one at a time.  Their mu is
@@ -259,31 +265,24 @@ def _exact_classes(q: np.ndarray, t: int, c: int) -> tuple:
 
 
 def _classify(q: np.ndarray, t: int, d: Decisions) -> np.ndarray:
-    """(z_matrix, inverse_positive, minpositive) of Q_mu off a Q(H) stack, each at its verdict's mu, 0 < mu < min(D2).
+    """(z_matrix, inverse_positive) of Q_mu off a Q(H) stack, each at its verdict's mu, 0 < mu < min(D2).
 
-    A (3, N) bool array.  No eigensolve: for mu < min(D2), Haynsworth inertia
-    makes mu the smallest eigenvalue of Q_mu, with the verdict's multiplicity
-    and eigenvectors the T-parts of those of Q(H); so with mu > 0 Q_mu is
-    positive definite, and a Z-matrix is an M-matrix.  One stacked inverse
-    serves the whole stack.  A verdict decided from a rational kernel (mu on
-    an integer c: the t-s boundary of complete scaffolds and its relatives)
-    has its flags computed from the integer L*Q_mu and the signs of that
-    kernel, so borderline zero entries and signs are decided exactly at
-    every t (see _exact_classes); only those rows are classified one at a time.
+    A (2, N) bool array.  For mu < min(D2), Haynsworth inertia makes mu the
+    smallest eigenvalue of Q_mu, so with mu > 0 Q_mu is positive definite and
+    a Z-matrix is an M-matrix.  One stacked inverse serves the whole stack.
+    A verdict decided from a rational kernel (mu on an integer c: the t-s
+    boundary of complete scaffolds and its relatives) has its flags computed
+    from the integer L*Q_mu, so borderline zero entries and signs are decided
+    exactly at every t (see _exact_classes), one row at a time.
     """
     q_mu = _q_mu(q, t, d.mu)
     z_matrix = q_mu[:, ~np.eye(t, dtype=bool)].max(axis=1, initial=0.0) <= TOL_Z
     inv = np.linalg.inv(q_mu)
     inverse_positive = inv.min(axis=(1, 2)) > INV_POS_TOL * np.abs(inv).max(axis=(1, 2))
-    x = sign_normalize(d.eigenvector[:, :t], 0)
-    exact = np.not_equal(d.kernel, None)
-    # as in the verdict, the float of an exact kernel vector is read at tolerance 0
-    tol = np.where(exact, 0.0, SIGN_TOL * np.abs(x).max(axis=1))
-    minpositive = (d.multiplicity == 1) & np.all(x > tol[:, None], axis=1)
-    flags = np.array([z_matrix, inverse_positive, minpositive])
+    flags = np.array([z_matrix, inverse_positive])
     # the exact path sets mu to the integer c
-    for i in np.flatnonzero(exact):
-        flags[:2, i] = _exact_classes(q[i].astype(np.int64), t, int(d.mu[i]))
+    for i in np.flatnonzero(np.not_equal(d.kernel, None)):
+        flags[:, i] = _exact_classes(q[i].astype(np.int64), t, int(d.mu[i]))
     return flags
 
 
@@ -348,9 +347,10 @@ def decide_stack(a_g, ks) -> Decisions:
     t, s = k.shape[-2:]
     # Q_mu exists for mu < min(D2) and is singular at mu = 0, which the exact path sets exactly where H is bipartite
     d.classes = (d.mu > 0) & (d.mu < np.diagonal(q[:, t:, t:], axis1=1, axis2=2).min(axis=1))
-    flags = np.zeros((3, len(d)), dtype=bool)
+    flags = np.zeros((2, len(d)), dtype=bool)
     flags[:, d.classes] = _classify(q[d.classes], t, d[d.classes])
-    d.z_matrix, d.inverse_positive, d.minpositive = flags
+    d.z_matrix, d.inverse_positive = flags
+    d.minpositive = d.classes & d.is_s_roth
     d.harmcond, d.witness, d.gc = _certificates(a, k)
     d.bdeg = np.all(2 * k.sum(axis=-1) >= t + s, axis=-1)
     complete = np.all(k == 1, axis=(-2, -1))

@@ -45,8 +45,6 @@ def cmd_analyze(args) -> int:
         inst = graphs.instance_from_graph(g, _parse_vertex_list(args.s_vertices))
 
     d = analysis.decide_instance(inst)
-    matrix_classes = {"z": d.z_matrix, "m_matrix": d.z_matrix, "inv_positive": d.inverse_positive,
-                      "minpositive": d.minpositive} if d.classes else None
     alpha = None
     if analysis.is_complete_scaffold(inst) and d.mu < inst.t:
         alpha = analysis.alpha_of(inst, d.mu)
@@ -69,7 +67,8 @@ def cmd_analyze(args) -> int:
                          "s_roth": None if d.boundary is None else d.boundary == (),
                          "witness": d.boundary or None},
         },
-        "matrix_classes": matrix_classes,
+        "matrix_classes": {"m_matrix": d.z_matrix, "inv_positive": d.inverse_positive,
+                           "minpositive": d.minpositive} if d.classes else None,
         "alpha": alpha,
         "bounds": {
             "lower_degrees": spectra.mu_lower_bound_degrees(graphs.block_adjacency(inst.A, inst.K)),

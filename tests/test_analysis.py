@@ -39,6 +39,7 @@ from rothlab.analysis import (
     _exact_classes,
     _exact_q_mu,
     _q_mu,
+    _sign_reasons,
     alpha_of,
     decide_instance,
     decide_stack,
@@ -108,6 +109,27 @@ def test_oracle_multiple_eigenvalue():
     assert not v.is_s_roth
     assert v.reason in (REASON_ZERO, REASON_MULTIPLE)
     assert abs(v.mu - 1.0) < 1e-9
+
+
+# rows are T-entries first; scale 1 is the oracle's float rows, 0 its exact-kernel rows, 10 the twin screen
+@pytest.mark.parametrize("row, t, multiple, scale, reason", [
+    ([-1.0, -0.5, 5 * SIGN_TOL, 1.0], 2, False, 1, REASON_SIGNED),
+    ([-1.0, -0.5, 5 * SIGN_TOL, 1.0], 2, False, 10, REASON_ZERO),
+    ([-1.0, -0.5, -5 * SIGN_TOL, 1.0], 2, False, 1, REASON_MIXED),
+    ([-1.0, 0.5, 0.5, 1.0], 2, False, 1, REASON_MIXED),
+    ([-1.0, 1e-300, 1.0], 1, False, 0, REASON_SIGNED),
+    ([-1.0, 1e-300, 1.0], 1, False, 1, REASON_ZERO),
+    ([-1.0, 0.0, 1.0], 1, False, 0, REASON_ZERO),
+    ([-1.0, -0.5, 0.5, 1.0], 2, True, 1, REASON_MULTIPLE),
+    ([-1.0, 0.5, 0.0, 1.0], 2, True, 0, REASON_MULTIPLE),
+])
+def test_sign_rule_reasons(row, t, multiple, scale, reason):
+    x = np.array([row])
+    assert _sign_reasons(x, t, np.array([multiple]), scale).tolist() == [reason]
+    # the same row in a stack with a per-row scale, beside a signed row
+    stack = np.array([row, [-1.0] * t + [1.0] * (len(row) - t)])
+    got = _sign_reasons(stack, t, np.array([multiple, False]), np.array([scale, 1]))
+    assert got.tolist() == [reason, REASON_SIGNED]
 
 
 def test_oracle_eigenvector_convention(ex1):
@@ -758,7 +780,7 @@ def test_q_mu_smallest_eigenpair_is_the_verdicts(tmp_path):
             assert abs(y @ w) == pytest.approx(np.linalg.norm(w), rel=1e-8)
         d = decide_instance(inst)
         if d.classes and v.kernel is None:
-            # the flag as it was computed from this eigensolve
+            # minpositive is the verdict; the reference reads the signs of the explicit Q_mu's eigenvector
             reference = v.multiplicity == 1 and bool(np.all(y > SIGN_TOL * np.abs(y).max()))
             assert d.minpositive == reference
         kinds.add(v.reason)

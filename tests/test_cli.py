@@ -70,8 +70,7 @@ def test_analyze_prints_one_line_report(tmp_path, capsys, ex2):
         "harmcond": False, "harmcond_witness": [0, 1], "gc": False, "bdeg": False,
         "st": False, "gdeg": "none", "deg2": False,
         "boundary": {"applicable": False, "s_roth": None, "witness": None}}
-    assert rep["matrix_classes"] == {"z": True, "m_matrix": True, "inv_positive": True,
-                                     "minpositive": True}
+    assert rep["matrix_classes"] == {"m_matrix": True, "inv_positive": True, "minpositive": True}
 
 
 @pytest.mark.parametrize("t", [2, 5, 9])

@@ -1,6 +1,6 @@
 """Static checks on the package source: every name a module imports is used there, every public
 definition is used by the package or the benchmark, every private one by the package, one function
-calls eigh, and only the enumerated families and the CLI parser are cached."""
+calls eigh, one reads SIGN_TOL, and only the enumerated families and the CLI parser are cached."""
 
 import ast
 import pathlib
@@ -117,20 +117,29 @@ def test_every_private_definition_is_read_in_the_package():
     assert [f"{stem}.{name}" for stem, name in private if name not in refs] == []
 
 
-def _eigh_callers(tree: ast.Module) -> list:
-    """The innermost function around each call of a name or attribute eigh in tree, '<module>' outside any."""
-    callers = []
+def _owners(tree: ast.Module, hit) -> list:
+    """The innermost function around each node of tree that hit accepts, '<module>' outside any; a decorator
+    counts as inside the function it decorates."""
+    owners = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigh":
-                    callers.append(owner)
+            if hit(child):
+                owners.append(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
     visit(tree, "<module>")
-    return callers
+    return owners
+
+
+def _eigh_callers(tree: ast.Module) -> list:
+    """The innermost function around each call of a name or attribute eigh in tree, '<module>' outside any."""
+    def hit(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and (
+            func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigh"
+
+    return _owners(tree, hit)
 
 
 def test_eigh_callers_are_found():
@@ -145,6 +154,26 @@ def test_only_full_spectrum_calls_eigh():
     # from eigh's in the last bits, so moving it would change the analyze reports
     callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _eigh_callers(ast.parse(p.read_text()))]
     assert callers == [("spectra", "full_spectrum")]
+
+
+def _sign_tol_readers(tree: ast.Module) -> list:
+    """The innermost function around each read of SIGN_TOL in tree, as a name or an attribute, '<module>' outside
+    any; importing or assigning it is no read."""
+    return _owners(tree, lambda node: (isinstance(node, ast.Name) and node.id == "SIGN_TOL"
+                                       and isinstance(node.ctx, ast.Load))
+                   or (isinstance(node, ast.Attribute) and node.attr == "SIGN_TOL"))
+
+
+def test_sign_tol_readers_are_found():
+    tree = ast.parse("from .spectra import SIGN_TOL\nfrom . import spectra\nSIGN_TOL = 1e-7\nz = 2 * SIGN_TOL\n"
+                     "def f(x):\n    return x > SIGN_TOL\ndef g(x):\n    return x > 10 * spectra.SIGN_TOL\n")
+    assert _sign_tol_readers(tree) == ["<module>", "f", "g"]
+
+
+def test_only_the_sign_rule_reads_sign_tol():
+    # the oracle and the twin screen decide signs by one rule, so a change to its tolerance is made in one place
+    readers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _sign_tol_readers(ast.parse(p.read_text()))]
+    assert readers == [("analysis", "_sign_reasons")]
 
 
 # the enumerated families are cached for the sweeps and the parser for every CLI call; any other cache would
@@ -163,18 +192,9 @@ def _cache_uses(tree: ast.Module) -> list:
             names |= {alias.asname or alias.name for alias in node.names if alias.name in CACHES}
         elif isinstance(node, ast.Import):
             modules |= {alias.asname or alias.name for alias in node.names if alias.name == "functools"}
-    uses = []
-
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id in names) or (
-                    isinstance(child, ast.Attribute) and child.attr in CACHES
-                    and isinstance(child.value, ast.Name) and child.value.id in modules):
-                uses.append(owner)
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
-
-    visit(tree, "<module>")
-    return uses
+    return _owners(tree, lambda node: (isinstance(node, ast.Name) and node.id in names) or (
+        isinstance(node, ast.Attribute) and node.attr in CACHES
+        and isinstance(node.value, ast.Name) and node.value.id in modules))
 
 
 def test_cache_uses_are_found():
