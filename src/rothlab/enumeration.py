@@ -31,8 +31,14 @@ classes and their key order are those of keying every extension, and only the
 labelled representatives differ.  A graph whose colour cells are each
 one twin class has its key read off the colour order; any other is keyed by a
 search that fills positions from the last and keeps, per graph, the partial
-orders with the least rows.  No table of cell orders is built, and the only
-caches of the module are all_graphs and all_trees.
+orders with the least rows.  A key is the upper triangle in that least order,
+one big-endian uint16 per row, so it serves up to n = 16.
+
+Trees on n <= 16 vertices go through the same step, _first_met, with the leaf
+extensions of all_trees(n - 1) as candidates: codes parent << n - 1 | 1 << v,
+one per vertex v without a smaller twin.  A leaf has the least degree, so every
+class keeps a member, and the classes come in key order.  No table of cell
+orders is built, and the only caches of the module are all_graphs and all_trees.
 """
 
 from __future__ import annotations
@@ -222,14 +228,9 @@ def _least_degree(p: np.ndarray) -> np.ndarray:
     return bits.sum(axis=0, dtype=np.uint8) <= least
 
 
-def _first_met(prev: np.ndarray) -> np.ndarray:
-    """Of each class among the extensions of a bool stack prev (N, m, m) whose new vertex has least degree,
-    the code parent << m | sub of the first met, parent major and sub ascending; the codes come in
-    canonical-key order.  A twin swap keeps every degree, so _twin_kept keeps each of those first ones."""
-    m = prev.shape[-1]
-    step = max(1, _BLOCK >> m)  # whole parents, at most _BLOCK extensions
-    chunks = (prev[lo:lo + step] for lo in range(0, len(prev), step))
-    codes = np.flatnonzero(np.concatenate([_twin_kept(p) & _least_degree(p) for p in chunks]))
+def _first_met(prev: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Of each class among the extensions of a bool stack prev (N, m, m) by the ascending codes
+    parent << m | sub, the code of the first met; the codes come in canonical-key order."""
     keys = np.concatenate([_canonical_keys(_extend(prev, codes[lo:lo + _BLOCK]))
                            for lo in range(0, len(codes), _BLOCK)])
     return codes[np.unique(keys, return_index=True)[1]]
@@ -237,44 +238,50 @@ def _first_met(prev: np.ndarray) -> np.ndarray:
 
 def _ranks(key: np.ndarray) -> np.ndarray:
     """The dense rank (B, n), as uint8, of each entry of each row of key among the distinct values of its row."""
+    b, n = key.shape
     order = np.argsort(key, axis=1)
     ranked = np.take_along_axis(key, order, axis=1)
-    rank = np.zeros(key.shape, dtype=np.uint8)
-    rank[:, 1:] = np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1)
-    np.put_along_axis(rank, order, rank.copy(), axis=1)
+    step = np.zeros(key.shape, dtype=np.uint8)
+    step[:, 1:] = np.cumsum(ranked[:, 1:] != ranked[:, :-1], axis=1)
+    rank = np.empty(key.shape, dtype=np.uint8)
+    rank.ravel()[(order + np.arange(0, b * n, n)[:, None]).ravel()] = step.ravel()
     return rank
 
 
 def _refine_colors(a: np.ndarray) -> np.ndarray:
-    """The stable colour refinement (B, n), as uint8, of each graph of a bool stack (B, n, n).
+    """The stable colour refinement (B, n), as uint8, of each graph of a bool stack (B, n, n), n <= 16.
 
     Colours start as degree ranks; each round ranks the vertices by colour, then sorted neighbour
-    colours, until none changes.  Vertices of one colour share a degree, and no colour occurs n
-    times among n - 1 neighbours.  So of two vertices of one colour, the one with the smaller sorted
-    neighbour colours has the larger neighbour colour counts read as an int in base n, colour 0 most
-    significant: a vertex is ranked by its colour times n^n minus that int.
+    colours, until none changes.  A discrete colouring is stable, so a graph whose colours are all
+    distinct leaves the rounds, and the others' colours are at most n - 2.  Vertices of one colour
+    share a degree, and no colour occurs n times among n - 1 neighbours.  So of two vertices of one
+    colour, the one with the smaller sorted neighbour colours has the larger neighbour colour counts
+    read as an int in base n, colour 0 most significant, below n^(n - 1): a vertex is ranked by its
+    colour times n^(n - 1) plus n^(n - 1) - 1 minus that int, which is below n^n <= 2^64.
     """
     b, n = a.shape[:2]
-    digits = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    top = np.uint64(n) ** np.uint64(n - 1)
+    digits = np.uint64(n) ** np.arange(n - 2, -1, -1, dtype=np.uint64)
     colors = _ranks(a.sum(axis=2))
-    live = np.arange(b)  # graphs whose colours changed in the last round
+    live = np.flatnonzero(colors.max(axis=1) < n - 1)  # graphs whose colours may still change
     while live.size:
         c = colors[live]
         counts = np.einsum("bvu,bu->bv", a[live], digits[c])
-        new = _ranks(c.astype(np.int64) * n ** n - counts)
+        new = _ranks(c.astype(np.uint64) * top + (top - np.uint64(1) - counts))
         colors[live] = new
-        live = live[(new != c).any(axis=1)]
+        live = live[(new != c).any(axis=1) & (new.max(axis=1) < n - 1)]
     return colors
 
 
 def _canonical_keys(a: np.ndarray) -> np.ndarray:
-    """The canonical key (B,) of each graph of a bool stack (B, n, n), n <= 11.
+    """The canonical key (B,), as void of 2(n - 1) bytes, of each graph of a bool stack (B, n, n), 2 <= n <= 16.
 
     The least, over the orders within each colour cell (cells in colour order), of the upper
-    triangle read as an int with row-major pair k at bit k.  Keys order graphs as the edge
-    bitmasks with bit a*n + b for positions a < b do.  Where every cell is one twin class
-    (N(u) - {w} = N(w) - {u}), every order within the cells is a product of twin swaps, which
-    are automorphisms, so the colour order is least; _least_rows searches the other graphs.
+    triangle: rows n - 2 down to 0, each a big-endian uint16 holding its bits j > i, so keys
+    compare as the bytes they are and order graphs as the edge bitmasks with bit a*n + b for
+    positions a < b do.  Where every cell is one twin class (N(u) - {w} = N(w) - {u}), every
+    order within the cells is a product of twin swaps, which are automorphisms, so the colour
+    order is least; _least_rows searches the other graphs.
     """
     b, n = a.shape[:2]
     colors = _refine_colors(a)
@@ -287,11 +294,10 @@ def _canonical_keys(a: np.ndarray) -> np.ndarray:
     # twins form classes and share a colour, so a cell is one class if each of its vertices is a twin of the next
     twins = ((ordered[:, 1:] ^ ordered[:, :-1]) & ~(np.uint16(3) << np.arange(n - 1, dtype=np.uint16))) == 0
     rest = np.flatnonzero(~(twins | (cells[:, 1:] != cells[:, :-1])).all(axis=1))
-    ordered[rest] = _least_rows(ordered[rest], cells[rest])
-    keys = np.zeros(b, dtype=np.int64)
-    for i in range(n):  # the pairs (i, j), j > i, from the row-major rank of (i, i + 1) up
-        keys |= (ordered[:, i] >> i + 1).astype(np.int64) << i * n - i * (i + 1) // 2
-    return keys
+    if rest.size:
+        ordered[rest] = _least_rows(ordered[rest], cells[rest])
+    upper = ordered[:, n - 2::-1] & (np.uint16(0xFFFF) << np.arange(n - 1, 0, -1, dtype=np.uint16))
+    return upper.astype(">u2").view(np.dtype((np.void, 2 * (n - 1)))).ravel()
 
 
 def _least_rows(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -314,9 +320,9 @@ def _least_rows(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     least = np.zeros((r, n), dtype=np.uint16)  # row i of each partial order, once position i is placed
     for i in range(n - 1, -1, -1):
         s, v = np.nonzero(((placed[:, None] & (below[g] | bits)) == below[g]) & (cells[g] == cells[g, i, None]))
-        row = seen[s, v]
-        first = np.flatnonzero(np.diff(g[s], prepend=-1))
-        keep = row == np.repeat(np.minimum.reduceat(row, first), np.diff(first, append=len(s)))
+        row, start = seen[s, v], np.ones(len(s), dtype=bool)
+        start[1:] = g[s[1:]] != g[s[:-1]]  # the first candidate of each graph
+        keep = row == np.minimum.reduceat(row, np.flatnonzero(start))[np.cumsum(start) - 1]
         s, v = s[keep], v[keep].astype(np.uint16)
         g, placed, least = g[s], placed[s] | bits[v], least[s]
         least[:, i] = row[keep]
@@ -336,11 +342,14 @@ def all_graphs(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > 11:
-        raise ValueError(f"n = {n} exceeds 11: a canonical key of n(n-1)/2 bits overflows int64")
+        raise ValueError(f"n = {n} exceeds 11: the graphs on 12 vertices alone number 165091172592")
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_graphs(n - 1).astype(bool)
-    return _read_only(_extend(prev, _first_met(prev), np.int64))
+    step = max(1, _BLOCK >> n - 1)  # whole parents, at most _BLOCK extensions
+    chunks = (prev[lo:lo + step] for lo in range(0, len(prev), step))
+    codes = np.flatnonzero(np.concatenate([_twin_kept(p) & _least_degree(p) for p in chunks]))
+    return _read_only(_extend(prev, _first_met(prev, codes), np.int64))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -348,57 +357,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# trees up to isomorphism, by leaf augmentation with a rooted canonical form
-
-
-def _tree_centers(n: int, adj) -> list:
-    """The one or two centres of a tree: peel off leaves until at most two vertices are left."""
-    deg = [len(nbrs) for nbrs in adj]
-    layer, left = [v for v in range(n) if deg[v] <= 1], n
-    while left > 2:
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                deg[u] -= 1
-                if deg[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-    return sorted(layer)
-
-
-def _rooted_encoding(adj, root: int, blocked: int) -> str:
-    subs = sorted(_rooted_encoding(adj, u, root) for u in adj[root] if u != blocked)
-    return "(" + "".join(subs) + ")"
-
-
-def _tree_key(n: int, adj) -> str:
-    centers = _tree_centers(n, adj)
-    if len(centers) == 1:
-        return _rooted_encoding(adj, centers[0], -1)
-    c1, c2 = centers
-    return "|".join(sorted((_rooted_encoding(adj, c1, c2), _rooted_encoding(adj, c2, c1))))
-
-
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> np.ndarray:
-    """All trees on n vertices up to isomorphism (1, 1, 1, 2, 3, 6, 11, 23, 47, ...).
+    """All trees on n vertices up to isomorphism (1, 1, 1, 2, 3, 6, 11, 23, 47, ...), n <= 16.
 
-    A cached, read-only int64 adjacency stack (N, n, n): of each class, the
-    first leaf extension of all_trees(n - 1) met, in key order.
+    A cached, read-only int64 adjacency stack (N, n, n), in canonical-key order: of each class, the
+    first leaf extension of all_trees(n - 1) met, code parent << n - 1 | 1 << v for a leaf on vertex v,
+    parent major and v ascending.  A leaf has the least degree, so every class keeps a member, as in
+    all_graphs.  No leaf hangs on a vertex with a smaller twin: the swap of the two maps it onto the
+    extension at the twin, met earlier.  n above 16 raises ValueError: the key holds a row in 16 bits.
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > 16:
+        raise ValueError(f"n = {n} exceeds 16: the canonical key holds each vertex's neighbours in 16 bits")
     if n == 1:
         return _read_only(np.zeros((1, 1, 1), dtype=np.int64))
     prev = all_trees(n - 1).astype(bool)
-    reps = {}  # key -> extension code of its first tree met
-    step = max(1, _BLOCK // (n - 1))  # parents keyed at once
-    for first in range(0, len(prev), step):
-        # parent major, then the vertex the leaf hangs from
-        codes = (np.arange(first, min(first + step, len(prev)))[:, None] << n - 1 | 1 << np.arange(n - 1)).ravel()
-        a = _extend(prev, codes)
-        nbrs = np.nonzero(a)[2].reshape(len(a), -1).tolist()  # row-major: a tree's 2(n - 1) entries, vertex by vertex
-        for code, vs, ends in zip(codes.tolist(), nbrs, a.sum(axis=2).cumsum(axis=1).tolist()):
-            reps.setdefault(_tree_key(n, [vs[lo:hi] for lo, hi in zip([0, *ends], ends)]), code)
-    return _read_only(_extend(prev, np.array([reps[k] for k in sorted(reps)]), np.int64))
+    m = n - 1
+    parent, v = np.nonzero(~(_twins(_bit_rows(prev)) & np.tri(m, k=-1, dtype=bool)).any(axis=2))
+    return _read_only(_extend(prev, _first_met(prev, parent << m | 1 << v), np.int64))

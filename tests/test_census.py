@@ -409,6 +409,21 @@ def test_sweep_maxdeg_at_the_limit():
         assert (out["pairs"], out["checked"], out["counterexamples"]) == ([(s, 9)], size, [])
 
 
+@pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 5 s)")
+def test_tree_failures_past_the_sweep_limit_do_not_depend_on_s():
+    # trees of maximum degree at most s on t = s + d vertices whose E_s join is not S-Roth, past the tree sweep's
+    # limit up to t = 16: for d <= 5 the count is the same at every s from 6 to 11.  The d = 1 failure is the star
+    # K_{1,s}, with a zero at its hub
+    assert rothlab.census.TREE_EXHAUSTIVE_T == 12
+    rows = {1: (1, "ZeroEntry"), 2: (0, None), 3: (1, "MixedSigns"), 4: (2, "MixedSigns"), 5: (10, "MixedSigns")}
+    for d, (count, reason) in rows.items():
+        for s in range(6, 12):
+            failures = rothlab.census._failures(rothlab.census._family("tree", s, s + d),
+                                                  np.ones((s + d, s), dtype=np.int64))
+            assert len(failures) == count, (d, s)
+            assert {r for _, _, _, r in failures} <= {reason}, (d, s)
+
+
 def test_sweep_releases_each_family_before_building_the_next(monkeypatch):
     # a family can hold most of all_graphs(t): two at once would double the sweep's peak memory
     family, alive = rothlab.census._family, []

@@ -287,7 +287,7 @@ def test_all_graphs_keys_only_least_degree_twin_kept_extensions():
             firsts.append((keys.tolist(), codes[first].tolist()))
         assert firsts[0][0] == firsts[2][0], n
         assert firsts[1] == firsts[2], n
-        assert enum._first_met(prev).tolist() == firsts[2][1], n
+        assert np.array_equal(all_graphs(n), enum._extend(prev, np.array(firsts[2][1]), np.int64)), n
 
 
 @pytest.mark.skipif(not os.environ.get("ROTHLAB_LONG"), reason="set ROTHLAB_LONG=1 (about 4 s, 335 MB)")
@@ -306,10 +306,51 @@ def test_all_graphs_are_distinct_objects():
     assert gs.shape[1:] == (5, 5)
 
 
+# reference tree key: the nested-parenthesis form of the tree rooted at its centre, or the sorted pair of
+# forms rooted at its two centres; equal exactly for isomorphic trees (Aho, Hopcroft and Ullman, 1974)
+
+
+def _ref_tree_centers(n: int, adj) -> list:
+    """The one or two centres of a tree: peel off leaves until at most two vertices are left."""
+    deg = [len(nbrs) for nbrs in adj]
+    layer, left = [v for v in range(n) if deg[v] <= 1], n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    return sorted(layer)
+
+
+def _ref_rooted_encoding(adj, root: int, blocked: int) -> str:
+    subs = sorted(_ref_rooted_encoding(adj, u, root) for u in adj[root] if u != blocked)
+    return "(" + "".join(subs) + ")"
+
+
+def _ref_tree_key(n: int, adj) -> str:
+    centers = _ref_tree_centers(n, adj)
+    if len(centers) == 1:
+        return _ref_rooted_encoding(adj, centers[0], -1)
+    c1, c2 = centers
+    return "|".join(sorted((_ref_rooted_encoding(adj, c1, c2), _ref_rooted_encoding(adj, c2, c1))))
+
+
+TREE_COUNTS = [1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320]  # OEIS A000055
+
+
 def test_all_trees_counts():
-    expected = [1, 1, 1, 2, 3, 6, 11, 23, 47]
-    for n, cnt in zip(range(1, 10), expected):
-        assert len(all_trees(n)) == cnt
+    # trees, pairwise distinct under the reference key, as many as the classes: every class once.  This is the
+    # proof behind the tree digests and graph6 lines pinned below
+    top = 16 if os.environ.get("ROTHLAB_LONG") else 12  # 13 to 16 take about 3 s
+    for n, cnt in zip(range(1, top + 1), TREE_COUNTS):
+        trees = all_trees(n)
+        assert len(trees) == cnt
+        assert (trees.sum(axis=(1, 2)) == 2 * (n - 1)).all() and _component(trees).all(), n
+        assert len({_ref_tree_key(n, [np.flatnonzero(row).tolist() for row in a]) for a in trees}) == cnt, n
 
 
 def test_trees_are_trees():
@@ -358,8 +399,8 @@ def test_graph_enumeration_canonical_distinct():
 def test_enumerators_keep_their_labelled_order():
     # the sweeps report counterexamples by graph6, so the labelling and the order are part of the output
     assert encode_graph6(all_graphs(4)) == ["C?", "C`", "Cr", "C_", "Cq", "Co", "Cs", "Cw", "C{", "C}", "C~"]
-    assert encode_graph6(all_trees(7)) == ["FqGOO", "FqHA?", "FqH@?", "FqHC?", "FqH?O", "FqI?G", "FqIC?",
-                                           "FqH?_", "FsaC?", "FsaA?", "Fs`A?"]
+    assert encode_graph6(all_trees(7)) == ["FqH@?", "FqGP?", "FqHA?", "FqGOO", "FqGS?", "FqI?G", "Fq`@?",
+                                           "FqIC?", "Fq`C?", "FqaC?", "FsaC?"]
 
 
 def test_enumerated_stacks_are_read_only():
@@ -376,19 +417,20 @@ def test_enumeration_binds_no_graph():
 
 
 def test_enumerated_stacks_match_their_pinned_digests():
-    # sha256 of the graph6 lines joined by newlines: the labelled output and its order are pinned.  The trees'
-    # were recorded from the per-code labeller that the stacked canonical key replaced; the graphs', from the
-    # least-degree rule, whose classes and key order are those of keying every extension
+    # sha256 of the graph6 lines joined by newlines: the labelled output and its order are pinned.  The graphs'
+    # were recorded from the least-degree rule, whose classes and key order are those of keying every extension;
+    # the trees', from the leaf extensions keyed by the same key, with test_all_trees_counts and
+    # test_all_trees_matches_the_leaf_reference as their proof
     pinned = {
         (all_graphs, 5): "c05b3af23f0d560aff15b63955ded305cde5053768b50103c8300af281b03374",
         (all_graphs, 6): "2273d5e9bf499e6a87ed09fc5aa1e186a3304d9cddf4b50aa9985010c091eafc",
         (all_graphs, 7): "d69657d27cfee44bf5e157f3bcd1dc09eceb0ed1b68516184789ed5efd36528f",
         (all_graphs, 8): "bc4dbc857bbe21ec600aef28af48210bc5205119ce56fdd30769976ede47d62d",
-        (all_trees, 8): "79937b253a5064b284ec16229d5aeaac3c8650a243e80f18b73b75cc7e8ede0d",
-        (all_trees, 9): "175095c4c6c779422e3e746faca45015256de368809c6b3a6ccee93a487310be",
-        (all_trees, 10): "9b75eab16858d31dd46aea27726ac4f225aabd56000d36823da549cafdbc20c5",
-        (all_trees, 11): "bdf2d65bfab97048f12a3660e87c6e3368ec4899b381aafa3cb4e520ee9b021e",
-        (all_trees, 12): "d490673239ac25d7813da63ba696ca403ce54767ae459a671eabd3731f13c24c",
+        (all_trees, 8): "e126b2dd98b4dfb24fff98a357fcb0345cfe28fa2fb0eac2dda22a15dd8c1cb2",
+        (all_trees, 9): "e3d7e822240931c77b9b4338805a8352d36beccccbc40fe5f38964c7bc868735",
+        (all_trees, 10): "9c49a01606af93b6809c5564ff6864dcf1e4e519985e9e5aa195dd5118dde926",
+        (all_trees, 11): "f5764f108c6bf0b7ca4588683ab845c86c0df2426b241b9810dd48e1cf5c999e",
+        (all_trees, 12): "7d99c53a903d3fa95791b24d35fafa1107231511652f80801291f283015d8b01",
     }
     for (enumerate_, n), digest in pinned.items():
         text = "\n".join(encode_graph6(enumerate_(n)))
@@ -440,6 +482,13 @@ def _extensions(n: int) -> np.ndarray:
     return np.array(out)
 
 
+def _key_bits(key, n: int) -> int:
+    """A key of _canonical_keys, rows n - 2 down to 0 as big-endian uint16, as an int with row-major pair rank k at
+    bit k: the pair (i, j), i < j, at bit i*n - i*(i + 1)/2 + j - i - 1."""
+    rows = np.frombuffer(key.tobytes(), dtype=">u2").tolist()
+    return sum((row >> (i + 1)) << (i * n - i * (i + 1) // 2) for i, row in zip(range(n - 2, -1, -1), rows))
+
+
 def test_stacked_labeller_matches_the_reference():
     rng = np.random.default_rng(20140101)
     for n in range(2, 9):
@@ -447,7 +496,7 @@ def test_stacked_labeller_matches_the_reference():
         if n >= 7:
             ext = ext[np.sort(rng.choice(len(ext), 2000, replace=False))]
         colors = rothlab.enumeration._refine_colors(ext)
-        keys = rothlab.enumeration._canonical_keys(ext).tolist()
+        keys = [_key_bits(key, n) for key in rothlab.enumeration._canonical_keys(ext)]
         iu, ju = np.triu_indices(n, 1)
         for a, got_colors, got in zip(ext, colors.tolist(), keys):
             edges = _edges(a)
@@ -470,11 +519,37 @@ def test_all_graphs_matches_the_least_degree_reference():
         assert np.array_equal(all_graphs(n), [first[k] for k in sorted(first)]), n
 
 
+def test_all_trees_matches_the_leaf_reference():
+    # one tree at a time: for each reference key, in key order, the first leaf extension of all_trees(n - 1) met,
+    # parent major and the vertex the leaf hangs from ascending
+    for n in range(2, 9):
+        first = {}
+        for g in all_trees(n - 1):
+            for v in range(n - 1):
+                a = np.zeros((n, n), dtype=bool)
+                a[:n - 1, :n - 1] = g
+                a[v, n - 1] = a[n - 1, v] = True
+                first.setdefault(_ref_canon_code(n, _edges(a), [np.flatnonzero(row).tolist() for row in a]), a)
+        assert np.array_equal(all_trees(n), [first[k] for k in sorted(first)]), n
+
+
+def test_refine_colors_at_sixteen_vertices():
+    # the star K_{1,15}, whose centre's neighbour count 15 * 16^15 exceeds 2^63, and random recursive trees
+    rng = np.random.default_rng(16)
+    trees = [[(0, v) for v in range(1, 16)]] + [[(int(rng.integers(v)), v) for v in range(1, 16)] for _ in range(40)]
+    stack = np.zeros((len(trees), 16, 16), dtype=bool)
+    for a, edges in zip(stack, trees):
+        u, v = np.array(edges).T
+        a[u, v] = a[v, u] = True
+    for a, got in zip(stack, rothlab.enumeration._refine_colors(stack).tolist()):
+        assert got == _ref_refine_colors(16, [np.flatnonzero(row).tolist() for row in a])
+
+
 def test_canonical_keys_at_the_top_orders():
-    # at n = 10 and 11 a colour fills up to 4 bits of its slot in the packed cell-group key, and one
-    # stack holds many cell groups; every graph leaves small cells (one cell at n = 11 has 11! orders)
+    # at n = 10 to 12 and 16 one stack holds many cell groups, and from n = 12 a key has more than 63 bits;
+    # every graph leaves small cells (one cell at n = 11 has 11! orders)
     rng = np.random.default_rng(11)
-    for n in (10, 11):
+    for n in (10, 11, 12, 16):
         path = [(v, v + 1) for v in range(n - 1)]
         base = [
             path,
@@ -497,7 +572,7 @@ def test_canonical_keys_at_the_top_orders():
             stack[i, u, v] = stack[i, v, u] = True
             p = rng.permutation(n)
             stack[len(base) + i] = stack[i][np.ix_(p, p)]
-        keys = rothlab.enumeration._canonical_keys(stack).tolist()
+        keys = [_key_bits(key, n) for key in rothlab.enumeration._canonical_keys(stack)]
         assert keys[len(base):] == keys[:len(base)]
         graphs = [nx.from_edgelist(edges) for edges in base]
         for (i, g), (j, h) in itertools.combinations(enumerate(graphs), 2):
@@ -527,7 +602,8 @@ def test_canonical_keys_on_the_largest_frontiers():
         base = [nx.to_numpy_array(g, nodelist=sorted(g), dtype=bool) for g in graphs if len(g) == n]
         perms = [rng.permutation(n) for _ in range(5 * len(base))]
         stack = np.array([base[k // 5][np.ix_(p, p)] for k, p in enumerate(perms)])
-        keys = rothlab.enumeration._canonical_keys(stack).reshape(len(base), 5)
+        keys = np.array([_key_bits(key, n) for key in rothlab.enumeration._canonical_keys(stack)],
+                        dtype=object).reshape(len(base), 5)
         assert (keys == keys[:, :1]).all(), n
         for i, j in itertools.combinations(range(len(base)), 2):
             assert (keys[i, 0] == keys[j, 0]) == nx.is_isomorphic(nx.from_numpy_array(base[i]),
@@ -540,14 +616,17 @@ def test_canonical_keys_on_the_largest_frontiers():
                 assert as_ref == _ref_canon_code(n, _edges(a), adj), n
 
 
-def test_all_graphs_refuses_orders_whose_keys_overflow(monkeypatch):
+def test_enumerators_refuse_orders_past_their_limits(monkeypatch):
     def no_enumeration(*args):
-        raise AssertionError("all_graphs enumerated before refusing the order")
+        raise AssertionError("enumerated before refusing the order")
 
     monkeypatch.setattr(rothlab.enumeration, "_extend", no_enumeration)
     for n in (12, 13, 40):
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(ValueError, match="exceeds 11"):
             all_graphs(n)
+    for n in (17, 18, 40):  # a row of the canonical key holds 16 vertices
+        with pytest.raises(ValueError, match="exceeds 16"):
+            all_trees(n)
     for enumerate_order in (all_graphs, all_trees):
         with pytest.raises(ValueError, match="n >= 1"):
             enumerate_order(0)

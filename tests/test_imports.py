@@ -1,6 +1,7 @@
 """Static checks on the package source: every name a module imports is used there, every public
 definition is used by the package or the benchmark, every private one by the package, one function
-calls eigh, one reads SIGN_TOL, and only the enumerated families and the CLI parser are cached."""
+calls eigh, one reads SIGN_TOL, one keys graphs for both enumerators, and only the enumerated families and
+the CLI parser are cached."""
 
 import ast
 import pathlib
@@ -132,12 +133,12 @@ def _owners(tree: ast.Module, hit) -> list:
     return owners
 
 
-def _eigh_callers(tree: ast.Module) -> list:
-    """The innermost function around each call of a name or attribute eigh in tree, '<module>' outside any."""
+def _callers(tree: ast.Module, name: str) -> list:
+    """The innermost function around each call of a name or attribute name in tree, '<module>' outside any."""
     def hit(node):
         func = getattr(node, "func", None)
         return isinstance(node, ast.Call) and (
-            func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "eigh"
+            func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name
 
     return _owners(tree, hit)
 
@@ -145,15 +146,24 @@ def _eigh_callers(tree: ast.Module) -> list:
 def test_eigh_callers_are_found():
     tree = ast.parse("import numpy as np\nfrom numpy.linalg import eigh\nw = eigh(np.eye(2))\n"
                      "def f(m):\n    def g():\n        return np.linalg.eigh(m)\n    return g, np.linalg.eigvalsh(m)\n")
-    assert _eigh_callers(tree) == ["<module>", "g"]
+    assert _callers(tree, "eigh") == ["<module>", "g"]
 
 
 def test_only_full_spectrum_calls_eigh():
     # every verdict rests on full_spectrum's checked solve.  np.linalg.eigvalsh stays in
     # mu_lower_bound_degrees, which gives a bound, not a verdict: its values can differ
     # from eigh's in the last bits, so moving it would change the analyze reports
-    callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _eigh_callers(ast.parse(p.read_text()))]
+    callers = [(p.stem, name) for p in sorted(SRC.glob("*.py")) for name in _callers(ast.parse(p.read_text()), "eigh")]
     assert callers == [("spectra", "full_spectrum")]
+
+
+def test_both_enumerators_key_through_first_met():
+    # graphs and trees share one canonical form: each enumerator hands its candidate extensions to _first_met,
+    # and only _first_met keys them
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert sorted(_callers(trees["enumeration"], "_first_met")) == ["all_graphs", "all_trees"]
+    keyers = [(stem, name) for stem, tree in trees.items() for name in _callers(tree, "_canonical_keys")]
+    assert keyers == [("enumeration", "_first_met")]
 
 
 def _sign_tol_readers(tree: ast.Module) -> list:
